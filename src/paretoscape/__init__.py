@@ -4,8 +4,7 @@ points of bi-objective continuous optimisation problems."""
 from .problems import (BiObjectiveProblem, DomainError, UnknownProblemError,
                        available_problems, get_problem, make_aspar,
                        make_bisphere, make_kursawe, make_mindist, make_sgk)
-from .grid import EvaluationError, Grid, build_grid, evaluate_grid, \
-    export_points_csv
+from .grid import EvaluationError, Grid, build_grid, evaluate_grid
 from .gradients import (FieldSet, build_fieldset, divergence,
                         export_fields_csv, finite_diff_gradients, mo_gradient)
 from .criticality import (CLASS_NAMES, CriticalityMap, PointClass, classify,
@@ -13,9 +12,8 @@ from .criticality import (CLASS_NAMES, CriticalityMap, PointClass, classify,
 from .landscape import (BasinMap, EfficientSetDecomposition, HeightField,
                         LandscapeResult, analyze, connected_components,
                         cost_landscape, decompose_efficient_set,
-                        dominance_counts, dominance_counts_brute,
-                        export_decomposition_json, export_heights_csv,
-                        gfh_heights)
+                        dominance_counts, export_decomposition_json,
+                        export_heights_csv, gfh_heights)
 from .render import (PlotArtifact, colormap_blue_red, compose_plot, render,
                      render_critical_map, render_height_map)
 
@@ -26,14 +24,13 @@ __all__ = [
     "available_problems", "get_problem", "make_aspar", "make_bisphere",
     "make_kursawe", "make_mindist", "make_sgk",
     "EvaluationError", "Grid", "build_grid", "evaluate_grid",
-    "export_points_csv",
     "FieldSet", "build_fieldset", "divergence", "export_fields_csv",
     "finite_diff_gradients", "mo_gradient",
     "CLASS_NAMES", "CriticalityMap", "PointClass", "classify",
     "export_critical_points_json", "origin_in_hull",
     "BasinMap", "EfficientSetDecomposition", "HeightField",
     "LandscapeResult", "analyze", "connected_components", "cost_landscape",
-    "decompose_efficient_set", "dominance_counts", "dominance_counts_brute",
+    "decompose_efficient_set", "dominance_counts",
     "export_decomposition_json", "export_heights_csv", "gfh_heights",
     "PlotArtifact", "colormap_blue_red", "compose_plot", "render",
     "render_critical_map", "render_height_map",

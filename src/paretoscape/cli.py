@@ -1,8 +1,8 @@
 """Command-line frontend: run the pipeline, write images and exports.
 
 Exit codes: 0 on success, 1 on usage errors (bad flags, unknown problem,
-invalid bounds/resolution), 2 on runtime failures (evaluation blew up,
-output path unwritable).  On success a single-line JSON summary goes to
+invalid bounds/resolution, tolerances that are negative or not finite), 2 on
+runtime failures (evaluation blew up, output path unwritable).  On success a single-line JSON summary goes to
 standard output.
 """
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .criticality import export_critical_points_json
-from .gradients import export_fields_csv
+from .gradients import check_tolerance, export_fields_csv
 from .grid import EvaluationError
 from .landscape import analyze, cost_landscape, export_decomposition_json, \
     export_heights_csv
@@ -96,9 +96,10 @@ def build_parser() -> _Parser:
     return p
 
 
-# flags whose values may start with '-' (negative coordinates); argparse
-# would otherwise read "-2,-2" as an option, so glue the value on with '='
-_SIGNED_VALUE_FLAGS = ("--lower", "--upper")
+# flags whose values may start with '-' (negative coordinates, or negative
+# tolerances that must reach their range check); argparse would otherwise
+# read "-2,-2" or "-inf" as an option, so glue the value on with '='
+_SIGNED_VALUE_FLAGS = ("--lower", "--upper", "--zero-tol", "--div-tol")
 
 
 def _glue_signed_values(argv):
@@ -138,6 +139,11 @@ def parse_args(argv) -> Optional[RunConfig]:
         raise UsageError(f"--resolution takes N or N,M, got {args.resolution!r}")
     if n1 < 2 or n2 < 2:
         raise UsageError(f"resolution must be at least 2 per axis, got {n1},{n2}")
+    try:
+        check_tolerance("--zero-tol", args.zero_tol)
+        check_tolerance("--div-tol", args.div_tol)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
     return RunConfig(
         problem=args.problem,

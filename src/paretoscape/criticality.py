@@ -32,8 +32,8 @@ from enum import IntEnum
 
 import numpy as np
 
-from .gradients import FieldSet, divergence, gradient_norms
-from .grid import Grid, flatten_indices
+from .gradients import FieldSet, check_tolerance, divergence, gradient_norms
+from .grid import Grid
 
 
 class PointClass(IntEnum):
@@ -322,7 +322,11 @@ def classify(fields: FieldSet, div_tol_rel: float = 1e-9) -> CriticalityMap:
     Mutates ``fields``: ``fields.mo`` becomes the boundary-rotated field and
     ``fields.div_descent`` the divergence of its negation.  The absolute
     divergence tolerance is ``div_tol_rel * max|div|``.
+
+    Raises:
+        ValueError: ``div_tol_rel`` is negative, infinite or NaN.
     """
+    check_tolerance("div_tol_rel", div_tol_rel)
     grid = fields.grid
     triangles, interior_mask = interior_criticality(
         fields.g1, fields.g2, grid, fields.zero_tol)
@@ -367,23 +371,17 @@ def export_critical_points_json(path, critmap: CriticalityMap,
     grid indices and the class name string.
     """
     grid = critmap.grid
+    j, i = np.nonzero(critmap.labels.T)     # j2 outer, j1 inner
     div = fields.div_descent
-    records = []
-    for j in range(grid.n2):
-        for i in range(grid.n1):
-            lab = int(critmap.labels[i, j])
-            if lab == PointClass.NON_CRITICAL:
-                continue
-            records.append({
-                "j1": i + 1,
-                "j2": j + 1,
-                "x1": float(grid.x1[i]),
-                "x2": float(grid.x2[j]),
-                "class": CLASS_NAMES[PointClass(lab)],
-                "div": float(div[i, j]) if div is not None else None,
-                "f1": float(fields.f1[i, j]),
-                "f2": float(fields.f2[i, j]),
-            })
+    divs = div[i, j].tolist() if div is not None else [None] * i.size
+    records = [
+        {"j1": a + 1, "j2": b + 1, "x1": x1, "x2": x2,
+         "class": CLASS_NAMES[lab], "div": d, "f1": v1, "f2": v2}
+        for a, b, x1, x2, lab, d, v1, v2 in zip(
+            i.tolist(), j.tolist(), grid.x1[i].tolist(), grid.x2[j].tolist(),
+            critmap.labels[i, j].tolist(), divs,
+            fields.f1[i, j].tolist(), fields.f2[i, j].tolist())
+    ]
     with open(path, "w", encoding="ascii") as fh:
         json.dump(records, fh, indent=1)
         fh.write("\n")

@@ -10,12 +10,13 @@ as the zero vector, which encodes single-objective criticality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .grid import Grid, flatten_indices, _fmt
+from .grid import Grid, export_grid_csv
 
 
 def _axis_derivative(values: np.ndarray, spacing: float, axis: int) -> np.ndarray:
@@ -97,15 +98,25 @@ class FieldSet:
     div_descent: Optional[np.ndarray] = None
 
 
+def check_tolerance(name: str, value: float) -> None:
+    """Raise ValueError unless a tolerance is finite and non-negative."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 def build_fieldset(problem, grid: Grid, zero_tol_rel: float = 1e-12,
                    workers: int = 1) -> FieldSet:
     """Evaluate a problem on a grid and derive all first-order fields.
 
     ``zero_tol_rel`` is relative: the absolute zero tolerance is
     ``zero_tol_rel * gradient_scale(g1, g2)``.
+
+    Raises:
+        ValueError: ``zero_tol_rel`` is negative, infinite or NaN.
     """
     from .grid import evaluate_grid
 
+    check_tolerance("zero_tol_rel", zero_tol_rel)
     f1, f2 = evaluate_grid(problem, grid, workers=workers)
     g1 = finite_diff_gradients(f1, grid)
     g2 = finite_diff_gradients(f2, grid)
@@ -121,21 +132,9 @@ def export_fields_csv(path, fields: FieldSet) -> None:
     Columns: j1,j2,x1,x2,g1x,g1y,g2x,g2y,mox,moy,div  (mo = rotated field,
     div = divergence of the descent field -mo; empty if not yet computed).
     """
-    grid = fields.grid
-    j1s, j2s = flatten_indices(grid)
-    X1, X2 = grid.meshes()
-    div = fields.div_descent
-    cols = [
-        X1, X2,
-        fields.g1[..., 0], fields.g1[..., 1],
-        fields.g2[..., 0], fields.g2[..., 1],
-        fields.mo[..., 0], fields.mo[..., 1],
-    ]
-    flat = [c.ravel(order="F") for c in cols]
-    divf = div.ravel(order="F") if div is not None else None
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("j1,j2,x1,x2,g1x,g1y,g2x,g2y,mox,moy,div\n")
-        for k in range(j1s.size):
-            row = [str(j1s[k]), str(j2s[k])] + [_fmt(c[k]) for c in flat]
-            row.append(_fmt(divf[k]) if divf is not None else "")
-            fh.write(",".join(row) + "\n")
+    export_grid_csv(
+        path, fields.grid,
+        ["g1x", "g1y", "g2x", "g2y", "mox", "moy", "div"],
+        [fields.g1[..., 0], fields.g1[..., 1],
+         fields.g2[..., 0], fields.g2[..., 1],
+         fields.mo[..., 0], fields.mo[..., 1], fields.div_descent])

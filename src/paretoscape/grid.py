@@ -2,15 +2,16 @@
 
 Scalar fields over a grid are plain float arrays of shape (n1, n2) indexed
 ``values[j1, j2]`` (0-based internally; exports use the 1-based convention).
-Vector fields add a trailing axis of length 2.  Flattened exports iterate j2
-in the outer loop and j1 in the inner loop ("j1 fastest"), documented here
-once and relied on everywhere.
+Vector fields add a trailing axis of length 2.  Per-point CSV exports all go
+through ``export_grid_csv``, which iterates j2 in the outer loop and j1 in
+the inner loop ("j1 fastest").
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -130,25 +131,40 @@ def evaluate_grid(problem: BiObjectiveProblem, grid: Grid, workers: int = 1):
     return f1, f2
 
 
-def flatten_indices(grid: Grid):
-    """1-based (j1, j2) index columns in export order (j2 outer, j1 inner)."""
-    j1 = np.tile(np.arange(1, grid.n1 + 1), grid.n2)
-    j2 = np.repeat(np.arange(1, grid.n2 + 1), grid.n1)
-    return j1, j2
+# rows per formatted block of a CSV export: bounds the Python strings alive
+# at once while keeping the per-block numpy overhead negligible
+CSV_BLOCK_ROWS = 16384
 
 
-def _fmt(v) -> str:
-    return repr(float(v))
+def flatten_indices(grid: Grid, start: int = 0, stop: Optional[int] = None):
+    """1-based (j1, j2) index columns of export rows ``start:stop``.
+
+    Export rows run j2 in the outer and j1 in the inner loop; by default
+    all ``n1 * n2`` rows are returned.
+    """
+    rows = np.arange(start, grid.n1 * grid.n2 if stop is None else stop)
+    j2, j1 = np.divmod(rows, grid.n1)
+    return j1 + 1, j2 + 1
 
 
-def export_points_csv(path, grid: Grid, f1: np.ndarray, f2: np.ndarray) -> None:
-    """Write the evaluated grid as CSV: j1,j2,x1,x2,f1,f2 (j1 fastest)."""
-    j1s, j2s = flatten_indices(grid)
-    X1, X2 = grid.meshes()
-    cols = [X1.ravel(order="F"), X2.ravel(order="F"),
-            f1.ravel(order="F"), f2.ravel(order="F")]
+def export_grid_csv(path, grid: Grid, header, columns) -> None:
+    """Write per-grid-point columns as CSV, one row per point, j1 fastest.
+
+    Every row starts with the 1-based ``j1,j2`` and the coordinates
+    ``x1,x2``, followed by one value per entry of ``columns``: an (n1, n2)
+    array, or None for a column left empty.  ``header`` names those
+    columns.  Values are written via ``.tolist()``, so floats print as
+    ``repr`` and integers as ``str``.  Rows are formatted and written
+    ``CSV_BLOCK_ROWS`` at a time.
+    """
+    n = grid.n1 * grid.n2
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("j1,j2,x1,x2,f1,f2\n")
-        for k in range(j1s.size):
-            fh.write(f"{j1s[k]},{j2s[k]},"
-                     + ",".join(_fmt(c[k]) for c in cols) + "\n")
+        fh.write(",".join(["j1", "j2", "x1", "x2", *header]) + "\n")
+        for lo in range(0, n, CSV_BLOCK_ROWS):
+            j1, j2 = flatten_indices(grid, lo, min(lo + CSV_BLOCK_ROWS, n))
+            i, j = j1 - 1, j2 - 1
+            text = [map(str, v.tolist())
+                    for v in (j1, j2, grid.x1[i], grid.x2[j])]
+            text += [map(str, c[i, j].tolist()) if c is not None
+                     else [""] * i.size for c in columns]
+            fh.write("\n".join(map(",".join, zip(*text))) + "\n")

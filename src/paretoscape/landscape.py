@@ -12,9 +12,9 @@ Two height fields summarise the landscape:
 
 * cost landscape ("cost"): the height of a point is the number of grid
   points that strictly dominate it.  Exact tie semantics matter: points with
-  identical objective vectors do not dominate each other.  A brute-force
-  O(N^2) counter serves as the oracle; the production counter sorts by f1
-  and sweeps a Fenwick tree over f2 ranks in O(N log N).
+  identical objective vectors do not dominate each other.  The counter
+  sorts by f1 and sweeps a Fenwick tree over f2 ranks in O(N log N); the
+  tests check it against a brute-force O(N^2) oracle.
 
 Locally efficient points are further decomposed into 8-connected components
 and ranked by their dominance count within the efficient subset, which
@@ -32,28 +32,12 @@ import numpy as np
 from .criticality import (CriticalityMap, NEIGHBOR_OFFSETS, _pair_slices,
                           classify)
 from .gradients import FieldSet, build_fieldset
-from .grid import Grid, build_grid, flatten_indices, _fmt
+from .grid import Grid, build_grid, export_grid_csv
 
 
 # ---------------------------------------------------------------------------
 # dominance counting
 # ---------------------------------------------------------------------------
-
-def dominance_counts_brute(F: np.ndarray, chunk: int = 512) -> np.ndarray:
-    """O(N^2) reference counter: for each row, how many rows dominate it."""
-    F = np.asarray(F, dtype=float)
-    N = F.shape[0]
-    out = np.empty(N, dtype=np.int64)
-    for lo in range(0, N, chunk):
-        hi = min(lo + chunk, N)
-        a1 = F[lo:hi, 0][:, None]
-        a2 = F[lo:hi, 1][:, None]
-        b1 = F[None, :, 0]
-        b2 = F[None, :, 1]
-        dom = (b1 <= a1) & (b2 <= a2) & ((b1 < a1) | (b2 < a2))
-        out[lo:hi] = dom.sum(axis=1)
-    return out
-
 
 def dominance_counts(F: np.ndarray) -> np.ndarray:
     """Strict-dominance counts in O(N log N).
@@ -111,16 +95,10 @@ class HeightField:
     mode: str              # "gfh" or "cost"
 
 
-def cost_landscape(f1: np.ndarray, f2: np.ndarray, grid: Grid,
-                   method: str = "fast") -> HeightField:
+def cost_landscape(f1: np.ndarray, f2: np.ndarray, grid: Grid) -> HeightField:
     """Dominance-count height for every grid point."""
     F = np.stack([f1.ravel(order="F"), f2.ravel(order="F")], axis=1)
-    if method == "fast":
-        counts = dominance_counts(F)
-    elif method == "brute":
-        counts = dominance_counts_brute(F)
-    else:
-        raise ValueError(f"unknown method {method!r}, expected 'fast' or 'brute'")
+    counts = dominance_counts(F)
     values = counts.reshape((grid.n2, grid.n1)).T.copy()
     return HeightField(grid=grid, values=values, mode="cost")
 
@@ -370,18 +348,7 @@ def analyze(problem, n1: int, n2: Optional[int] = None, *,
 
 def export_heights_csv(path, heights: HeightField) -> None:
     """CSV of a height field: j1,j2,x1,x2,height (j1 fastest)."""
-    grid = heights.grid
-    j1s, j2s = flatten_indices(grid)
-    X1, X2 = grid.meshes()
-    x1f = X1.ravel(order="F")
-    x2f = X2.ravel(order="F")
-    h = heights.values.ravel(order="F")
-    is_int = np.issubdtype(heights.values.dtype, np.integer)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("j1,j2,x1,x2,height\n")
-        for k in range(j1s.size):
-            hv = str(int(h[k])) if is_int else _fmt(h[k])
-            fh.write(f"{j1s[k]},{j2s[k]},{_fmt(x1f[k])},{_fmt(x2f[k])},{hv}\n")
+    export_grid_csv(path, heights.grid, ["height"], [heights.values])
 
 
 def export_decomposition_json(path, decomposition: EfficientSetDecomposition,
@@ -390,32 +357,33 @@ def export_decomposition_json(path, decomposition: EfficientSetDecomposition,
 
     Top level: {"n_efficient", "n_rank0", "n_components", "components"}.
     Each component: id, size, min_rank, representative_f, and its points
-    ({"j1","j2","x1","x2","f1","f2","rank"}, scan order, 1-based indices).
+    ({"j1","j2","x1","x2","f1","f2","rank"}, 1-based indices) in the scan
+    order of ``decomposition.points``: j1 outer, j2 fastest.
     """
-    grid = decomposition.grid
-    comps = []
-    for c in range(decomposition.n_components):
-        members = np.flatnonzero(decomposition.component_of == c)
-        pts = []
-        for m in members:
-            i, j = decomposition.points[m]
-            pts.append({
-                "j1": int(i) + 1, "j2": int(j) + 1,
-                "x1": float(grid.x1[i]), "x2": float(grid.x2[j]),
-                "f1": float(f1[i, j]), "f2": float(f2[i, j]),
-                "rank": int(decomposition.ranks[m]),
-            })
-        comps.append({
-            "id": c,
-            "size": int(decomposition.component_sizes[c]),
-            "min_rank": int(decomposition.component_min_rank[c]),
-            "representative_f": [float(v) for v in decomposition.representative_f[c]],
-            "points": pts,
-        })
+    d = decomposition
+    grid = d.grid
+    # a stable sort keeps each component's points in scan order
+    order = np.argsort(d.component_of, kind="stable")
+    i, j = d.points[order, 0], d.points[order, 1]
+    points = [
+        {"j1": a + 1, "j2": b + 1, "x1": x1, "x2": x2, "f1": v1, "f2": v2,
+         "rank": r}
+        for a, b, x1, x2, v1, v2, r in zip(
+            i.tolist(), j.tolist(), grid.x1[i].tolist(), grid.x2[j].tolist(),
+            f1[i, j].tolist(), f2[i, j].tolist(), d.ranks[order].tolist())
+    ]
+    ends = np.cumsum(d.component_sizes).tolist()
+    comps = [
+        {"id": c, "size": size, "min_rank": min_rank,
+         "representative_f": rep, "points": points[end - size:end]}
+        for c, (size, min_rank, rep, end) in enumerate(zip(
+            d.component_sizes.tolist(), d.component_min_rank.tolist(),
+            d.representative_f.tolist(), ends))
+    ]
     payload = {
-        "n_efficient": decomposition.n_efficient,
-        "n_rank0": decomposition.n_rank0,
-        "n_components": decomposition.n_components,
+        "n_efficient": d.n_efficient,
+        "n_rank0": d.n_rank0,
+        "n_components": d.n_components,
         "components": comps,
     }
     with open(path, "w", encoding="ascii") as fh:

@@ -11,7 +11,7 @@ used by the finite-difference validation tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -90,10 +90,6 @@ class BiObjectiveProblem:
         if self.gradient_fn is None:
             raise ValueError(f"problem {self.name!r} has no analytic gradient")
         return self.gradient_fn(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
-
-    def with_box(self, lower, upper) -> "BiObjectiveProblem":
-        """Copy of this problem restricted to (or re-framed on) another box."""
-        return replace(self, lower=np.asarray(lower, float), upper=np.asarray(upper, float))
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,11 @@ import time
 
 import numpy as np
 
+from oracles import cost_landscape_brute
 from paretoscape import (BiObjectiveProblem, PointClass, analyze,
                          build_fieldset, build_grid, cost_landscape,
-                         dominance_counts, dominance_counts_brute,
-                         finite_diff_gradients, get_problem, make_aspar,
-                         make_bisphere, make_sgk, origin_in_hull)
+                         dominance_counts, finite_diff_gradients, get_problem,
+                         make_aspar, make_bisphere, make_sgk, origin_in_hull)
 from paretoscape.cli import RunConfig, run
 from paretoscape.criticality import boundary_criticality, triangle_corners
 
@@ -98,8 +98,8 @@ def test_criterion_4_dominance_counter_oracle():
             f1 = rng.normal(size=(50, 50))
             f2 = rng.normal(size=(50, 50))
         g = build_grid((0.0, 0.0), (1.0, 1.0), 50, 50)
-        fast = cost_landscape(f1, f2, g, method="fast").values
-        brute = cost_landscape(f1, f2, g, method="brute").values
+        fast = cost_landscape(f1, f2, g).values
+        brute = cost_landscape_brute(f1, f2)
         assert np.array_equal(fast, brute), f"case {case}"
     _report(4, "20 random 50x50 fields: fast dominance counts identical to "
                "brute force")

@@ -53,6 +53,16 @@ def test_usage_errors_exit_1(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--zero-tol", "--div-tol"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+def test_invalid_tolerance_exit_1(flag, value, tmp_path, capsys):
+    out = tmp_path / "x.ppm"
+    assert main(["--problem", "bisphere", "--resolution", "20",
+                 "--out", str(out), flag, value]) == 1
+    assert f"{flag} must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_problem_exit_1(capsys):
     assert main(["--problem", "dtlz9"]) == 1
     err = capsys.readouterr().err

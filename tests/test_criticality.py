@@ -409,3 +409,37 @@ def test_export_critical_points_json_schema(tmp_path):
     for (i, j), r in by_index.items():
         assert CLASS_NAMES[PointClass(int(cm.labels[i, j]))] == r["class"]
         assert r["div"] == fs.div_descent[i, j]
+
+
+def test_export_critical_points_json_golden(tmp_path):
+    # two spheres centred on the lower edge: the segment between the centres
+    # is efficient, the middle row is non-critical and left out
+    p = BiObjectiveProblem(
+        name="pair", lower=(0.0, 0.0), upper=(3.0, 2.0),
+        fn=lambda x1, x2: (x1 ** 2 + x2 ** 2, (x1 - 1.0) ** 2 + x2 ** 2),
+    )
+    fs = _fieldset(p, 4, 3)
+    cm = classify(fs)
+    out = tmp_path / "crit.json"
+    export_critical_points_json(out, cm, fs)
+    rows = [
+        (1, 1, 0.0, 0.0, "LocallyEfficientBoundary", -1.2690680106266528, 0.0, 1.0),
+        (2, 1, 1.0, 0.0, "LocallyEfficientBoundary", -1.1921780312592134, 1.0, 0.0),
+        (3, 1, 2.0, 0.0, "CriticalOnly", -0.9819895475209734, 4.0, 1.0),
+        (1, 3, 0.0, 2.0, "CriticalOnly", -0.663212410326425, 4.0, 5.0),
+        (2, 3, 1.0, 2.0, "CriticalOnly", -0.8022936112639107, 5.0, 4.0),
+        (3, 3, 2.0, 2.0, "CriticalOnly", -0.7826796729882696, 8.0, 5.0),
+    ]
+    keys = ("j1", "j2", "x1", "x2", "class", "div", "f1", "f2")
+    records = [dict(zip(keys, r)) for r in rows]
+    assert out.read_bytes() == (json.dumps(records, indent=1) + "\n").encode()
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0])
+def test_tolerances_must_be_finite_and_nonnegative(tol):
+    p = make_bisphere()
+    g = build_grid(p.lower, p.upper, 9, 9)
+    with pytest.raises(ValueError, match="zero_tol_rel must be finite"):
+        build_fieldset(p, g, zero_tol_rel=tol)
+    with pytest.raises(ValueError, match="div_tol_rel must be finite"):
+        classify(build_fieldset(p, g), div_tol_rel=tol)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from paretoscape import (build_fieldset, build_grid, divergence,
+from paretoscape import (BiObjectiveProblem, build_fieldset, build_grid,
+                         classify, divergence, export_fields_csv,
                          finite_diff_gradients, make_aspar, make_bisphere,
                          mo_gradient)
 from paretoscape.gradients import gradient_norms, gradient_scale
@@ -173,3 +174,30 @@ def test_bisphere_descent_divergence_negative_between_centers():
     close = sel & deep & (np.abs(X2) > 0.2) & (ra > 0.5) & (rb > 0.5)
     expected = -(1.0 / ra[close] + 1.0 / rb[close])
     assert np.allclose(div_desc[close], expected, rtol=0.05)
+
+
+def test_export_fields_csv_golden(tmp_path):
+    p = BiObjectiveProblem(
+        name="tiny", lower=(0.0, 0.0), upper=(2.0, 1.0),
+        fn=lambda x1, x2: (x1 * x1 + x2, (x1 - 2.0) ** 2 - 0.5 * x2),
+    )
+    g = build_grid(p.lower, p.upper, 3, 2)
+    fs = build_fieldset(p, g)
+    rows = [
+        "1,1,0.0,0.0,1.0,1.0,-3.0,-0.5,-0.2792871426455963,0.5427077938811902",
+        "2,1,1.0,0.0,2.0,1.0,-2.0,-0.5,-0.07571530914541602,0.20467797046362496",
+        "3,1,2.0,0.0,3.0,1.0,-1.0,-0.5,0.05425610705059791,-0.13098582948312",
+        "1,2,0.0,1.0,1.0,1.0,-3.0,-0.5,-0.2792871426455963,0.5427077938811902",
+        "2,2,1.0,1.0,2.0,1.0,-2.0,-0.5,-0.07571530914541602,0.20467797046362496",
+        "3,2,2.0,1.0,3.0,1.0,-1.0,-0.5,0.05425610705059791,-0.13098582948312",
+    ]
+    header = "j1,j2,x1,x2,g1x,g1y,g2x,g2y,mox,moy,div\n"
+    out = tmp_path / "fields.csv"
+    # before classification the div column is present but empty
+    export_fields_csv(out, fs)
+    assert out.read_bytes() == (header + "".join(r + ",\n" for r in rows)).encode()
+    classify(fs)
+    export_fields_csv(out, fs)
+    divs = ["-0.20357183350018027", "-0.1667716248480971", "-0.12997141619601393"]
+    assert out.read_bytes() == (header + "".join(
+        f"{r},{divs[k % 3]}\n" for k, r in enumerate(rows))).encode()

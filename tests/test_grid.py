@@ -5,7 +5,8 @@ import pytest
 
 from paretoscape import (BiObjectiveProblem, DomainError, EvaluationError,
                          build_grid, evaluate_grid, make_aspar, make_bisphere)
-from paretoscape.grid import export_points_csv, flatten_indices
+from paretoscape import grid as grid_module
+from paretoscape.grid import export_grid_csv, flatten_indices
 
 
 def test_coordinates_small_grid_exact():
@@ -93,23 +94,28 @@ def test_flatten_indices_column_major_one_based():
     j1, j2 = flatten_indices(g)
     assert list(j1) == [1, 2, 3, 1, 2, 3]
     assert list(j2) == [1, 1, 1, 2, 2, 2]
+    j1, j2 = flatten_indices(g, 2, 5)
+    assert list(j1) == [3, 1, 2]
+    assert list(j2) == [1, 2, 2]
 
 
-def test_export_points_csv_golden(tmp_path):
-    p = BiObjectiveProblem(
-        name="tiny",
-        lower=(0.0, 0.0),
-        upper=(1.0, 1.0),
-        fn=lambda x1, x2: (x1 + 2.0 * x2, x1 * 0.0 + 7.0),
-    )
-    g = build_grid((0.0, 0.0), (1.0, 1.0), 2, 2)
-    f1, f2 = evaluate_grid(p, g)
-    out = tmp_path / "points.csv"
-    export_points_csv(out, g, f1, f2)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "j1,j2,x1,x2,f1,f2"
-    assert lines[1] == "1,1,0.0,0.0,0.0,7.0"
-    assert lines[2] == "2,1,1.0,0.0,1.0,7.0"
-    assert lines[3] == "1,2,0.0,1.0,2.0,7.0"
-    assert lines[4] == "2,2,1.0,1.0,3.0,7.0"
-    assert len(lines) == 5
+def test_export_grid_csv_blocks_join_seamlessly(tmp_path, monkeypatch):
+    g = build_grid((0.0, 0.0), (1.0, 2.0), 3, 5)
+    ints = np.arange(15).reshape(3, 5)
+    floats = ints / 3.0
+    single = tmp_path / "single.csv"
+    export_grid_csv(single, g, ["n", "empty", "third"], [ints, None, floats])
+    lines = single.read_text().splitlines()
+    assert lines[0] == "j1,j2,x1,x2,n,empty,third"
+    assert lines[1] == "1,1,0.0,0.0,0,,0.0"
+    assert lines[2] == "2,1,0.5,0.0,5,,1.6666666666666667"
+    assert lines[4] == "1,2,0.0,0.5,1,,0.3333333333333333"
+    assert lines[15] == "3,5,1.0,2.0,14,,4.666666666666667"
+    assert len(lines) == 16
+    # block boundaries inside and at the end of a j2 column
+    for rows in (1, 3, 4, 14):
+        monkeypatch.setattr(grid_module, "CSV_BLOCK_ROWS", rows)
+        blocked = tmp_path / f"blocked{rows}.csv"
+        export_grid_csv(blocked, g, ["n", "empty", "third"], [ints, None, floats])
+        assert blocked.read_bytes() == single.read_bytes()
+

@@ -3,11 +3,11 @@
 import json
 
 import numpy as np
-import pytest
 
+from oracles import cost_landscape_brute, dominance_counts_brute
 from paretoscape import (BiObjectiveProblem, analyze, connected_components,
-                         cost_landscape, dominance_counts,
-                         dominance_counts_brute, make_aspar, make_bisphere)
+                         cost_landscape, dominance_counts, make_aspar,
+                         make_bisphere)
 from paretoscape.grid import build_grid
 from paretoscape.landscape import (export_decomposition_json,
                                    export_heights_csv)
@@ -44,10 +44,7 @@ def test_cost_landscape_total_order_2x2():
     hf = cost_landscape(f1, f2, g)
     assert hf.mode == "cost"
     assert hf.values.tolist() == [[0, 2], [1, 3]]
-    assert np.array_equal(hf.values,
-                          cost_landscape(f1, f2, g, method="brute").values)
-    with pytest.raises(ValueError, match="fast.*brute"):
-        cost_landscape(f1, f2, g, method="magic")
+    assert np.array_equal(hf.values, cost_landscape_brute(f1, f2))
 
 
 def test_cost_landscape_invariant_under_monotone_transforms():

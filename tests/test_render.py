@@ -1,6 +1,8 @@
 """Colormap, raster orientation, and PPM/PNG encoding."""
 
 import io
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -13,7 +15,27 @@ from paretoscape.landscape import HeightField
 from paretoscape.render import (BLACK_EFFICIENT, GRAY_CRITICAL, WHITE,
                                 normalize_heights)
 
-PIL = pytest.importorskip("PIL.Image")
+
+def _decode_png(data: bytes) -> np.ndarray:
+    """Decode an 8-bit RGB, non-interlaced PNG whose scanlines all use filter
+    type 0, checking the signature, every chunk CRC and the IHDR fields."""
+    assert data[:8] == b"\x89PNG\r\n\x1a\n"
+    chunks, pos = [], 8
+    while pos < len(data):
+        (length,) = struct.unpack(">I", data[pos:pos + 4])
+        body = data[pos + 4:pos + 8 + length]
+        (crc,) = struct.unpack(">I", data[pos + 8 + length:pos + 12 + length])
+        assert zlib.crc32(body) & 0xFFFFFFFF == crc, f"bad CRC in {body[:4]!r}"
+        chunks.append((body[:4], body[4:]))
+        pos += 12 + length
+    assert chunks[0][0] == b"IHDR" and chunks[-1] == (b"IEND", b"")
+    width, height, depth, color, method, filt, interlace = struct.unpack(
+        ">IIBBBBB", chunks[0][1])
+    assert (depth, color, method, filt, interlace) == (8, 2, 0, 0, 0)
+    raw = zlib.decompress(b"".join(p for tag, p in chunks if tag == b"IDAT"))
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(height, 1 + 3 * width)
+    assert (rows[:, 0] == 0).all()
+    return rows[:, 1:].reshape(height, width, 3)
 
 
 def test_colormap_endpoints_and_monotone_channels():
@@ -129,13 +151,25 @@ def test_ppm_bytes_golden():
                     b"\xff\x00\x00\x00\xff\x00\x00\x00\xff\x09\x08\x07")
 
 
+def test_png_roundtrip():
+    rng = np.random.default_rng(8)
+    raster = rng.integers(0, 256, size=(5, 9, 3), dtype=np.uint8)
+    from paretoscape.render import PlotArtifact
+
+    decoded = _decode_png(PlotArtifact(raster=raster).to_png_bytes())
+    assert decoded.shape == (5, 9, 3)
+    assert np.array_equal(decoded, raster)
+
+
 def test_png_roundtrip_via_pillow():
+    image = pytest.importorskip(
+        "PIL.Image", reason="Pillow not installed; cross-check skipped")
     rng = np.random.default_rng(8)
     raster = rng.integers(0, 256, size=(5, 9, 3), dtype=np.uint8)
     from paretoscape.render import PlotArtifact
 
     art = PlotArtifact(raster=raster)
-    img = PIL.open(io.BytesIO(art.to_png_bytes()))
+    img = image.open(io.BytesIO(art.to_png_bytes()))
     assert img.size == (9, 5)
     assert img.mode == "RGB"
     assert np.array_equal(np.asarray(img), raster)
@@ -153,8 +187,9 @@ def test_save_infers_format_and_is_deterministic(tmp_path):
     q = tmp_path / "a.ppm"
     art.save(q)
     assert q.read_bytes()[:2] == b"P6"
-    img = PIL.open(p1)
-    assert img.size == (41, 41)
+    decoded = _decode_png(p1.read_bytes())
+    assert decoded.shape == (41, 41, 3)
+    assert np.array_equal(decoded, art.raster)
 
 
 def test_render_dispatch():
