@@ -83,7 +83,7 @@ def origin_in_hull(vectors, zero_tol: float = 0.0) -> bool:
     return bool(max(gaps.max(initial=0.0), wrap) <= np.pi)
 
 
-def _pair_slices(d: int):
+def pair_slices(d: int):
     """(source, shifted) slices pairing index i with i+d along one axis."""
     if d == 1:
         return slice(0, -1), slice(1, None)
@@ -111,8 +111,8 @@ def interior_criticality(g1: np.ndarray, g2: np.ndarray, grid: Grid,
     crit_mask = np.zeros(grid.shape, dtype=bool)
     tri_rows = []
     for di, dj in ORIENTATIONS:
-        ai, hi = _pair_slices(di)
-        aj, vj = _pair_slices(dj)
+        ai, hi = pair_slices(di)
+        aj, vj = pair_slices(dj)
         angles = np.stack(
             [ang1[ai, aj], ang1[hi, aj], ang1[ai, vj],
              ang2[ai, aj], ang2[hi, aj], ang2[ai, vj]], axis=-1)
@@ -274,8 +274,8 @@ def neighbor_dominated_mask(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     """True where some 8-neighbour strictly dominates the point."""
     dom = np.zeros(f1.shape, dtype=bool)
     for di, dj in NEIGHBOR_OFFSETS:
-        ai, bi = _pair_slices(di)
-        aj, bj = _pair_slices(dj)
+        ai, bi = pair_slices(di)
+        aj, bj = pair_slices(dj)
         a1, a2 = f1[ai, aj], f2[ai, aj]
         b1, b2 = f1[bi, bj], f2[bi, bj]
         dom[ai, aj] |= (b1 <= a1) & (b2 <= a2) & ((b1 < a1) | (b2 < a2))

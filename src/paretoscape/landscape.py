@@ -6,9 +6,11 @@ Two height fields summarise the landscape:
   direction -mo to the 8-neighbour with the best-aligned step, accumulating
   ||mo|| times the step length, until it reaches a locally efficient point.
   The accumulated length is the point's height; the efficient component it
-  lands in is its basin.  Paths that end in a field-zero pit, leave no
-  descending neighbour, or run into a cycle carry no basin and are counted
-  as unconverged.
+  lands in is its basin.  Paths that end in a field-zero pit, at a dead end
+  with no descending neighbour, or in a cycle carry no basin and are
+  counted as unconverged; each of the four stop kinds is counted apart.
+  Heights are accumulated over topological rounds of the successor forest
+  in about O(N log N).
 
 * cost landscape ("cost"): the height of a point is the number of grid
   points that strictly dominate it.  Exact tie semantics matter: points with
@@ -29,8 +31,8 @@ from typing import Optional
 
 import numpy as np
 
-from .criticality import (CriticalityMap, NEIGHBOR_OFFSETS, _pair_slices,
-                          classify)
+from .criticality import (CriticalityMap, NEIGHBOR_OFFSETS, classify,
+                          pair_slices)
 from .gradients import FieldSet, build_fieldset
 from .grid import Grid, build_grid, export_grid_csv
 
@@ -177,23 +179,24 @@ def decompose_efficient_set(critmap: CriticalityMap, f1: np.ndarray,
     ranks = dominance_counts(F)
     comp_of = comp_labels[pts[:, 0], pts[:, 1]]
     sizes = np.bincount(comp_of, minlength=n_comp).astype(np.int64)
-    min_rank = np.full(n_comp, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(min_rank, comp_of, ranks)
-    rep = np.zeros((n_comp, 2))
-    for c in range(n_comp):
-        members = np.flatnonzero(comp_of == c)
-        best = members[np.argmin(ranks[members])]
-        rep[c] = F[best]
+    # sorted by (component, rank) and stable, so each component's first row
+    # is its earliest min-rank member in scan order
+    order = np.lexsort((ranks, comp_of))
+    best = order[np.cumsum(sizes) - sizes]
     return EfficientSetDecomposition(
         grid=critmap.grid, points=pts, ranks=ranks, component_of=comp_of,
         component_labels=comp_labels, n_components=n_comp,
-        component_sizes=sizes, component_min_rank=min_rank,
-        representative_f=rep)
+        component_sizes=sizes, component_min_rank=ranks[best],
+        representative_f=F[best])
 
 
 # ---------------------------------------------------------------------------
 # descent-path heights and basins
 # ---------------------------------------------------------------------------
+
+# how a descent path can end; codes are positions in this tuple
+STOP_KINDS = ("efficient", "cycle", "dead_end", "pit")
+
 
 @dataclass
 class BasinMap:
@@ -203,6 +206,8 @@ class BasinMap:
     labels: np.ndarray        # (n1, n2) int32, -1 = unconverged
     n_basins: int             # distinct components actually reached
     n_unconverged: int        # grid points whose path reaches no efficient point
+    stop_counts: dict         # STOP_KINDS name -> paths ending that way
+    n_cycles: int             # distinct successor cycles cut by the peel
 
 
 def gfh_heights(fields: FieldSet, critmap: CriticalityMap,
@@ -213,11 +218,22 @@ def gfh_heights(fields: FieldSet, critmap: CriticalityMap,
     From every grid point the path repeatedly moves to the 8-neighbour whose
     normalised decision-space offset has the largest dot product with the
     descent direction -mo, accumulating ||mo|| times the Euclidean step
-    length.  Locally efficient points terminate paths at height 0; points
-    with a zero field or no descending neighbour terminate at height 0
-    without a basin.  The successor graph is a forest (plus possible rare
-    cycles, which are cut and counted), so heights are accumulated by
-    peeling the graph in topological rounds — no recursion, no memo misses.
+    length.  Every path stops in one of four ways (``STOP_KINDS``):
+
+    * ``efficient``: at a locally efficient point, whose component is the
+      path's basin;
+    * ``pit``: at a non-efficient point with a zero field;
+    * ``dead_end``: at a non-efficient point with a non-zero field but no
+      descending neighbour;
+    * ``cycle``: on a cycle of the successor graph, or in a tail that drains
+      into one.  Each cycle is cut: its members get height 0.
+
+    Stops have height 0, and only efficient stops carry a basin.  The
+    successor graph is peeled in topological rounds, sources first; each
+    round decrements the in-degree of its frontier's targets only, so a
+    round costs O(F log F) for a frontier of F points and the whole peel
+    about O(N log N).  Heights are then filled in by walking the rounds
+    backwards, h[v] = cost[v] + h[succ[v]].
     """
     grid = fields.grid
     n1, n2 = grid.shape
@@ -233,8 +249,8 @@ def gfh_heights(fields: FieldSet, critmap: CriticalityMap,
     flat_idx = np.arange(N, dtype=np.int64).reshape(grid.shape)
 
     for di, dj in NEIGHBOR_OFFSETS:
-        ai, bi = _pair_slices(di)
-        aj, bj = _pair_slices(dj)
+        ai, bi = pair_slices(di)
+        aj, bj = pair_slices(dj)
         length = float(np.hypot(di * grid.s1, dj * grid.s2))
         dot = (vx[ai, aj] * (di * grid.s1) + vy[ai, aj] * (dj * grid.s2)) / length
         better = dot > best[ai, aj]
@@ -243,51 +259,76 @@ def gfh_heights(fields: FieldSet, critmap: CriticalityMap,
         succ[ai, aj][better] = flat_idx[bi, bj][better]
         step_len[ai, aj][better] = length
 
-    terminal = critmap.efficient_mask | (mo_norm <= 0.0) | (best <= 0.0)
+    eff = critmap.efficient_mask
+    pit = ~eff & (mo_norm <= 0.0)
+    dead_end = ~eff & ~pit & (best <= 0.0)
+    terminal = eff | pit | dead_end
     succ[terminal] = -1
     cost = mo_norm * step_len
     cost[terminal] = 0.0
 
     succ_flat = succ.ravel()
     cost_flat = cost.ravel()
-    indeg = np.bincount(succ_flat[succ_flat >= 0], minlength=N)
-    peeled = np.zeros(N, dtype=bool)
-    frontier = np.flatnonzero((indeg == 0) & (succ_flat >= 0))
+    linked = succ_flat >= 0
+    indeg = np.bincount(succ_flat[linked], minlength=N)
+    frontier = np.flatnonzero(linked & (indeg == 0))
     rounds = []
     while frontier.size:
         rounds.append(frontier)
-        peeled[frontier] = True
-        targets = succ_flat[frontier]
-        dec = np.bincount(targets, minlength=N)
-        indeg -= dec
-        cand = np.unique(targets)
-        frontier = cand[(indeg[cand] == 0) & (succ_flat[cand] >= 0) & ~peeled[cand]]
+        cand, dec = np.unique(succ_flat[frontier], return_counts=True)
+        indeg[cand] -= dec
+        cand = cand[indeg[cand] == 0]
+        frontier = cand[linked[cand]]
+    # every linked point whose in-degree reached 0 was peeled; the rest keep
+    # an in-edge from each other and form the cycles
+    on_cycle = linked & (indeg > 0)
 
-    on_cycle = (~peeled) & (succ_flat >= 0)
+    # terminals and cycle members end their own paths; every peeled point
+    # ends where its successor does
     heights = np.zeros(N)
-    basins = np.full(N, -1, dtype=np.int32)
-    eff_flat = critmap.efficient_mask.ravel()
-    comp_flat = decomposition.component_labels.ravel()
-    basins[eff_flat] = comp_flat[eff_flat]
-    # cycle members and non-efficient sinks keep height 0 / basin -1
-    succ_flat = succ_flat.copy()
-    succ_flat[on_cycle] = -1
-
+    stop_at = np.arange(N)
     for frontier in reversed(rounds):
         t = succ_flat[frontier]
-        ok = t >= 0
-        f_ok = frontier[ok]
-        heights[f_ok] = cost_flat[f_ok] + heights[t[ok]]
-        basins[f_ok] = basins[t[ok]]
+        heights[frontier] = cost_flat[frontier] + heights[t]
+        stop_at[frontier] = stop_at[t]
+
+    kind = np.full(grid.shape, STOP_KINDS.index("cycle"), dtype=np.int8)
+    kind[eff] = STOP_KINDS.index("efficient")
+    kind[dead_end] = STOP_KINDS.index("dead_end")
+    kind[pit] = STOP_KINDS.index("pit")
+    per_kind = np.bincount(kind.ravel()[stop_at], minlength=len(STOP_KINDS))
+    stop_counts = dict(zip(STOP_KINDS, per_kind.tolist()))
+    labels = decomposition.component_labels
+    basins = labels.ravel()[stop_at].reshape(grid.shape)
 
     height_field = HeightField(grid=grid, values=heights.reshape(grid.shape),
                                mode="gfh")
-    basin_grid = basins.reshape(grid.shape)
-    reached = np.unique(basin_grid[basin_grid >= 0])
-    basin_map = BasinMap(grid=grid, labels=basin_grid,
-                         n_basins=int(reached.size),
-                         n_unconverged=int((basin_grid < 0).sum()))
+    # every efficient point ends its own path, so the basins reached are
+    # the components of the efficient points
+    basin_map = BasinMap(grid=grid, labels=basins,
+                         n_basins=int(np.unique(labels[eff]).size),
+                         n_unconverged=N - stop_counts["efficient"],
+                         stop_counts=stop_counts,
+                         n_cycles=_count_cycles(succ_flat, on_cycle))
     return height_field, basin_map
+
+
+def _count_cycles(succ_flat: np.ndarray, on_cycle: np.ndarray) -> int:
+    """Number of distinct cycles among the points ``on_cycle``, whose
+    successors all lie on the same cycles.
+
+    Pointer doubling over the cycle members only: after k rounds each member
+    knows the smallest position among the next 2**k members of its cycle,
+    so once 2**k exceeds the member count, every cycle has exactly one
+    member that is its own minimum.
+    """
+    members = np.flatnonzero(on_cycle)
+    nxt = np.searchsorted(members, succ_flat[members])
+    low = np.arange(members.size)
+    for _ in range(members.size.bit_length()):
+        low = np.minimum(low, low[nxt])
+        nxt = nxt[nxt]
+    return int((low == np.arange(members.size)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +350,7 @@ class LandscapeResult:
 
     @property
     def n_cycles(self) -> int:
-        return self.basins.n_unconverged
+        return self.basins.n_cycles
 
     def summary(self) -> dict:
         return {
@@ -318,6 +359,7 @@ class LandscapeResult:
             "n_components": self.decomposition.n_components,
             "n_rank0": self.decomposition.n_rank0,
             "n_cycles": self.n_cycles,
+            "n_unconverged": self.basins.n_unconverged,
         }
 
 

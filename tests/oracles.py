@@ -3,6 +3,8 @@ against."""
 
 import numpy as np
 
+from paretoscape.criticality import NEIGHBOR_OFFSETS
+
 
 def dominance_counts_brute(F: np.ndarray, chunk: int = 512) -> np.ndarray:
     """O(N^2) reference counter: for each row, how many rows dominate it."""
@@ -24,3 +26,70 @@ def cost_landscape_brute(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     """Per-grid-point strict-dominance counts, shape of ``f1``."""
     F = np.stack([f1.ravel(), f2.ravel()], axis=1)
     return dominance_counts_brute(F).reshape(f1.shape)
+
+
+def gfh_walk(fields, critmap, decomposition):
+    """Per-point descent walk: (heights, basins, stop_counts, n_cycles).
+
+    Each point picks the in-grid 8-neighbour whose unit offset has the
+    largest dot product with -mo (strict ``>``, so the first offset in
+    ``NEIGHBOR_OFFSETS`` wins ties) and stops at an efficient point, a zero
+    field (pit), or when no neighbour descends (dead end).  The path is
+    followed explicitly until it stops or revisits one of its own points
+    (a cycle); its height is the sum of ||mo|| * step length over the points
+    before the stop or the cycle, added from the end of the path backwards.
+    """
+    grid = fields.grid
+    n1, n2 = grid.shape
+    mo = fields.mo.tolist()
+    efficient = critmap.efficient_mask.tolist()
+    components = decomposition.component_labels.tolist()
+
+    succ, cost, stop = {}, {}, {}
+    for i in range(n1):
+        for j in range(n2):
+            mx, my = mo[i][j]
+            norm = float(np.hypot(mx, my))
+            best, target, step = -np.inf, None, 0.0
+            for di, dj in NEIGHBOR_OFFSETS:
+                a, b = i + di, j + dj
+                if not (0 <= a < n1 and 0 <= b < n2):
+                    continue
+                length = float(np.hypot(di * grid.s1, dj * grid.s2))
+                dot = (-mx * (di * grid.s1) + -my * (dj * grid.s2)) / length
+                if dot > best:
+                    best, target, step = dot, (a, b), length
+            if efficient[i][j]:
+                stop[i, j] = "efficient"
+            elif norm <= 0.0:
+                stop[i, j] = "pit"
+            elif best <= 0.0:
+                stop[i, j] = "dead_end"
+            else:
+                succ[i, j] = target
+                cost[i, j] = norm * step
+
+    heights = np.zeros(grid.shape)
+    basins = np.full(grid.shape, -1, dtype=np.int32)
+    counts = {"efficient": 0, "cycle": 0, "dead_end": 0, "pit": 0}
+    cycles = set()
+    for start in np.ndindex(*grid.shape):
+        path, seen, v = [], {}, start
+        while v in succ and v not in seen:
+            seen[v] = len(path)
+            path.append(v)
+            v = succ[v]
+        if v in seen:                       # ran into a cycle
+            cycles.add(min(path[seen[v]:]))
+            path = path[:seen[v]]
+            kind = "cycle"
+        else:
+            kind = stop[v]
+            if kind == "efficient":
+                basins[start] = components[v[0]][v[1]]
+        h = 0.0
+        for u in reversed(path):
+            h = cost[u] + h
+        heights[start] = h
+        counts[kind] += 1
+    return heights, basins, counts, len(cycles)

@@ -83,7 +83,7 @@ def test_bisphere_plot_run(tmp_path, capsys):
     assert code == 0
     s = _summary(capsys)
     assert list(s) == ["problem", "n_efficient", "n_components",
-                       "n_rank0", "n_cycles"]
+                       "n_rank0", "n_cycles", "n_unconverged"]
     assert s["problem"] == "bisphere"
     assert s["n_components"] == 1
     assert s["n_rank0"] == s["n_efficient"] > 0

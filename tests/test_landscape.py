@@ -3,11 +3,14 @@
 import json
 
 import numpy as np
+import pytest
 
-from oracles import cost_landscape_brute, dominance_counts_brute
-from paretoscape import (BiObjectiveProblem, analyze, connected_components,
-                         cost_landscape, dominance_counts, make_aspar,
-                         make_bisphere)
+from oracles import cost_landscape_brute, dominance_counts_brute, gfh_walk
+from paretoscape import (BiObjectiveProblem, CriticalityMap, FieldSet,
+                         PointClass, analyze, available_problems,
+                         connected_components, cost_landscape,
+                         decompose_efficient_set, dominance_counts,
+                         get_problem, gfh_heights, make_aspar, make_bisphere)
 from paretoscape.grid import build_grid
 from paretoscape.landscape import (export_decomposition_json,
                                    export_heights_csv)
@@ -124,10 +127,67 @@ def test_no_efficient_points_yields_empty_decomposition():
     assert r.basins.n_basins == 0
     assert (r.basins.labels == -1).all()
     assert r.basins.n_unconverged == 21 * 21
-    assert r.n_cycles == 21 * 21
+    assert r.basins.stop_counts == {"efficient": 0, "cycle": 0,
+                                    "dead_end": 0, "pit": 21 * 21}
+    assert r.n_cycles == 0
     h = r.heights.values
     assert h[0, 0] == 0.0
     assert (h > 0).sum() == 21 * 21 - 1
+
+
+def _assert_gfh_matches_walk(fields, critmap, decomposition):
+    heights, basins = gfh_heights(fields, critmap, decomposition)
+    h, b, counts, n_cycles = gfh_walk(fields, critmap, decomposition)
+    assert heights.values.tobytes() == h.tobytes()
+    assert np.array_equal(basins.labels, b)
+    assert basins.stop_counts == counts
+    assert sum(counts.values()) == h.size
+    assert basins.n_cycles == n_cycles
+    assert basins.n_unconverged == h.size - counts["efficient"]
+    return basins
+
+
+@pytest.mark.parametrize("name", available_problems())
+def test_gfh_heights_match_descent_walk(name):
+    r = analyze(get_problem(name), 25)
+    _assert_gfh_matches_walk(r.fields, r.critmap, r.decomposition)
+
+
+def test_gfh_heights_cut_cycles_like_descent_walk():
+    """Hand-built descent field on a 7x7 grid: a 2-cycle, a 4-cycle with a
+    two-point tail, a path into an efficient point, a dead end at a corner
+    and zero-field pits everywhere else."""
+    n = 7
+    grid = build_grid((0.0, 0.0), (1.0, 1.0), n, n)
+    descent = np.zeros((n, n, 2))
+    steps = {
+        (1, 1): (0, 1), (1, 2): (0, -1),                    # 2-cycle
+        (3, 3): (0, 1), (3, 4): (1, 0),                     # 4-cycle
+        (4, 4): (0, -1), (4, 3): (-1, 0),
+        (6, 6): (-1, -1), (5, 5): (-1, -1),                 # tail into it
+        (0, 4): (0, 1), (0, 5): (0, 1),                     # to (0, 6)
+        (6, 0): (1, 0),                                     # leaves the box
+    }
+    for (i, j), step in steps.items():
+        descent[i, j] = (1.0 + 0.25 * i + 0.5 * j) * np.array(step)
+    mo = -descent
+    labels = np.zeros((n, n), dtype=np.uint8)
+    labels[0, 6] = PointClass.EFFICIENT_INTERIOR
+    fields = FieldSet(grid=grid, f1=np.zeros((n, n)), f2=np.zeros((n, n)),
+                      g1=np.zeros((n, n, 2)), g2=np.zeros((n, n, 2)),
+                      mo_raw=mo, mo=mo, zero_tol=0.0)
+    critmap = CriticalityMap(
+        grid=grid, labels=labels, triangles=np.zeros((0, 4), dtype=np.int32),
+        triangle_efficient=np.zeros(0, dtype=bool),
+        pairs=np.zeros((0, 5), dtype=np.int32),
+        pair_critical=np.zeros(0, dtype=bool),
+        pair_efficient=np.zeros(0, dtype=bool), div_tol=0.0, zero_tol=0.0)
+    decomposition = decompose_efficient_set(critmap, fields.f1, fields.f2)
+    basins = _assert_gfh_matches_walk(fields, critmap, decomposition)
+    assert basins.n_cycles == 2
+    assert basins.stop_counts == {"efficient": 3, "cycle": 8, "dead_end": 1,
+                                  "pit": n * n - 12}
+    assert basins.labels[0, 4] == basins.labels[0, 5] == 0
 
 
 def test_aspar_component_count_stable_across_resolutions():
@@ -143,10 +203,11 @@ def test_summary_key_order_and_values():
     r = analyze(make_bisphere(), 51)
     s = r.summary()
     assert list(s) == ["problem", "n_efficient", "n_components",
-                       "n_rank0", "n_cycles"]
+                       "n_rank0", "n_cycles", "n_unconverged"]
     assert s["problem"] == "bisphere"
     assert s["n_efficient"] == r.decomposition.n_efficient
-    assert s["n_cycles"] == r.basins.n_unconverged
+    assert s["n_cycles"] == r.basins.n_cycles
+    assert s["n_unconverged"] == r.basins.n_unconverged
 
 
 def test_export_heights_csv_golden(tmp_path):
