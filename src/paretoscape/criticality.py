@@ -7,21 +7,23 @@ single-objective gradients at its corners contains the origin — the
 discrete counterpart of the first-order efficiency condition, robust to the
 efficient set passing between grid points.
 
-Criticality of a hull is decided by the angular-gap test: sort the gradient
-directions, and the origin lies in the hull iff no open half-plane contains
-all of them, i.e. the largest angular gap between consecutive directions is
-at most pi (ties at exactly pi count as enclosing, so exactly opposed
-gradients register).  Any (numerically) zero gradient makes the hull trivially
-enclosing.
+Criticality of a hull is decided by one angular-gap kernel, shared by the
+scalar ``origin_in_hull`` and the grid-wide ``interior_criticality``: sort the
+gradient directions, and the origin lies in the hull iff no open half-plane
+contains all of them, i.e. the largest angular gap between consecutive
+directions is at most pi (ties at exactly pi count as enclosing, so exactly
+opposed gradients register).  Any (numerically) zero gradient, by the one
+rule in ``gradients``, makes the hull trivially enclosing.
 
 A second-order condition separates locally efficient points from ridge/
 saddle criticality: a critical triangle survives only if the divergence of
 the joint descent field -mo is non-positive (up to div_tol) at all three
 corners.  Boundary points get the analogous treatment along each box edge
 (tangential first-order test on point pairs, outward-descent second-order
-test), and finally any efficient-labelled point strictly dominated by one of
-its eight grid neighbours is demoted — the neighbourhood definition of local
-efficiency applied at the resolution the grid can support.
+test; one table of the four box edges drives both), and finally any
+efficient-labelled point strictly dominated by one of its eight grid
+neighbours is demoted — the neighbourhood definition of local efficiency
+applied at the resolution the grid can support.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from enum import IntEnum
 
 import numpy as np
 
-from .gradients import FieldSet, check_tolerance, divergence, gradient_norms
+from .gradients import (FieldSet, _is_zero, check_tolerance, divergence,
+                        gradient_norms)
 from .grid import Grid
 
 
@@ -61,26 +64,30 @@ NEIGHBOR_OFFSETS = (
 )
 
 
+def _gap_encloses(angles: np.ndarray, zero) -> np.ndarray:
+    """Angular-gap test over the last axis of ``angles`` (sorted in place).
+
+    True where ``zero`` is set or the largest gap between consecutive
+    directions, the wrap-around gap included, is at most pi (ties enclosing):
+    then no open half-plane contains all vectors, so the origin is enclosed.
+    """
+    angles.sort(axis=-1)
+    gaps = np.diff(angles, axis=-1).max(axis=-1, initial=0.0)
+    wrap = angles[..., 0] + 2.0 * np.pi - angles[..., -1]
+    return zero | (np.maximum(gaps, wrap) <= np.pi)
+
+
 def origin_in_hull(vectors, zero_tol: float = 0.0) -> bool:
     """True iff the origin lies in the convex hull of the given 2-D vectors.
 
     Any vector with norm below ``zero_tol`` (or exactly zero) makes the
-    answer True.  Otherwise the largest angular gap between the sorted
-    vector directions decides: gap <= pi (ties enclosing) means no open
-    half-plane contains all vectors, hence the origin is enclosed.
+    answer True; otherwise the angular-gap test decides.
     """
     vs = np.asarray(vectors, dtype=float).reshape(-1, 2)
     if vs.shape[0] == 0:
         raise ValueError("origin_in_hull requires at least one vector")
-    norms = np.hypot(vs[:, 0], vs[:, 1])
-    if np.any(norms <= 0.0) or np.any(norms < zero_tol):
-        return True
-    ang = np.sort(np.arctan2(vs[:, 1], vs[:, 0]))
-    if len(ang) == 1:
-        return False
-    gaps = np.diff(ang)
-    wrap = ang[0] + 2.0 * np.pi - ang[-1]
-    return bool(max(gaps.max(initial=0.0), wrap) <= np.pi)
+    zero = _is_zero(gradient_norms(vs), zero_tol).any()
+    return bool(_gap_encloses(np.arctan2(vs[:, 1], vs[:, 0]), zero))
 
 
 def pair_slices(d: int):
@@ -103,10 +110,8 @@ def interior_criticality(g1: np.ndarray, g2: np.ndarray, grid: Grid,
     """
     ang1 = np.arctan2(g1[..., 1], g1[..., 0])
     ang2 = np.arctan2(g2[..., 1], g2[..., 0])
-    n1g = gradient_norms(g1)
-    n2g = gradient_norms(g2)
-    zero1 = (n1g <= 0.0) | (n1g < zero_tol)
-    zero2 = (n2g <= 0.0) | (n2g < zero_tol)
+    zero = (_is_zero(gradient_norms(g1), zero_tol)
+            | _is_zero(gradient_norms(g2), zero_tol))
 
     crit_mask = np.zeros(grid.shape, dtype=bool)
     tri_rows = []
@@ -116,12 +121,8 @@ def interior_criticality(g1: np.ndarray, g2: np.ndarray, grid: Grid,
         angles = np.stack(
             [ang1[ai, aj], ang1[hi, aj], ang1[ai, vj],
              ang2[ai, aj], ang2[hi, aj], ang2[ai, vj]], axis=-1)
-        zero_hit = (zero1[ai, aj] | zero1[hi, aj] | zero1[ai, vj]
-                    | zero2[ai, aj] | zero2[hi, aj] | zero2[ai, vj])
-        angles.sort(axis=-1)
-        gaps = np.diff(angles, axis=-1).max(axis=-1)
-        wrap = angles[..., 0] + 2.0 * np.pi - angles[..., -1]
-        crit = zero_hit | (np.maximum(gaps, wrap) <= np.pi)
+        crit = _gap_encloses(
+            angles, zero[ai, aj] | zero[hi, aj] | zero[ai, vj])
 
         crit_mask[ai, aj] |= crit
         crit_mask[hi, aj] |= crit
@@ -162,8 +163,10 @@ def triangle_second_order(triangles: np.ndarray, div_descent: np.ndarray,
     return ok.all(axis=1)
 
 
-# edge ids: 0 bottom (j2=1), 1 top (j2=n2), 2 left (j1=1), 3 right (j1=n1)
-_EDGE_NAMES = {0: "bottom", 1: "top", 2: "left", 3: "right"}
+# box edges in edge-id order bottom (j2=1), top (j2=n2), left (j1=1), right
+# (j1=n1): the edge's fixed grid index, its tangential axis, and the sign of
+# the outward normal, which lies along the other axis
+_EDGES = ((0, 0, -1.0), (-1, 0, 1.0), (0, 1, -1.0), (-1, 1, 1.0))
 
 
 def boundary_criticality(g1: np.ndarray, g2: np.ndarray, mo_raw: np.ndarray,
@@ -182,63 +185,28 @@ def boundary_criticality(g1: np.ndarray, g2: np.ndarray, mo_raw: np.ndarray,
         pair_efficient: bool (M,)  (implies critical)
         crit_mask: (n1, n2) bool, endpoints of critical pairs
     """
-    n1, n2 = grid.shape
     pairs, crit, eff = [], [], []
     crit_mask = np.zeros(grid.shape, dtype=bool)
-
-    def edge_pairs(d1, d2, mo_out, idx_builder, edge_id):
-        # d1, d2: tangential derivatives along the edge (length L)
-        # mo_out: mo . n_out along the edge (length L)
+    for edge_id, (fixed, t, n_sign) in enumerate(_EDGES):
+        line = (slice(None), fixed) if t == 0 else (fixed, slice(None))
+        d1 = g1[line][:, t]
+        d2 = g2[line][:, t]
+        mo_out = n_sign * mo_raw[line][:, 1 - t]
         plus = (d1[:-1] < 0) & (d2[:-1] < 0) & (d1[1:] < 0) & (d2[1:] < 0)
         minus = (d1[:-1] > 0) & (d2[:-1] > 0) & (d1[1:] > 0) & (d2[1:] > 0)
         c = ~(plus | minus)
-        e = c & (mo_out[:-1] <= 0.0) & (mo_out[1:] <= 0.0)
-        rows = idx_builder(np.arange(d1.size - 1))
-        rows = np.concatenate(
-            [rows, np.full((rows.shape[0], 1), edge_id, dtype=np.int32)], axis=1)
-        pairs.append(rows)
         crit.append(c)
-        eff.append(e)
-        return c
+        eff.append(c & (mo_out[:-1] <= 0.0) & (mo_out[1:] <= 0.0))
 
-    def along_x1(j, edge_id, n_sign):
-        d1 = g1[:, j, 0]
-        d2 = g2[:, j, 0]
-        mo_out = n_sign * mo_raw[:, j, 1]
-        def build(k):
-            rows = np.empty((k.size, 4), dtype=np.int32)
-            rows[:, 0] = k
-            rows[:, 1] = j
-            rows[:, 2] = k + 1
-            rows[:, 3] = j
-            return rows
-        c = edge_pairs(d1, d2, mo_out, build, edge_id)
-        m = np.zeros(n1, dtype=bool)
+        rows = np.empty((c.size, 5), dtype=np.int32)
+        rows[:, t] = np.arange(c.size)
+        rows[:, 2 + t] = rows[:, t] + 1
+        rows[:, [1 - t, 3 - t]] = fixed % grid.shape[1 - t]
+        rows[:, 4] = edge_id
+        pairs.append(rows)
+        m = crit_mask[line]
         m[:-1] |= c
         m[1:] |= c
-        crit_mask[:, j] |= m
-
-    def along_x2(i, edge_id, n_sign):
-        d1 = g1[i, :, 1]
-        d2 = g2[i, :, 1]
-        mo_out = n_sign * mo_raw[i, :, 0]
-        def build(k):
-            rows = np.empty((k.size, 4), dtype=np.int32)
-            rows[:, 0] = i
-            rows[:, 1] = k
-            rows[:, 2] = i
-            rows[:, 3] = k + 1
-            return rows
-        c = edge_pairs(d1, d2, mo_out, build, edge_id)
-        m = np.zeros(n2, dtype=bool)
-        m[:-1] |= c
-        m[1:] |= c
-        crit_mask[i, :] |= m
-
-    along_x1(0, 0, -1.0)        # bottom: n_out = (0, -1)
-    along_x1(n2 - 1, 1, 1.0)    # top:    n_out = (0, +1)
-    along_x2(0, 2, -1.0)        # left:   n_out = (-1, 0)
-    along_x2(n1 - 1, 3, 1.0)    # right:  n_out = (+1, 0)
 
     return (np.concatenate(pairs, axis=0),
             np.concatenate(crit), np.concatenate(eff), crit_mask)
@@ -255,18 +223,11 @@ def rotate_boundary_field(mo_raw: np.ndarray, skip_mask: np.ndarray,
     (first-order critical) keep their field.
     """
     mo = mo_raw.copy()
-    # bottom edge: exit iff descent_y < 0 iff mo_y > 0
-    sel = ~skip_mask[:, 0] & (mo[:, 0, 1] > 0.0)
-    mo[sel, 0, 1] = 0.0
-    # top edge: exit iff mo_y < 0
-    sel = ~skip_mask[:, -1] & (mo[:, -1, 1] < 0.0)
-    mo[sel, -1, 1] = 0.0
-    # left edge: exit iff mo_x > 0
-    sel = ~skip_mask[0, :] & (mo[0, :, 0] > 0.0)
-    mo[0, sel, 0] = 0.0
-    # right edge: exit iff mo_x < 0
-    sel = ~skip_mask[-1, :] & (mo[-1, :, 0] < 0.0)
-    mo[-1, sel, 0] = 0.0
+    for fixed, t, n_sign in _EDGES:
+        line = (slice(None), fixed) if t == 0 else (fixed, slice(None))
+        edge = mo[line]
+        exits = ~skip_mask[line] & (n_sign * edge[:, 1 - t] < 0.0)
+        edge[exits, 1 - t] = 0.0
     return mo
 
 

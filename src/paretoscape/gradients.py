@@ -46,6 +46,11 @@ def gradient_norms(g: np.ndarray) -> np.ndarray:
     return np.hypot(g[..., 0], g[..., 1])
 
 
+def _is_zero(norms: np.ndarray, zero_tol: float) -> np.ndarray:
+    """The one zero-gradient rule: a norm below ``zero_tol`` or exactly 0."""
+    return (norms <= 0.0) | (norms < zero_tol)
+
+
 def gradient_scale(g1: np.ndarray, g2: np.ndarray) -> float:
     """Problem-intrinsic gradient magnitude: pooled mean single-gradient norm."""
     return float(0.5 * (gradient_norms(g1).mean() + gradient_norms(g2).mean()))
@@ -61,7 +66,7 @@ def mo_gradient(g1: np.ndarray, g2: np.ndarray, zero_tol: float = 0.0) -> np.nda
     """
     n1 = gradient_norms(g1)
     n2 = gradient_norms(g2)
-    zero = (n1 <= 0.0) | (n2 <= 0.0) | (n1 < zero_tol) | (n2 < zero_tol)
+    zero = _is_zero(n1, zero_tol) | _is_zero(n2, zero_tol)
     d1 = np.where(zero, 1.0, n1)[..., None]
     d2 = np.where(zero, 1.0, n2)[..., None]
     mo = g1 / d1 + g2 / d2
@@ -80,11 +85,12 @@ def divergence(v: np.ndarray, grid: Grid) -> np.ndarray:
 class FieldSet:
     """All per-grid-point fields the detection pipeline works on.
 
-    ``mo`` starts as the raw ascent multi-objective gradient; the boundary
-    handling step replaces it with the rotated field (normal components
-    removed where the descent direction would leave the box) and fills
-    ``div_descent`` = div(-mo) of that rotated field.  ``mo_raw`` always
-    keeps the unrotated field (the boundary efficiency test needs it).
+    ``mo`` starts as the very array ``mo_raw`` holds, the raw ascent
+    multi-objective gradient; the boundary handling step rebinds it to a
+    rotated copy (normal components removed where the descent direction
+    would leave the box) and fills ``div_descent`` = div(-mo) of that
+    rotated field.  No step writes either array in place, so ``mo_raw``
+    always keeps the unrotated field (the boundary efficiency test needs it).
     """
 
     grid: Grid
@@ -123,7 +129,7 @@ def build_fieldset(problem, grid: Grid, zero_tol_rel: float = 1e-12,
     zero_tol = zero_tol_rel * gradient_scale(g1, g2)
     mo = mo_gradient(g1, g2, zero_tol)
     return FieldSet(grid=grid, f1=f1, f2=f2, g1=g1, g2=g2,
-                    mo_raw=mo, mo=mo.copy(), zero_tol=zero_tol)
+                    mo_raw=mo, mo=mo, zero_tol=zero_tol)
 
 
 def export_fields_csv(path, fields: FieldSet) -> None:

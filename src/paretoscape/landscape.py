@@ -255,9 +255,9 @@ def gfh_heights(fields: FieldSet, critmap: CriticalityMap,
         dot = (vx[ai, aj] * (di * grid.s1) + vy[ai, aj] * (dj * grid.s2)) / length
         better = dot > best[ai, aj]
         # slice views: updates only where the offset target stays in-grid
-        best[ai, aj][better] = dot[better]
-        succ[ai, aj][better] = flat_idx[bi, bj][better]
-        step_len[ai, aj][better] = length
+        np.copyto(best[ai, aj], dot, where=better)
+        np.copyto(succ[ai, aj], flat_idx[bi, bj], where=better)
+        np.copyto(step_len[ai, aj], length, where=better)
 
     eff = critmap.efficient_mask
     pit = ~eff & (mo_norm <= 0.0)

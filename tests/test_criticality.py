@@ -7,7 +7,7 @@ import pytest
 
 from paretoscape import (BiObjectiveProblem, CriticalityMap, PointClass,
                          build_fieldset, build_grid, classify, make_bisphere,
-                         make_sgk, origin_in_hull)
+                         make_kursawe, make_sgk, origin_in_hull)
 from paretoscape.criticality import (CLASS_NAMES, ORIENTATIONS,
                                      boundary_criticality,
                                      export_critical_points_json,
@@ -188,6 +188,43 @@ def test_triangle_list_matches_pointwise_hull_test():
     assert mask[0, 0] and mask[1, 0] and mask[0, 1]
 
 
+@pytest.mark.parametrize("seed,zero_tol", [(0, 0.0), (1, 0.0), (2, 1.5),
+                                           (3, 0.0), (4, 1.5)])
+def test_interior_criticality_matches_scalar_hull_test(seed, zero_tol):
+    # the grid kernel must flag exactly the triangles whose six corner
+    # gradients pass the oracle-tested origin_in_hull, in every orientation
+    rng = np.random.default_rng(seed)
+    n1, n2 = 9, 7
+    g1 = rng.integers(-4, 9, size=(n1, n2, 2)).astype(float)
+    g2 = rng.integers(-4, 9, size=(n1, n2, 2)).astype(float)
+    for g in (g1, g1, g2):
+        g[rng.integers(n1), rng.integers(n2)] = 0.0
+    grid = build_grid((0.0, 0.0), (1.0, 1.0), n1, n2)
+    triangles, mask = interior_criticality(g1, g2, grid, zero_tol)
+    got = {tuple(r) for r in triangles.tolist()}
+
+    expected, checked, skipped = set(), set(), set()
+    for di, dj in ORIENTATIONS:
+        for i in range(n1):
+            for j in range(n2):
+                if not (0 <= i + di < n1 and 0 <= j + dj < n2):
+                    continue
+                corners = [(i, j), (i + di, j), (i, j + dj)]
+                six = np.array([g[a, b] for g in (g1, g2) for a, b in corners])
+                if _has_skew_antipode(six):
+                    skipped.add((i, j, di, dj))
+                    continue
+                checked.add((i, j, di, dj))
+                if origin_in_hull(six, zero_tol):
+                    expected.add((i, j, di, dj))
+    assert (got - skipped) == expected
+    assert 0 < len(expected) < len(checked)
+    ci, cj = triangle_corners(triangles)
+    corner_mask = np.zeros((n1, n2), dtype=bool)
+    corner_mask[ci.ravel(), cj.ravel()] = True
+    assert np.array_equal(mask, corner_mask)
+
+
 def test_fritz_john_point_forces_criticality():
     # a vanishing single-objective gradient at any corner makes all four
     # triangles touching it critical regardless of the other directions
@@ -318,6 +355,46 @@ def test_rotation_only_triggers_on_exiting_descent():
     assert (rotated[:, -1, 1] == 0.0).all()                     # top zeroed
 
 
+def test_boundary_golden_on_non_square_grid():
+    # 6x4 grid of a problem without symmetry: every other boundary test uses
+    # a square grid, where swapping the roles of n1 and n2 goes unnoticed
+    p = BiObjectiveProblem(
+        name="tilt",
+        lower=(0.0, 0.0), upper=(5.0, 3.0),
+        fn=lambda x1, x2: ((x1 + 0.7) ** 2 + 0.8 * (x2 - 1.4) ** 2,
+                           (x1 - 2.6) ** 2 + 0.5 * (x2 + 1.3) ** 2
+                           - 0.3 * x1 * x2),
+    )
+    fs = _fieldset(p, 6, 4)
+    pairs, crit, eff, mask = boundary_criticality(
+        fs.g1, fs.g2, fs.mo_raw, fs.grid)
+    assert pairs.dtype == np.int32
+    assert pairs.tolist() == [
+        [0, 0, 1, 0, 0], [1, 0, 2, 0, 0], [2, 0, 3, 0, 0], [3, 0, 4, 0, 0],
+        [4, 0, 5, 0, 0],
+        [0, 3, 1, 3, 1], [1, 3, 2, 3, 1], [2, 3, 3, 3, 1], [3, 3, 4, 3, 1],
+        [4, 3, 5, 3, 1],
+        [0, 0, 0, 1, 2], [0, 1, 0, 2, 2], [0, 2, 0, 3, 2],
+        [5, 0, 5, 1, 3], [5, 1, 5, 2, 3], [5, 2, 5, 3, 3],
+    ]
+    assert "".join(str(int(c)) for c in crit) == "1110011110110110"
+    assert "".join(str(int(e)) for e in eff) == "0110000000010000"
+    assert ["".join(str(int(v)) for v in row) for row in mask] == [
+        "1111", "1001", "1001", "1001", "0001", "1110"]
+    # classify skips first-order critical points: one bottom point rotates
+    rotated = rotate_boundary_field(fs.mo_raw, mask, fs.grid)
+    assert np.argwhere(rotated != fs.mo_raw).tolist() == [[4, 0, 1]]
+
+    # hand-built field with both signs on every edge and a scattered skip
+    rng = np.random.default_rng(7)
+    mo = rng.integers(-2, 3, size=(6, 4, 2)).astype(float)
+    skip = rng.random((6, 4)) < 0.25
+    rotated = rotate_boundary_field(mo, skip, fs.grid)
+    assert np.argwhere(rotated != mo).tolist() == [
+        [0, 1, 0], [0, 3, 0], [0, 3, 1], [4, 0, 1], [5, 3, 0], [5, 3, 1]]
+    assert (rotated[rotated != mo] == 0.0).all()
+
+
 # ---------------------------------------------------------------------------
 # dominance trim and full classification
 # ---------------------------------------------------------------------------
@@ -389,6 +466,19 @@ def test_classify_is_deterministic():
     assert np.array_equal(a.pair_efficient, b.pair_efficient)
     assert a.div_tol == b.div_tol and a.n_trimmed == b.n_trimmed
     assert np.array_equal(runs[0][1].mo, runs[1][1].mo)
+
+
+def test_classify_leaves_its_inputs_untouched():
+    # build_fieldset hands out mo and mo_raw as one array: classify must
+    # rebind mo to a rotated copy and write none of g1, g2, mo_raw in place
+    fs = _fieldset(make_kursawe(), 41, 33)
+    assert fs.mo is fs.mo_raw
+    raw = fs.mo_raw
+    before = [a.tobytes() for a in (fs.g1, fs.g2, fs.mo_raw)]
+    classify(fs)
+    assert fs.mo_raw is raw
+    assert [a.tobytes() for a in (fs.g1, fs.g2, fs.mo_raw)] == before
+    assert not np.array_equal(fs.mo, fs.mo_raw)   # the rotation took effect
 
 
 def test_export_critical_points_json_schema(tmp_path):
