@@ -15,17 +15,19 @@ Two height fields summarise the landscape:
 * cost landscape ("cost"): the height of a point is the number of grid
   points that strictly dominate it.  Exact tie semantics matter: points with
   identical objective vectors do not dominate each other.  The counter
-  sorts by f1 and sweeps a Fenwick tree over f2 ranks in O(N log N); the
-  tests check it against a brute-force O(N^2) oracle.
+  sorts by (f1, f2) and counts, for each point, the earlier points with no
+  larger f2 by one stable bit partition per bit of the points' f2 ranks
+  (an offline wavelet tree): about log2(N) passes of O(N) array operations.
+  The tests check it against a brute-force O(N^2) oracle.
 
 Locally efficient points are further decomposed into 8-connected components
-and ranked by their dominance count within the efficient subset, which
-separates globally from locally efficient structures.
+by a union-find over neighbour pairs (min-root hooking and pointer
+jumping), and ranked by their dominance count within the efficient subset,
+which separates globally from locally efficient structures.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,50 +44,80 @@ from .grid import Grid, build_grid, export_grid_csv
 # ---------------------------------------------------------------------------
 
 def dominance_counts(F: np.ndarray) -> np.ndarray:
-    """Strict-dominance counts in O(N log N).
+    """Strict-dominance counts: for each row of F, the rows that dominate it.
 
-    Sort by f1; sweep groups of equal f1 left to right, inserting each whole
-    group into a Fenwick tree over f2 ranks before querying its members, so
-    equal-f1 points see each other.  The prefix count at a point's f2 rank
-    then counts all points with f1 <= and f2 <= (weak dominators including
-    the point itself and its exact duplicates); subtracting the duplicate
-    multiplicity leaves the strict dominators.
+    Row m strictly dominates row k when it is <= in both objectives and the
+    rows differ, so identical rows never dominate each other (-0.0 equals
+    0.0).  In the order sorted by (f1, f2) every weak dominator of row k
+    comes before it, except the copies of row k that come after it, so the
+    count is #{m < k : f2_m <= f2_k} minus the copies of row k before it.
+    The first term is ``_smaller_before`` of the rank of each sorted row by
+    (f2, position); the second is row k's place in its run of equal rows.
+    About log2(N) passes of O(N) array operations, no Python loop over rows.
+
+    Raises ValueError unless F has shape (N, 2) and every entry is finite.
     """
     F = np.asarray(F, dtype=float)
+    if F.ndim != 2 or F.shape[1] != 2:
+        raise ValueError(f"F must have shape (N, 2), got {F.shape}")
+    if not np.isfinite(F).all():
+        raise ValueError("F must be finite: no NaN or infinite objectives")
     N = F.shape[0]
     if N == 0:
         return np.zeros(0, dtype=np.int64)
-    order = np.lexsort((F[:, 1], F[:, 0]))
-    f1s = F[order, 0]
-    _, f2rank = np.unique(F[:, 1], return_inverse=True)
-    r = f2rank[order].astype(np.int64) + 1          # 1-based tree positions
-    M = int(r.max())
-    tree = [0] * (M + 1)
-    weak_sorted = np.empty(N, dtype=np.int64)
+    # dense ranks: key sorts like (f1, f2), and equal keys are equal rows
+    r2 = np.unique(F[:, 1], return_inverse=True)[1]
+    key = (np.unique(F[:, 0], return_inverse=True)[1] * (int(r2.max()) + 1)
+           + r2)
+    order = np.argsort(key)
+    key = key[order]
+    pos = np.arange(N)
+    run_start = np.ones(N, dtype=bool)
+    run_start[1:] = key[1:] != key[:-1]
+    copies_before = pos - np.maximum.accumulate(np.where(run_start, pos, 0))
+    # p[m] < p[k] for m < k exactly when f2_m <= f2_k
+    p = np.empty(N, dtype=np.int64)
+    p[np.argsort(r2[order] * N + pos)] = pos
+    del r2, key, run_start      # the partition passes set the peak memory
+    counts = np.empty(N, dtype=np.int64)
+    counts[order] = _smaller_before(p) - copies_before
+    return counts
 
-    i = 0
-    while i < N:
-        j = i
-        while j < N and f1s[j] == f1s[i]:
-            j += 1
-        for k in range(i, j):
-            idx = int(r[k])
-            while idx <= M:
-                tree[idx] += 1
-                idx += idx & (-idx)
-        for k in range(i, j):
-            idx = int(r[k])
-            c = 0
-            while idx > 0:
-                c += tree[idx]
-                idx -= idx & (-idx)
-            weak_sorted[k] = c
-        i = j
 
-    weak = np.empty(N, dtype=np.int64)
-    weak[order] = weak_sorted
-    _, inv, cnt = np.unique(F, axis=0, return_inverse=True, return_counts=True)
-    return weak - cnt[inv]
+def _smaller_before(p: np.ndarray) -> np.ndarray:
+    """#{m < k : p[m] < p[k]} for every k, for a permutation p of 0..N-1.
+
+    An offline wavelet tree.  p is padded to 2**B values with the missing
+    ones in order at its end, where they are never counted.  Before the
+    pass for bit b the values sit stably sorted by their bits above b, so
+    each aligned group of 2**(b+1) positions holds exactly the values of
+    one prefix, half with bit b clear and half with it set.  A value with
+    bit b set gains the number of values ahead of it in its group with bit
+    b clear, so each pair (m, k) is counted once, at the highest bit where
+    p[m] and p[k] differ.  The pass then moves the clear half of every
+    group in front of its set half, both in order; after bit 0 every value
+    sits at its own position.
+    """
+    N = p.size
+    B = (N - 1).bit_length()
+    size = 1 << B
+    v = np.arange(size)
+    v[:N] = p
+    below = np.zeros(size, dtype=np.int64)
+    for b in reversed(range(B)):
+        half = 1 << b
+        is_set = (v & half).astype(bool)
+        clear = np.flatnonzero(~is_set).reshape(-1, half)
+        set_ = np.flatnonzero(is_set).reshape(-1, half)
+        take = np.concatenate([clear, set_], axis=1).ravel()
+        v = v[take]
+        below = below[take]
+        # the set value in column c of group g sits at g * 2**(b+1) + c + the
+        # clear values before it
+        set_ -= np.arange(0, size, 2 * half)[:, None]
+        set_ -= np.arange(half)
+        below.reshape(-1, 2 * half)[:, half:] += set_
+    return below[p]
 
 
 @dataclass
@@ -114,24 +146,46 @@ def connected_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
 
     Returns an int32 array (-1 outside the mask, component ids 0..C-1 in
     scan order of each component's first point) and the component count.
+
+    A union-find over the masked points, numbered in scan order.  Each
+    round hooks the larger root of every neighbour pair whose roots differ
+    onto the smaller one, then jumps pointers until every point points at
+    its root.  Roots only move to smaller numbers, so each component's
+    root ends at its first point in scan order.
     """
-    labels = np.full(mask.shape, -1, dtype=np.int32)
+    mask = np.asarray(mask, dtype=bool)
     n1, n2 = mask.shape
-    comp = 0
-    for si, sj in np.argwhere(mask):
-        if labels[si, sj] != -1:
-            continue
-        labels[si, sj] = comp
-        stack = [(int(si), int(sj))]
-        while stack:
-            i, j = stack.pop()
-            for di, dj in NEIGHBOR_OFFSETS:
-                a, b = i + di, j + dj
-                if 0 <= a < n1 and 0 <= b < n2 and mask[a, b] and labels[a, b] == -1:
-                    labels[a, b] = comp
-                    stack.append((a, b))
-        comp += 1
-    return labels, comp
+    labels = np.full(mask.shape, -1, dtype=np.int32)
+    flat_mask = mask.ravel()
+    points = np.flatnonzero(flat_mask)
+    i, j = np.divmod(points, n2)
+    n = points.size
+    # the four offsets that follow a point in scan order give each
+    # neighbour pair once
+    u, v = [], []
+    for di, dj in NEIGHBOR_OFFSETS[4:]:
+        inside = np.flatnonzero((i + di < n1) & (j + dj >= 0) & (j + dj < n2))
+        target = points[inside] + (di * n2 + dj)
+        hit = flat_mask[target]
+        u.append(inside[hit])
+        v.append(np.searchsorted(points, target[hit]))
+    u, v = np.concatenate(u), np.concatenate(v)
+    root = np.arange(n)
+    while True:
+        ru, rv = root[u], root[v]
+        differ = ru != rv
+        if not differ.any():
+            break
+        np.minimum.at(root, np.maximum(ru, rv)[differ],
+                      np.minimum(ru, rv)[differ])
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    is_root = root == np.arange(n)
+    labels[mask] = (np.cumsum(is_root) - 1)[root]
+    return labels, int(is_root.sum())
 
 
 @dataclass
@@ -393,6 +447,16 @@ def export_heights_csv(path, heights: HeightField) -> None:
     export_grid_csv(path, heights.grid, ["height"], [heights.values])
 
 
+# one point record and one component (its points joined in) of the
+# decomposition JSON, laid out as json.dump(indent=1) lays them out
+_POINT_JSON = ('    {\n     "j1": %d,\n     "j2": %d,\n     "x1": %r,\n'
+               '     "x2": %r,\n     "f1": %r,\n     "f2": %r,\n'
+               '     "rank": %d\n    }')
+_COMPONENT_JSON = ('  {\n   "id": %d,\n   "size": %d,\n   "min_rank": %d,\n'
+                   '   "representative_f": [\n    %r,\n    %r\n   ],\n'
+                   '   "points": [\n%s\n   ]\n  }')
+
+
 def export_decomposition_json(path, decomposition: EfficientSetDecomposition,
                               f1: np.ndarray, f2: np.ndarray) -> None:
     """JSON of the efficient-set decomposition.
@@ -400,34 +464,33 @@ def export_decomposition_json(path, decomposition: EfficientSetDecomposition,
     Top level: {"n_efficient", "n_rank0", "n_components", "components"}.
     Each component: id, size, min_rank, representative_f, and its points
     ({"j1","j2","x1","x2","f1","f2","rank"}, 1-based indices) in the scan
-    order of ``decomposition.points``: j1 outer, j2 fastest.
+    order of ``decomposition.points``: j1 outer, j2 fastest.  The bytes are
+    those of ``json.dump(payload, fh, indent=1)`` plus a newline, with
+    floats as ``float.__repr__``; the records are formatted from fixed
+    templates instead of the pure-Python encoder that ``indent`` selects.
     """
     d = decomposition
     grid = d.grid
     # a stable sort keeps each component's points in scan order
     order = np.argsort(d.component_of, kind="stable")
     i, j = d.points[order, 0], d.points[order, 1]
-    points = [
-        {"j1": a + 1, "j2": b + 1, "x1": x1, "x2": x2, "f1": v1, "f2": v2,
-         "rank": r}
-        for a, b, x1, x2, v1, v2, r in zip(
-            i.tolist(), j.tolist(), grid.x1[i].tolist(), grid.x2[j].tolist(),
-            f1[i, j].tolist(), f2[i, j].tolist(), d.ranks[order].tolist())
-    ]
+    points = [_POINT_JSON % row for row in zip(
+        (i + 1).tolist(), (j + 1).tolist(), grid.x1[i].tolist(),
+        grid.x2[j].tolist(), f1[i, j].tolist(), f2[i, j].tolist(),
+        d.ranks[order].tolist())]
     ends = np.cumsum(d.component_sizes).tolist()
     comps = [
-        {"id": c, "size": size, "min_rank": min_rank,
-         "representative_f": rep, "points": points[end - size:end]}
+        _COMPONENT_JSON % (c, size, min_rank, *rep,
+                           ",\n".join(points[end - size:end]))
         for c, (size, min_rank, rep, end) in enumerate(zip(
             d.component_sizes.tolist(), d.component_min_rank.tolist(),
             d.representative_f.tolist(), ends))
     ]
-    payload = {
-        "n_efficient": d.n_efficient,
-        "n_rank0": d.n_rank0,
-        "n_components": d.n_components,
-        "components": comps,
-    }
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        fh.write('{\n "n_efficient": %d,\n "n_rank0": %d,\n'
+                 ' "n_components": %d,\n' % (d.n_efficient, d.n_rank0,
+                                              d.n_components))
+        if comps:
+            fh.write(' "components": [\n%s\n ]\n}\n' % ",\n".join(comps))
+        else:
+            fh.write(' "components": []\n}\n')

@@ -28,6 +28,28 @@ def cost_landscape_brute(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     return dominance_counts_brute(F).reshape(f1.shape)
 
 
+def connected_components_flood(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """8-connected component labels by a depth-first flood fill from each
+    unlabelled point in scan order: -1 outside the mask, ids 0..C-1."""
+    labels = np.full(mask.shape, -1, dtype=np.int32)
+    n1, n2 = mask.shape
+    comp = 0
+    for si, sj in np.argwhere(mask):
+        if labels[si, sj] != -1:
+            continue
+        labels[si, sj] = comp
+        stack = [(int(si), int(sj))]
+        while stack:
+            i, j = stack.pop()
+            for di, dj in NEIGHBOR_OFFSETS:
+                a, b = i + di, j + dj
+                if 0 <= a < n1 and 0 <= b < n2 and mask[a, b] and labels[a, b] == -1:
+                    labels[a, b] = comp
+                    stack.append((a, b))
+        comp += 1
+    return labels, comp
+
+
 def gfh_walk(fields, critmap, decomposition):
     """Per-point descent walk: (heights, basins, stop_counts, n_cycles).
 

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from oracles import cost_landscape_brute, dominance_counts_brute, gfh_walk
+from oracles import (connected_components_flood, cost_landscape_brute,
+                     dominance_counts_brute, gfh_walk)
 from paretoscape import (BiObjectiveProblem, CriticalityMap, FieldSet,
                          PointClass, analyze, available_problems,
                          connected_components, cost_landscape,
@@ -38,6 +39,44 @@ def test_fast_counts_match_brute_with_heavy_ties():
     F = rng.normal(size=(120, 2))
     F[40:80] = F[0:40]
     assert np.array_equal(dominance_counts(F), dominance_counts_brute(F))
+
+
+def _edge_case_inputs():
+    rng = np.random.default_rng(5)
+    ties = rng.integers(0, 40, size=(4000, 2)).astype(float)
+    ties[2000:2600] = ties[:600]
+    signed_zero = np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [-0.0, 1.0],
+                            [1.0, -0.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
+    return {
+        "empty": np.zeros((0, 2)),
+        "one": np.array([[3.0, -2.0]]),
+        "two_equal": np.array([[1.0, 1.0], [1.0, 1.0]]),
+        "two_ordered": np.array([[2.0, 2.0], [1.0, 1.0]]),
+        "all_equal": np.full((37, 2), -0.5),
+        "signed_zero": signed_zero,
+        "equal_f1": np.stack([np.zeros(50), rng.integers(0, 6, 50)], axis=1),
+        "equal_f2": np.stack([rng.normal(size=50), np.full(50, 7.0)], axis=1),
+        "ties_4000": ties,
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_edge_case_inputs()))
+def test_fast_counts_match_brute_on_edge_cases(case):
+    F = _edge_case_inputs()[case]
+    counts = dominance_counts(F)
+    assert counts.dtype == np.int64 and counts.shape == (F.shape[0],)
+    assert np.array_equal(counts, dominance_counts_brute(F))
+
+
+@pytest.mark.parametrize("F", [
+    np.zeros(4), np.zeros((4, 3)), np.zeros((2, 2, 2)),
+    np.array([[0.0, 1.0], [np.nan, 0.0]]),
+    np.array([[0.0, np.inf], [1.0, 0.0]]),
+    np.array([[0.0, 1.0], [-np.inf, 0.0]]),
+], ids=["1d", "three_columns", "3d", "nan", "inf", "minus_inf"])
+def test_dominance_counts_rejects_bad_input(F):
+    with pytest.raises(ValueError):
+        dominance_counts(F)
 
 
 def test_cost_landscape_total_order_2x2():
@@ -86,6 +125,27 @@ def test_connected_components_synthetic():
     full = np.ones((3, 7), dtype=bool)
     labels, n = connected_components(full)
     assert n == 1 and (labels == 0).all()
+
+
+def test_connected_components_match_flood_fill():
+    rng = np.random.default_rng(8)
+    shapes = [(1, 1), (1, 40), (40, 1), (2, 60), (60, 2)]
+    shapes += [tuple(rng.integers(3, 50, size=2)) for _ in range(40)]
+    masks = [rng.random(shape) < density for shape in shapes
+             for density in (0.2, 0.45, 0.6, 0.9)]
+    # one serpentine component whose path runs against the scan order
+    snake = np.zeros((41, 30), dtype=bool)
+    snake[::2] = True
+    snake[1::4, -1] = True
+    snake[3::4, 0] = True
+    masks.append(snake)
+    for mask in masks:
+        labels, n = connected_components(mask)
+        ref_labels, ref_n = connected_components_flood(mask)
+        assert n == ref_n
+        assert labels.dtype == np.int32
+        assert np.array_equal(labels, ref_labels)
+    assert n == 1
 
 
 def test_bisphere_pipeline_geometry():
@@ -153,6 +213,16 @@ def test_gfh_heights_match_descent_walk(name):
     _assert_gfh_matches_walk(r.fields, r.critmap, r.decomposition)
 
 
+def _critmap(grid, labels):
+    """A CriticalityMap holding only the given class labels."""
+    return CriticalityMap(
+        grid=grid, labels=labels, triangles=np.zeros((0, 4), dtype=np.int32),
+        triangle_efficient=np.zeros(0, dtype=bool),
+        pairs=np.zeros((0, 5), dtype=np.int32),
+        pair_critical=np.zeros(0, dtype=bool),
+        pair_efficient=np.zeros(0, dtype=bool), div_tol=0.0, zero_tol=0.0)
+
+
 def test_gfh_heights_cut_cycles_like_descent_walk():
     """Hand-built descent field on a 7x7 grid: a 2-cycle, a 4-cycle with a
     two-point tail, a path into an efficient point, a dead end at a corner
@@ -176,12 +246,7 @@ def test_gfh_heights_cut_cycles_like_descent_walk():
     fields = FieldSet(grid=grid, f1=np.zeros((n, n)), f2=np.zeros((n, n)),
                       g1=np.zeros((n, n, 2)), g2=np.zeros((n, n, 2)),
                       mo_raw=mo, mo=mo, zero_tol=0.0)
-    critmap = CriticalityMap(
-        grid=grid, labels=labels, triangles=np.zeros((0, 4), dtype=np.int32),
-        triangle_efficient=np.zeros(0, dtype=bool),
-        pairs=np.zeros((0, 5), dtype=np.int32),
-        pair_critical=np.zeros(0, dtype=bool),
-        pair_efficient=np.zeros(0, dtype=bool), div_tol=0.0, zero_tol=0.0)
+    critmap = _critmap(grid, labels)
     decomposition = decompose_efficient_set(critmap, fields.f1, fields.f2)
     basins = _assert_gfh_matches_walk(fields, critmap, decomposition)
     assert basins.n_cycles == 2
@@ -249,3 +314,116 @@ def test_export_decomposition_json_schema(tmp_path):
             assert set(p) == {"j1", "j2", "x1", "x2", "f1", "f2", "rank"}
             assert 1 <= p["j1"] <= 61 and 1 <= p["j2"] <= 61
     assert total == payload["n_efficient"]
+
+
+# the bytes of test_export_decomposition_json_golden, as json.dump(indent=1)
+# writes them
+GOLDEN_DECOMPOSITION_JSON = """\
+{
+ "n_efficient": 5,
+ "n_rank0": 2,
+ "n_components": 3,
+ "components": [
+  {
+   "id": 0,
+   "size": 2,
+   "min_rank": 0,
+   "representative_f": [
+    -2.0,
+    -0.9
+   ],
+   "points": [
+    {
+     "j1": 1,
+     "j2": 1,
+     "x1": -1.0,
+     "x2": -0.5,
+     "f1": -2.0,
+     "f2": -0.9,
+     "rank": 0
+    },
+    {
+     "j1": 2,
+     "j2": 1,
+     "x1": -0.5,
+     "x2": -0.5,
+     "f1": -1.0,
+     "f2": -0.6000000000000001,
+     "rank": 2
+    }
+   ]
+  },
+  {
+   "id": 1,
+   "size": 1,
+   "min_rank": 0,
+   "representative_f": [
+    -1.3333333333333335,
+    -1.1
+   ],
+   "points": [
+    {
+     "j1": 1,
+     "j2": 3,
+     "x1": -1.0,
+     "x2": 0.5,
+     "f1": -1.3333333333333335,
+     "f2": -1.1,
+     "rank": 0
+    }
+   ]
+  },
+  {
+   "id": 2,
+   "size": 2,
+   "min_rank": 3,
+   "representative_f": [
+    1.3333333333333335,
+    -0.1
+   ],
+   "points": [
+    {
+     "j1": 4,
+     "j2": 2,
+     "x1": 0.5,
+     "x2": 0.0,
+     "f1": 1.3333333333333335,
+     "f2": -0.1,
+     "rank": 3
+    },
+    {
+     "j1": 4,
+     "j2": 3,
+     "x1": 0.5,
+     "x2": 0.5,
+     "f1": 1.6666666666666665,
+     "f2": -0.1,
+     "rank": 4
+    }
+   ]
+  }
+ ]
+}
+"""
+
+
+def test_export_decomposition_json_golden(tmp_path):
+    """Three components, one of them split in scan order by another, ranks
+    above 0 and negative floats; and an empty decomposition."""
+    grid = build_grid((-1.0, -0.5), (0.5, 0.5), 4, 3)
+    labels = np.zeros(grid.shape, dtype=np.uint8)
+    for i, j in [(0, 0), (0, 2), (1, 0), (3, 1), (3, 2)]:
+        labels[i, j] = PointClass.EFFICIENT_INTERIOR
+    f1 = np.arange(12.0).reshape(4, 3) / 3.0 - 2.0
+    f2 = -np.arange(12.0).reshape(4, 3)[::-1] * 0.1
+    f2[3, 2] = f2[3, 1]
+    d = decompose_efficient_set(_critmap(grid, labels), f1, f2)
+    out = tmp_path / "d.json"
+    export_decomposition_json(out, d, f1, f2)
+    assert out.read_bytes() == GOLDEN_DECOMPOSITION_JSON.encode("ascii")
+
+    empty = decompose_efficient_set(
+        _critmap(grid, np.zeros(grid.shape, dtype=np.uint8)), f1, f2)
+    export_decomposition_json(out, empty, f1, f2)
+    assert out.read_bytes() == (b'{\n "n_efficient": 0,\n "n_rank0": 0,\n'
+                                b' "n_components": 0,\n "components": []\n}\n')
