@@ -28,7 +28,6 @@ applied at the resolution the grid can support.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -324,25 +323,32 @@ def classify(fields: FieldSet, div_tol_rel: float = 1e-9) -> CriticalityMap:
     )
 
 
+# one record of the critical-points JSON, laid out as json.dump(indent=1)
+# lays it out; "div" is pre-formatted so that it can be null
+_CRITICAL_JSON = (' {\n  "j1": %d,\n  "j2": %d,\n  "x1": %r,\n  "x2": %r,\n'
+                  '  "class": "%s",\n  "div": %s,\n  "f1": %r,\n  "f2": %r\n }')
+
+
 def export_critical_points_json(path, critmap: CriticalityMap,
                                 fields: FieldSet) -> None:
     """JSON array of every critical point (j1 fastest ordering).
 
     Each entry: {"j1","j2","x1","x2","class","div","f1","f2"} with 1-based
-    grid indices and the class name string.
+    grid indices and the class name string; "div" is null while
+    ``fields.div_descent`` is None.  The bytes are those of
+    ``json.dump(records, fh, indent=1)`` plus a newline, with floats (all
+    finite) as ``float.__repr__``; each record is formatted from a fixed
+    template instead of the pure-Python encoder that ``indent`` selects.
     """
     grid = critmap.grid
     j, i = np.nonzero(critmap.labels.T)     # j2 outer, j1 inner
     div = fields.div_descent
-    divs = div[i, j].tolist() if div is not None else [None] * i.size
-    records = [
-        {"j1": a + 1, "j2": b + 1, "x1": x1, "x2": x2,
-         "class": CLASS_NAMES[lab], "div": d, "f1": v1, "f2": v2}
-        for a, b, x1, x2, lab, d, v1, v2 in zip(
-            i.tolist(), j.tolist(), grid.x1[i].tolist(), grid.x2[j].tolist(),
-            critmap.labels[i, j].tolist(), divs,
-            fields.f1[i, j].tolist(), fields.f2[i, j].tolist())
-    ]
+    divs = (map(float.__repr__, div[i, j].tolist()) if div is not None
+            else ["null"] * i.size)
+    records = [_CRITICAL_JSON % row for row in zip(
+        (i + 1).tolist(), (j + 1).tolist(), grid.x1[i].tolist(),
+        grid.x2[j].tolist(),
+        map(CLASS_NAMES.get, critmap.labels[i, j].tolist()), divs,
+        fields.f1[i, j].tolist(), fields.f2[i, j].tolist())]
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(records, fh, indent=1)
-        fh.write("\n")
+        fh.write("[\n%s\n]\n" % ",\n".join(records) if records else "[]\n")

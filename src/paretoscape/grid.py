@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -136,15 +135,28 @@ def evaluate_grid(problem: BiObjectiveProblem, grid: Grid, workers: int = 1):
 CSV_BLOCK_ROWS = 16384
 
 
-def flatten_indices(grid: Grid, start: int = 0, stop: Optional[int] = None):
-    """1-based (j1, j2) index columns of export rows ``start:stop``.
+def _text(values: np.ndarray) -> list:
+    """The text of each element of 1-d ``values``: floats as
+    ``float.__repr__``, anything else as ``str`` of ``.tolist()``."""
+    fmt = float.__repr__ if values.dtype.kind == "f" else str
+    return list(map(fmt, values.tolist()))
 
-    Export rows run j2 in the outer and j1 in the inner loop; by default
-    all ``n1 * n2`` rows are returned.
-    """
-    rows = np.arange(start, grid.n1 * grid.n2 if stop is None else stop)
-    j2, j1 = np.divmod(rows, grid.n1)
-    return j1 + 1, j2 + 1
+
+def _distinct_text(values: np.ndarray):
+    """(strings, inverse) with ``strings[inverse]`` the text of 1-d
+    ``values``, or None if more than a quarter of the values are distinct.
+
+    Floats are told apart by their bit pattern, since ``-0.0 == 0.0`` but
+    the two print differently.  ``inverse`` has the smallest unsigned dtype
+    that holds it."""
+    key = values
+    if values.dtype.kind == "f":
+        key = values.view(f"u{values.itemsize}")
+    distinct, inverse = np.unique(key, return_inverse=True)
+    if 4 * distinct.size > values.size:
+        return None
+    return (np.array(_text(distinct.view(values.dtype)), dtype=object),
+            inverse.astype(np.min_scalar_type(distinct.size - 1)))
 
 
 def export_grid_csv(path, grid: Grid, header, columns) -> None:
@@ -153,18 +165,30 @@ def export_grid_csv(path, grid: Grid, header, columns) -> None:
     Every row starts with the 1-based ``j1,j2`` and the coordinates
     ``x1,x2``, followed by one value per entry of ``columns``: an (n1, n2)
     array, or None for a column left empty.  ``header`` names those
-    columns.  Values are written via ``.tolist()``, so floats print as
-    ``repr`` and integers as ``str``.  Rows are formatted and written
-    ``CSV_BLOCK_ROWS`` at a time.
+    columns.  Floats print as ``repr`` and integers as ``str``, the text of
+    ``.tolist()``; each distinct value is formatted once.  The axes have
+    n1 + n2 distinct values; a column with at most a quarter of its values
+    distinct is formatted per distinct value and indexed per row, any other
+    column row by row.  Rows are written ``CSV_BLOCK_ROWS`` at a time.
     """
-    n = grid.n1 * grid.n2
+    n1, n = grid.n1, grid.n1 * grid.n2
+    axes = [np.array(_text(a), dtype=object)
+            for a in (np.arange(1, grid.n1 + 1), np.arange(1, grid.n2 + 1),
+                      grid.x1, grid.x2)]
+    # per column: (strings, inverse) on the distinct-value path, else None
+    distinct = [None if c is None else _distinct_text(c.T.ravel())
+                for c in columns]
     with open(path, "w", encoding="ascii") as fh:
         fh.write(",".join(["j1", "j2", "x1", "x2", *header]) + "\n")
         for lo in range(0, n, CSV_BLOCK_ROWS):
-            j1, j2 = flatten_indices(grid, lo, min(lo + CSV_BLOCK_ROWS, n))
-            i, j = j1 - 1, j2 - 1
-            text = [map(str, v.tolist())
-                    for v in (j1, j2, grid.x1[i], grid.x2[j])]
-            text += [map(str, c[i, j].tolist()) if c is not None
-                     else [""] * i.size for c in columns]
+            hi = min(lo + CSV_BLOCK_ROWS, n)
+            j, i = np.divmod(np.arange(lo, hi), n1)
+            text = [a[k].tolist() for a, k in zip(axes, (i, j, i, j))]
+            for c, d in zip(columns, distinct):
+                if c is None:
+                    text.append([""] * i.size)
+                elif d is None:
+                    text.append(_text(c[i, j]))
+                else:
+                    text.append(d[0][d[1][lo:hi]].tolist())
             fh.write("\n".join(map(",".join, zip(*text))) + "\n")

@@ -5,7 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from paretoscape import analyze, get_problem
 from paretoscape.cli import RunConfig, main, parse_args
+from paretoscape.grid import _distinct_text
+
+from oracles import grid_csv_rows
 
 
 def _summary(capsys):
@@ -121,6 +125,22 @@ def test_critical_mode_exports(tmp_path, capsys):
     classes = {r["class"] for r in records}
     assert "CriticalOnly" in classes
     assert "LocallyEfficientInterior" in classes
+
+
+def test_critical_csv_matches_naive_writer(tmp_path, capsys):
+    csv = tmp_path / "fields.csv"
+    assert main(["--problem", "mindist", "--mode", "critical",
+                 "--resolution", "61", "--out", str(tmp_path / "c.ppm"),
+                 "--export-csv", str(csv)]) == 0
+    _summary(capsys)
+    fs = analyze(get_problem("mindist"), 61).fields
+    columns = [fs.g1[..., 0], fs.g1[..., 1], fs.g2[..., 0], fs.g2[..., 1],
+               fs.mo[..., 0], fs.mo[..., 1], fs.div_descent]
+    # at this size the gradient columns take the distinct-value path
+    assert all(_distinct_text(c.T.ravel()) is not None for c in columns[:4])
+    lines = grid_csv_rows(fs.grid, ["g1x", "g1y", "g2x", "g2y", "mox", "moy",
+                                    "div"], columns)
+    assert csv.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_plot_mode_exports_decomposition(tmp_path, capsys):

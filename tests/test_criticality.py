@@ -1,13 +1,15 @@
 """First/second-order classification: hull test, triangles, boundary, trim."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from paretoscape import (BiObjectiveProblem, CriticalityMap, PointClass,
-                         build_fieldset, build_grid, classify, make_bisphere,
-                         make_kursawe, make_sgk, origin_in_hull)
+                         build_fieldset, build_grid, classify, make_aspar,
+                         make_bisphere, make_kursawe, make_sgk,
+                         origin_in_hull)
 from paretoscape.criticality import (CLASS_NAMES, ORIENTATIONS,
                                      boundary_criticality,
                                      export_critical_points_json,
@@ -523,6 +525,25 @@ def test_export_critical_points_json_golden(tmp_path):
     keys = ("j1", "j2", "x1", "x2", "class", "div", "f1", "f2")
     records = [dict(zip(keys, r)) for r in rows]
     assert out.read_bytes() == (json.dumps(records, indent=1) + "\n").encode()
+
+
+def test_export_critical_points_json_matches_json_dump(tmp_path):
+    # with "div", with a null "div" (no second-order pass) and with no
+    # critical points
+    fs = _fieldset(make_aspar(), 41, 33)
+    cm = classify(fs)
+    out = tmp_path / "crit.json"
+    export_critical_points_json(out, cm, fs)
+    records = json.loads(out.read_text())
+    assert len(records) == int((cm.labels != 0).sum())
+    assert out.read_text() == json.dumps(records, indent=1) + "\n"
+    export_critical_points_json(out, cm, replace(fs, div_descent=None))
+    for r in records:
+        r["div"] = None
+    assert out.read_text() == json.dumps(records, indent=1) + "\n"
+    export_critical_points_json(
+        out, replace(cm, labels=np.zeros_like(cm.labels)), fs)
+    assert out.read_text() == json.dumps([], indent=1) + "\n"
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0])

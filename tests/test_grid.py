@@ -6,7 +6,9 @@ import pytest
 from paretoscape import (BiObjectiveProblem, DomainError, EvaluationError,
                          build_grid, evaluate_grid, make_aspar, make_bisphere)
 from paretoscape import grid as grid_module
-from paretoscape.grid import export_grid_csv, flatten_indices
+from paretoscape.grid import export_grid_csv
+
+from oracles import grid_csv_rows
 
 
 def test_coordinates_small_grid_exact():
@@ -89,16 +91,6 @@ def test_non_finite_objective_raises_evaluation_error():
         evaluate_grid(bad, g)
 
 
-def test_flatten_indices_column_major_one_based():
-    g = build_grid((0.0, 0.0), (1.0, 1.0), 3, 2)
-    j1, j2 = flatten_indices(g)
-    assert list(j1) == [1, 2, 3, 1, 2, 3]
-    assert list(j2) == [1, 1, 1, 2, 2, 2]
-    j1, j2 = flatten_indices(g, 2, 5)
-    assert list(j1) == [3, 1, 2]
-    assert list(j2) == [1, 2, 2]
-
-
 def test_export_grid_csv_blocks_join_seamlessly(tmp_path, monkeypatch):
     g = build_grid((0.0, 0.0), (1.0, 2.0), 3, 5)
     ints = np.arange(15).reshape(3, 5)
@@ -119,3 +111,46 @@ def test_export_grid_csv_blocks_join_seamlessly(tmp_path, monkeypatch):
         export_grid_csv(blocked, g, ["n", "empty", "third"], [ints, None, floats])
         assert blocked.read_bytes() == single.read_bytes()
 
+
+def _takes_each(rng, values, shape):
+    """Array of ``shape`` in which each of ``values`` occurs at least once."""
+    values = np.asarray(values)
+    n = shape[0] * shape[1]
+    return values[rng.permutation(np.arange(n) % values.size)].reshape(shape)
+
+
+def test_export_grid_csv_matches_naive_writer(tmp_path, monkeypatch):
+    g = build_grid((-1.0, 0.5), (1.0, 3.0), 8, 5)     # N = 40, N/4 = 10
+    shape = g.shape
+    rng = np.random.default_rng(6)
+    specials = [-0.0, 0.0, np.inf, -np.inf, 5e-324, 1e300, np.nan]
+    big_ints = [2 ** 53 + 1, 2 ** 62 + 3, -2 ** 63, 2 ** 63 - 1, -7]
+    dense = rng.normal(size=shape)
+    dense.flat[:len(specials)] = specials
+    dense_ints = rng.integers(-2 ** 63, 2 ** 63 - 1, size=shape)
+    dense_ints.flat[:len(big_ints)] = big_ints
+    # name -> (column, takes the distinct-value path)
+    cases = {
+        "zeros": (_takes_each(rng, [-0.0, 0.0, 0.25], shape), True),
+        "specials": (_takes_each(rng, specials, shape), True),
+        "big": (_takes_each(rng, big_ints, shape), True),
+        "empty": (None, None),
+        "d9": (_takes_each(rng, rng.normal(size=9), shape), True),
+        "d10": (_takes_each(rng, -np.arange(10) * 3, shape), True),
+        "d11": (_takes_each(rng, [-0.0, 0.0, *rng.normal(size=9)], shape),
+                False),
+        "dense": (dense, False),
+        "dense_ints": (dense_ints, False),
+    }
+    header = list(cases)
+    columns = [c for c, _ in cases.values()]
+    for c, distinct in cases.values():
+        if c is not None:
+            text = grid_module._distinct_text(c.T.ravel())
+            assert (text is not None) == distinct
+    expected = ("\n".join(grid_csv_rows(g, header, columns)) + "\n").encode()
+    for rows in (1, 3, g.n1, g.n1 * g.n2 + 5):
+        monkeypatch.setattr(grid_module, "CSV_BLOCK_ROWS", rows)
+        out = tmp_path / f"blocked{rows}.csv"
+        export_grid_csv(out, g, header, columns)
+        assert out.read_bytes() == expected
