@@ -128,16 +128,13 @@ def interior_criticality(g1: np.ndarray, g2: np.ndarray, grid: Grid,
         crit_mask[ai, vj] |= crit
 
         idx = np.argwhere(crit)
-        if idx.size:
-            rows = np.empty((idx.shape[0], 4), dtype=np.int32)
-            rows[:, 0] = idx[:, 0] + (1 if di == -1 else 0)
-            rows[:, 1] = idx[:, 1] + (1 if dj == -1 else 0)
-            rows[:, 2] = di
-            rows[:, 3] = dj
-            tri_rows.append(rows)
-    triangles = (np.concatenate(tri_rows, axis=0) if tri_rows
-                 else np.empty((0, 4), dtype=np.int32))
-    return triangles, crit_mask
+        rows = np.empty((idx.shape[0], 4), dtype=np.int32)
+        rows[:, 0] = idx[:, 0] + (1 if di == -1 else 0)
+        rows[:, 1] = idx[:, 1] + (1 if dj == -1 else 0)
+        rows[:, 2] = di
+        rows[:, 3] = dj
+        tri_rows.append(rows)
+    return np.concatenate(tri_rows, axis=0), crit_mask
 
 
 def triangle_corners(triangles: np.ndarray):
@@ -155,8 +152,6 @@ def triangle_second_order(triangles: np.ndarray, div_descent: np.ndarray,
     A triangle is locally efficient iff div(-mo) <= div_tol at all three
     corners; otherwise the triangle sits on a ridge or repelling structure.
     """
-    if triangles.shape[0] == 0:
-        return np.zeros(0, dtype=bool)
     ci, cj = triangle_corners(triangles)
     ok = div_descent[ci, cj] <= div_tol
     return ok.all(axis=1)
@@ -262,10 +257,6 @@ class CriticalityMap:
         return self.labels >= PointClass.EFFICIENT_INTERIOR
 
     @property
-    def critical_mask(self) -> np.ndarray:
-        return self.labels >= PointClass.CRITICAL_ONLY
-
-    @property
     def critical_only_mask(self) -> np.ndarray:
         return self.labels == PointClass.CRITICAL_ONLY
 
@@ -302,13 +293,11 @@ def classify(fields: FieldSet, div_tol_rel: float = 1e-9) -> CriticalityMap:
 
     labels = np.zeros(grid.shape, dtype=np.uint8)
     labels[first_order] = PointClass.CRITICAL_ONLY
-    if triangles.shape[0]:
-        ci, cj = triangle_corners(triangles[tri_eff])
-        labels[ci.ravel(), cj.ravel()] = PointClass.EFFICIENT_INTERIOR
+    ci, cj = triangle_corners(triangles[tri_eff])
+    labels[ci.ravel(), cj.ravel()] = PointClass.EFFICIENT_INTERIOR
     eff_pairs = pairs[pair_eff]
-    if eff_pairs.shape[0]:
-        labels[eff_pairs[:, 0], eff_pairs[:, 1]] = PointClass.EFFICIENT_BOUNDARY
-        labels[eff_pairs[:, 2], eff_pairs[:, 3]] = PointClass.EFFICIENT_BOUNDARY
+    labels[eff_pairs[:, 0], eff_pairs[:, 1]] = PointClass.EFFICIENT_BOUNDARY
+    labels[eff_pairs[:, 2], eff_pairs[:, 3]] = PointClass.EFFICIENT_BOUNDARY
 
     eff = labels >= PointClass.EFFICIENT_INTERIOR
     demote = eff & neighbor_dominated_mask(fields.f1, fields.f2)
@@ -323,10 +312,9 @@ def classify(fields: FieldSet, div_tol_rel: float = 1e-9) -> CriticalityMap:
     )
 
 
-# one record of the critical-points JSON, laid out as json.dump(indent=1)
-# lays it out; "div" is pre-formatted so that it can be null
+# one critical-points JSON record, laid out as json.dump(indent=1) does
 _CRITICAL_JSON = (' {\n  "j1": %d,\n  "j2": %d,\n  "x1": %r,\n  "x2": %r,\n'
-                  '  "class": "%s",\n  "div": %s,\n  "f1": %r,\n  "f2": %r\n }')
+                  '  "class": "%s",\n  "div": %r,\n  "f1": %r,\n  "f2": %r\n }')
 
 
 def export_critical_points_json(path, critmap: CriticalityMap,
@@ -334,21 +322,19 @@ def export_critical_points_json(path, critmap: CriticalityMap,
     """JSON array of every critical point (j1 fastest ordering).
 
     Each entry: {"j1","j2","x1","x2","class","div","f1","f2"} with 1-based
-    grid indices and the class name string; "div" is null while
-    ``fields.div_descent`` is None.  The bytes are those of
-    ``json.dump(records, fh, indent=1)`` plus a newline, with floats (all
-    finite) as ``float.__repr__``; each record is formatted from a fixed
-    template instead of the pure-Python encoder that ``indent`` selects.
+    grid indices, the class name and the ``div_descent`` that ``classify``
+    set in ``fields``.  The bytes are those of ``json.dump(records, fh,
+    indent=1)`` plus a newline, with floats (all finite) as ``repr``; each
+    record is formatted from a fixed template instead of the pure-Python
+    encoder that ``indent`` selects.
     """
     grid = critmap.grid
     j, i = np.nonzero(critmap.labels.T)     # j2 outer, j1 inner
-    div = fields.div_descent
-    divs = (map(float.__repr__, div[i, j].tolist()) if div is not None
-            else ["null"] * i.size)
     records = [_CRITICAL_JSON % row for row in zip(
         (i + 1).tolist(), (j + 1).tolist(), grid.x1[i].tolist(),
         grid.x2[j].tolist(),
-        map(CLASS_NAMES.get, critmap.labels[i, j].tolist()), divs,
+        map(CLASS_NAMES.get, critmap.labels[i, j].tolist()),
+        fields.div_descent[i, j].tolist(),
         fields.f1[i, j].tolist(), fields.f2[i, j].tolist())]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("[\n%s\n]\n" % ",\n".join(records) if records else "[]\n")

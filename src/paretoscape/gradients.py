@@ -86,11 +86,11 @@ class FieldSet:
     """All per-grid-point fields the detection pipeline works on.
 
     ``mo`` starts as the very array ``mo_raw`` holds, the raw ascent
-    multi-objective gradient; the boundary handling step rebinds it to a
-    rotated copy (normal components removed where the descent direction
-    would leave the box) and fills ``div_descent`` = div(-mo) of that
-    rotated field.  No step writes either array in place, so ``mo_raw``
-    always keeps the unrotated field (the boundary efficiency test needs it).
+    multi-objective gradient; ``classify`` rebinds it to a rotated copy
+    (normal components removed where descent would leave the box) and sets
+    ``div_descent`` = div(-mo), which the exports need, from None.  No step
+    writes either array in place, so ``mo_raw`` always keeps the unrotated
+    field (the boundary efficiency test needs it).
     """
 
     grid: Grid
@@ -136,7 +136,7 @@ def export_fields_csv(path, fields: FieldSet) -> None:
     """CSV dump of the gradient fields: one row per grid point, j1 fastest.
 
     Columns: j1,j2,x1,x2,g1x,g1y,g2x,g2y,mox,moy,div  (mo = rotated field,
-    div = divergence of the descent field -mo; empty if not yet computed).
+    div = divergence of the descent field -mo: both set by ``classify``).
     """
     export_grid_csv(
         path, fields.grid,

@@ -147,14 +147,18 @@ def _distinct_text(values: np.ndarray):
     ``values``, or None if more than a quarter of the values are distinct.
 
     Floats are told apart by their bit pattern, since ``-0.0 == 0.0`` but
-    the two print differently.  ``inverse`` has the smallest unsigned dtype
-    that holds it."""
+    the two print differently.  One sort counts the distinct values; only
+    the distinct-value path searches for ``inverse``, stored in the
+    smallest unsigned dtype that holds it."""
     key = values
     if values.dtype.kind == "f":
         key = values.view(f"u{values.itemsize}")
-    distinct, inverse = np.unique(key, return_inverse=True)
-    if 4 * distinct.size > values.size:
+    ordered = np.sort(key)
+    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    if 4 * np.count_nonzero(first) > values.size:
         return None
+    distinct = ordered[first]
+    inverse = np.searchsorted(distinct, key)
     return (np.array(_text(distinct.view(values.dtype)), dtype=object),
             inverse.astype(np.min_scalar_type(distinct.size - 1)))
 
@@ -163,21 +167,20 @@ def export_grid_csv(path, grid: Grid, header, columns) -> None:
     """Write per-grid-point columns as CSV, one row per point, j1 fastest.
 
     Every row starts with the 1-based ``j1,j2`` and the coordinates
-    ``x1,x2``, followed by one value per entry of ``columns``: an (n1, n2)
-    array, or None for a column left empty.  ``header`` names those
-    columns.  Floats print as ``repr`` and integers as ``str``, the text of
-    ``.tolist()``; each distinct value is formatted once.  The axes have
-    n1 + n2 distinct values; a column with at most a quarter of its values
-    distinct is formatted per distinct value and indexed per row, any other
-    column row by row.  Rows are written ``CSV_BLOCK_ROWS`` at a time.
+    ``x1,x2``, followed by one value per entry of ``columns``, each an
+    (n1, n2) array named by ``header``.  Floats print as ``repr`` and
+    integers as ``str``, the text of ``.tolist()``; each distinct value is
+    formatted once.  The axes have n1 + n2 distinct values; a column with
+    at most a quarter of its values distinct is formatted per distinct
+    value and indexed per row, any other column row by row.  Rows are
+    written ``CSV_BLOCK_ROWS`` at a time.
     """
     n1, n = grid.n1, grid.n1 * grid.n2
     axes = [np.array(_text(a), dtype=object)
             for a in (np.arange(1, grid.n1 + 1), np.arange(1, grid.n2 + 1),
                       grid.x1, grid.x2)]
     # per column: (strings, inverse) on the distinct-value path, else None
-    distinct = [None if c is None else _distinct_text(c.T.ravel())
-                for c in columns]
+    distinct = [_distinct_text(c.T.ravel()) for c in columns]
     with open(path, "w", encoding="ascii") as fh:
         fh.write(",".join(["j1", "j2", "x1", "x2", *header]) + "\n")
         for lo in range(0, n, CSV_BLOCK_ROWS):
@@ -185,9 +188,7 @@ def export_grid_csv(path, grid: Grid, header, columns) -> None:
             j, i = np.divmod(np.arange(lo, hi), n1)
             text = [a[k].tolist() for a, k in zip(axes, (i, j, i, j))]
             for c, d in zip(columns, distinct):
-                if c is None:
-                    text.append([""] * i.size)
-                elif d is None:
+                if d is None:
                     text.append(_text(c[i, j]))
                 else:
                     text.append(d[0][d[1][lo:hi]].tolist())

@@ -122,19 +122,17 @@ def _smaller_before(p: np.ndarray) -> np.ndarray:
 
 @dataclass
 class HeightField:
-    """A nonnegative per-grid-point height with its interpretation."""
+    """A nonnegative per-grid-point height."""
 
     grid: Grid
     values: np.ndarray     # (n1, n2); float for gfh, int for cost
-    mode: str              # "gfh" or "cost"
 
 
 def cost_landscape(f1: np.ndarray, f2: np.ndarray, grid: Grid) -> HeightField:
     """Dominance-count height for every grid point."""
-    F = np.stack([f1.ravel(order="F"), f2.ravel(order="F")], axis=1)
-    counts = dominance_counts(F)
-    values = counts.reshape((grid.n2, grid.n1)).T.copy()
-    return HeightField(grid=grid, values=values, mode="cost")
+    F = np.stack([f1.ravel(), f2.ravel()], axis=1)
+    return HeightField(grid=grid,
+                       values=dominance_counts(F).reshape(grid.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +219,6 @@ def decompose_efficient_set(critmap: CriticalityMap, f1: np.ndarray,
     mask = critmap.efficient_mask
     pts = np.argwhere(mask).astype(np.int32)
     comp_labels, n_comp = connected_components(mask)
-    if pts.shape[0] == 0:
-        return EfficientSetDecomposition(
-            grid=critmap.grid, points=pts, ranks=np.zeros(0, dtype=np.int64),
-            component_of=np.zeros(0, dtype=np.int32),
-            component_labels=comp_labels, n_components=0,
-            component_sizes=np.zeros(0, dtype=np.int64),
-            component_min_rank=np.zeros(0, dtype=np.int64),
-            representative_f=np.zeros((0, 2)))
     F = np.stack([f1[pts[:, 0], pts[:, 1]], f2[pts[:, 0], pts[:, 1]]], axis=1)
     ranks = dominance_counts(F)
     comp_of = comp_labels[pts[:, 0], pts[:, 1]]
@@ -254,10 +244,9 @@ STOP_KINDS = ("efficient", "cycle", "dead_end", "pit")
 
 @dataclass
 class BasinMap:
-    """Basin (efficient component id) reached by each descent path."""
+    """How descent paths end: basins reached and paths per stop kind."""
 
     grid: Grid
-    labels: np.ndarray        # (n1, n2) int32, -1 = unconverged
     n_basins: int             # distinct components actually reached
     n_unconverged: int        # grid points whose path reaches no efficient point
     stop_counts: dict         # STOP_KINDS name -> paths ending that way
@@ -267,7 +256,7 @@ class BasinMap:
 def gfh_heights(fields: FieldSet, critmap: CriticalityMap,
                 decomposition: EfficientSetDecomposition
                 ) -> tuple[HeightField, BasinMap]:
-    """Accumulated descent-path lengths and the basin each path reaches.
+    """Accumulated descent-path lengths and how each path ends.
 
     From every grid point the path repeatedly moves to the 8-neighbour whose
     normalised decision-space offset has the largest dot product with the
@@ -352,15 +341,12 @@ def gfh_heights(fields: FieldSet, critmap: CriticalityMap,
     kind[pit] = STOP_KINDS.index("pit")
     per_kind = np.bincount(kind.ravel()[stop_at], minlength=len(STOP_KINDS))
     stop_counts = dict(zip(STOP_KINDS, per_kind.tolist()))
-    labels = decomposition.component_labels
-    basins = labels.ravel()[stop_at].reshape(grid.shape)
 
-    height_field = HeightField(grid=grid, values=heights.reshape(grid.shape),
-                               mode="gfh")
+    height_field = HeightField(grid=grid, values=heights.reshape(grid.shape))
     # every efficient point ends its own path, so the basins reached are
     # the components of the efficient points
-    basin_map = BasinMap(grid=grid, labels=basins,
-                         n_basins=int(np.unique(labels[eff]).size),
+    n_basins = np.unique(decomposition.component_labels[eff]).size
+    basin_map = BasinMap(grid=grid, n_basins=int(n_basins),
                          n_unconverged=N - stop_counts["efficient"],
                          stop_counts=stop_counts,
                          n_cycles=_count_cycles(succ_flat, on_cycle))
@@ -402,17 +388,13 @@ class LandscapeResult:
     basins: BasinMap
     cost: Optional[HeightField] = None
 
-    @property
-    def n_cycles(self) -> int:
-        return self.basins.n_cycles
-
     def summary(self) -> dict:
         return {
             "problem": getattr(self.problem, "name", str(self.problem)),
             "n_efficient": self.decomposition.n_efficient,
             "n_components": self.decomposition.n_components,
             "n_rank0": self.decomposition.n_rank0,
-            "n_cycles": self.n_cycles,
+            "n_cycles": self.basins.n_cycles,
             "n_unconverged": self.basins.n_unconverged,
         }
 

@@ -11,14 +11,14 @@ used by the finite-difference validation tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 
 class DomainError(ValueError):
-    """A point (or grid) lies outside a problem's box domain."""
+    """A grid lies outside a problem's box domain."""
 
 
 class UnknownProblemError(ValueError):
@@ -59,28 +59,6 @@ class BiObjectiveProblem:
                 f"problem {self.name!r}: lower bounds {self.lower.tolist()} must be "
                 f"strictly below upper bounds {self.upper.tolist()}"
             )
-
-    def evaluate(self, x) -> tuple[float, float]:
-        """Evaluate a single point, enforcing the box constraint.
-
-        Raises DomainError naming the violated bound if x is outside the box.
-        """
-        x = np.asarray(x, dtype=float)
-        if x.shape != (2,):
-            raise ValueError(f"expected a point of shape (2,), got {x.shape}")
-        for i in range(2):
-            if x[i] < self.lower[i]:
-                raise DomainError(
-                    f"x{i + 1} = {x[i]} is below the lower bound {self.lower[i]} "
-                    f"of problem {self.name!r}"
-                )
-            if x[i] > self.upper[i]:
-                raise DomainError(
-                    f"x{i + 1} = {x[i]} is above the upper bound {self.upper[i]} "
-                    f"of problem {self.name!r}"
-                )
-        f1, f2 = self.fn(np.asarray(x[0]), np.asarray(x[1]))
-        return float(f1), float(f2)
 
     def evaluate_arrays(self, x1: np.ndarray, x2: np.ndarray):
         """Vectorised evaluation without bounds checking (grids are pre-checked)."""
@@ -253,8 +231,8 @@ def available_problems() -> list[str]:
 def get_problem(descriptor: str) -> BiObjectiveProblem:
     """Resolve a problem descriptor ``name`` or ``name:p1,p2,...``.
 
-    Only ``bisphere`` is parametric: ``bisphere:ax,ay,bx,by`` sets the two
-    centres.  Unknown names raise UnknownProblemError listing the registry.
+    Only ``bisphere`` is parametric: ``bisphere:ax,ay,bx,by`` sets its two
+    finite centres.  Anything else raises UnknownProblemError.
     """
     name, _, params = descriptor.partition(":")
     name = name.strip()
@@ -276,4 +254,6 @@ def get_problem(descriptor: str) -> BiObjectiveProblem:
         raise UnknownProblemError(
             f"bisphere expects 4 parameters ax,ay,bx,by, got {len(vals)}"
         )
+    if not np.all(np.isfinite(vals)):
+        raise UnknownProblemError(f"bisphere parameters must be finite, got {params!r}")
     return make_bisphere((vals[0], vals[1]), (vals[2], vals[3]))

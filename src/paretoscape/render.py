@@ -62,18 +62,10 @@ def normalize_heights(values: np.ndarray, log_scale: bool = True) -> np.ndarray:
 
 @dataclass
 class PlotArtifact:
-    """A rendered raster plus the legend metadata describing it."""
+    """A rendered raster; ``legend["warning"]`` says what it could not draw."""
 
     raster: np.ndarray            # (height, width, 3) uint8
     legend: dict = field(default_factory=dict)
-
-    @property
-    def width(self) -> int:
-        return self.raster.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.raster.shape[0]
 
     def to_ppm_bytes(self) -> bytes:
         h, w = self.raster.shape[:2]
@@ -118,14 +110,7 @@ def _grid_to_image(rgb_grid: np.ndarray) -> np.ndarray:
 def render_height_map(heights: HeightField, log_scale: bool = True) -> PlotArtifact:
     """Blue-to-red map of a (gfh or cost) height field."""
     u = normalize_heights(heights.values, log_scale=log_scale)
-    raster = _grid_to_image(colormap_blue_red(u))
-    return PlotArtifact(raster=raster, legend={
-        "mode": heights.mode,
-        "colormap": "blue(low)-red(high)",
-        "log_scale": bool(log_scale),
-        "height_min": float(np.min(heights.values)),
-        "height_max": float(np.max(heights.values)),
-    })
+    return PlotArtifact(raster=_grid_to_image(colormap_blue_red(u)))
 
 
 def render_critical_map(critmap: CriticalityMap) -> PlotArtifact:
@@ -134,13 +119,7 @@ def render_critical_map(critmap: CriticalityMap) -> PlotArtifact:
     rgb[...] = WHITE
     rgb[critmap.critical_only_mask] = GRAY_CRITICAL
     rgb[critmap.efficient_mask] = BLACK_EFFICIENT
-    return PlotArtifact(raster=_grid_to_image(rgb), legend={
-        "mode": "critical",
-        "colors": {"NonCritical": list(WHITE),
-                   "CriticalOnly": list(GRAY_CRITICAL),
-                   "LocallyEfficient": list(BLACK_EFFICIENT)},
-        "counts": critmap.counts(),
-    })
+    return PlotArtifact(raster=_grid_to_image(rgb))
 
 
 def compose_plot(heights: HeightField, decomposition: EfficientSetDecomposition,
@@ -150,22 +129,16 @@ def compose_plot(heights: HeightField, decomposition: EfficientSetDecomposition,
     Efficient pixels take the blue-to-red colour of their dominance rank
     relative to the largest rank present (all-rank-0 sets come out uniformly
     blue).  With no efficient points the background is returned alone and
-    the legend carries a warning.
+    the legend's only key, ``"warning"``, says so.
     """
     u = normalize_heights(heights.values, log_scale=log_scale)
     gray = np.rint(255.0 * (1.0 - u)).astype(np.uint8)
     rgb = np.repeat(gray[..., None], 3, axis=2)
-    legend = {
-        "mode": "plot",
-        "background": "grayscale of log-scaled descent heights",
-        "colormap": "rank 0 blue -> max rank red",
-        "height_max": float(np.max(heights.values)),
-    }
+    legend = {}
     if decomposition.n_efficient == 0:
         legend["warning"] = "no locally efficient points detected"
     else:
         max_rank = int(decomposition.ranks.max())
-        legend["max_rank"] = max_rank
         ur = (decomposition.ranks / max_rank) if max_rank > 0 else np.zeros(
             decomposition.ranks.shape)
         colors = colormap_blue_red(ur)

@@ -120,13 +120,13 @@ def gfh_walk(fields, critmap, decomposition):
 def grid_csv_rows(grid, header, columns):
     """Lines of ``export_grid_csv``'s CSV, header first, written point by
     point with j1 fastest: ``",".join(map(str, row))`` of the Python values
-    of each row, an empty field for a None column."""
-    lists = [c.tolist() if c is not None else None for c in columns]
+    of each row."""
+    lists = [c.tolist() for c in columns]
     x1, x2 = grid.x1.tolist(), grid.x2.tolist()
     lines = [",".join(["j1", "j2", "x1", "x2", *header])]
     for j2 in range(grid.n2):
         for j1 in range(grid.n1):
             row = [j1 + 1, j2 + 1, x1[j1], x2[j2]]
-            row += ["" if c is None else c[j1][j2] for c in lists]
+            row += [c[j1][j2] for c in lists]
             lines.append(",".join(map(str, row)))
     return lines

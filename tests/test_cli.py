@@ -73,6 +73,15 @@ def test_unknown_problem_exit_1(capsys):
     assert "unknown problem" in err and "available:" in err
 
 
+@pytest.mark.parametrize("params", ["nan,0,1,0", "-1,0,inf,0"])
+def test_non_finite_bisphere_parameters_exit_1(params, tmp_path, capsys):
+    out = tmp_path / "x.ppm"
+    assert main(["--problem", f"bisphere:{params}", "--resolution", "20",
+                 "--out", str(out)]) == 1
+    assert "bisphere parameters must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_list_problems(capsys):
     assert main(["--list-problems"]) == 0
     out = capsys.readouterr().out

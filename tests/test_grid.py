@@ -59,7 +59,7 @@ def test_evaluate_grid_matches_pointwise():
     f1, f2 = evaluate_grid(p, g)
     for i in (0, 5, 12):
         for j in (0, 4, 8):
-            e1, e2 = p.evaluate((g.x1[i], g.x2[j]))
+            e1, e2 = p.evaluate_arrays(g.x1[i], g.x2[j])
             assert f1[i, j] == e1 and f2[i, j] == e2
 
 
@@ -96,19 +96,19 @@ def test_export_grid_csv_blocks_join_seamlessly(tmp_path, monkeypatch):
     ints = np.arange(15).reshape(3, 5)
     floats = ints / 3.0
     single = tmp_path / "single.csv"
-    export_grid_csv(single, g, ["n", "empty", "third"], [ints, None, floats])
+    export_grid_csv(single, g, ["n", "third"], [ints, floats])
     lines = single.read_text().splitlines()
-    assert lines[0] == "j1,j2,x1,x2,n,empty,third"
-    assert lines[1] == "1,1,0.0,0.0,0,,0.0"
-    assert lines[2] == "2,1,0.5,0.0,5,,1.6666666666666667"
-    assert lines[4] == "1,2,0.0,0.5,1,,0.3333333333333333"
-    assert lines[15] == "3,5,1.0,2.0,14,,4.666666666666667"
+    assert lines[0] == "j1,j2,x1,x2,n,third"
+    assert lines[1] == "1,1,0.0,0.0,0,0.0"
+    assert lines[2] == "2,1,0.5,0.0,5,1.6666666666666667"
+    assert lines[4] == "1,2,0.0,0.5,1,0.3333333333333333"
+    assert lines[15] == "3,5,1.0,2.0,14,4.666666666666667"
     assert len(lines) == 16
     # block boundaries inside and at the end of a j2 column
     for rows in (1, 3, 4, 14):
         monkeypatch.setattr(grid_module, "CSV_BLOCK_ROWS", rows)
         blocked = tmp_path / f"blocked{rows}.csv"
-        export_grid_csv(blocked, g, ["n", "empty", "third"], [ints, None, floats])
+        export_grid_csv(blocked, g, ["n", "third"], [ints, floats])
         assert blocked.read_bytes() == single.read_bytes()
 
 
@@ -134,7 +134,6 @@ def test_export_grid_csv_matches_naive_writer(tmp_path, monkeypatch):
         "zeros": (_takes_each(rng, [-0.0, 0.0, 0.25], shape), True),
         "specials": (_takes_each(rng, specials, shape), True),
         "big": (_takes_each(rng, big_ints, shape), True),
-        "empty": (None, None),
         "d9": (_takes_each(rng, rng.normal(size=9), shape), True),
         "d10": (_takes_each(rng, -np.arange(10) * 3, shape), True),
         "d11": (_takes_each(rng, [-0.0, 0.0, *rng.normal(size=9)], shape),
@@ -145,9 +144,8 @@ def test_export_grid_csv_matches_naive_writer(tmp_path, monkeypatch):
     header = list(cases)
     columns = [c for c, _ in cases.values()]
     for c, distinct in cases.values():
-        if c is not None:
-            text = grid_module._distinct_text(c.T.ravel())
-            assert (text is not None) == distinct
+        text = grid_module._distinct_text(c.T.ravel())
+        assert (text is not None) == distinct
     expected = ("\n".join(grid_csv_rows(g, header, columns)) + "\n").encode()
     for rows in (1, 3, g.n1, g.n1 * g.n2 + 5):
         monkeypatch.setattr(grid_module, "CSV_BLOCK_ROWS", rows)

@@ -84,7 +84,6 @@ def test_cost_landscape_total_order_2x2():
     f1 = np.array([[0.0, 2.0], [1.0, 3.0]])   # f1[i, j] = i + 2 j
     f2 = f1.copy()
     hf = cost_landscape(f1, f2, g)
-    assert hf.mode == "cost"
     assert hf.values.tolist() == [[0, 2], [1, 3]]
     assert np.array_equal(hf.values, cost_landscape_brute(f1, f2))
 
@@ -162,7 +161,6 @@ def test_bisphere_pipeline_geometry():
     assert np.array_equal(r.heights.values == 0.0, eff)
     assert r.basins.n_unconverged == 0
     assert r.basins.n_basins == 1
-    assert (r.basins.labels == 0).all()
     # straight above the segment midpoint, descent runs vertically and the
     # accumulated height grows strictly with distance
     mid = 50
@@ -180,16 +178,30 @@ def test_no_efficient_points_yields_empty_decomposition():
     r = analyze(p, 21)
     d = r.decomposition
     assert d.n_efficient == 0 and d.n_components == 0 and d.n_rank0 == 0
-    assert d.points.shape == (0, 2)
     assert (d.component_labels == -1).all()
+    # the general code paths keep every array's dtype and shape at size 0
+    expected = {
+        "points": (np.int32, (0, 2)), "ranks": (np.int64, (0,)),
+        "component_of": (np.int32, (0,)),
+        "component_labels": (np.int32, (21, 21)),
+        "component_sizes": (np.int64, (0,)),
+        "component_min_rank": (np.int64, (0,)),
+        "representative_f": (np.float64, (0, 2)),
+    }
+    for name, (dtype, shape) in expected.items():
+        a = getattr(d, name)
+        assert (a.dtype, a.shape) == (dtype, shape), name
+    assert (r.critmap.triangles.dtype, r.critmap.triangles.shape) == (
+        np.int32, (0, 4))
+    assert (r.critmap.triangle_efficient.dtype,
+            r.critmap.triangle_efficient.shape) == (np.bool_, (0,))
     # every descent path slides along the boundary into the corner where
     # the projected field vanishes; nothing ever reaches an efficient point
     assert r.basins.n_basins == 0
-    assert (r.basins.labels == -1).all()
     assert r.basins.n_unconverged == 21 * 21
     assert r.basins.stop_counts == {"efficient": 0, "cycle": 0,
                                     "dead_end": 0, "pit": 21 * 21}
-    assert r.n_cycles == 0
+    assert r.basins.n_cycles == 0
     h = r.heights.values
     assert h[0, 0] == 0.0
     assert (h > 0).sum() == 21 * 21 - 1
@@ -199,7 +211,7 @@ def _assert_gfh_matches_walk(fields, critmap, decomposition):
     heights, basins = gfh_heights(fields, critmap, decomposition)
     h, b, counts, n_cycles = gfh_walk(fields, critmap, decomposition)
     assert heights.values.tobytes() == h.tobytes()
-    assert np.array_equal(basins.labels, b)
+    assert basins.n_basins == np.unique(b[b >= 0]).size
     assert basins.stop_counts == counts
     assert sum(counts.values()) == h.size
     assert basins.n_cycles == n_cycles
@@ -252,7 +264,7 @@ def test_gfh_heights_cut_cycles_like_descent_walk():
     assert basins.n_cycles == 2
     assert basins.stop_counts == {"efficient": 3, "cycle": 8, "dead_end": 1,
                                   "pit": n * n - 12}
-    assert basins.labels[0, 4] == basins.labels[0, 5] == 0
+    assert basins.n_basins == 1
 
 
 def test_aspar_component_count_stable_across_resolutions():

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from paretoscape import (DomainError, UnknownProblemError, available_problems,
-                         get_problem, make_aspar, make_bisphere, make_sgk)
+                         build_grid, evaluate_grid, get_problem, make_aspar,
+                         make_bisphere, make_sgk)
 from paretoscape.problems import PROBLEM_FACTORIES
+
+
+def _at(p, x1, x2):
+    """(f1, f2) of problem ``p`` at one point, as Python floats."""
+    f1, f2 = p.evaluate_arrays(x1, x2)
+    return float(f1), float(f2)
 
 
 def test_registry_names():
@@ -14,34 +21,34 @@ def test_registry_names():
 
 def test_bisphere_center_values_exact():
     p = make_bisphere()  # centers (-1,0), (1,0)
-    assert p.evaluate((0.0, 0.0)) == (1.0, 1.0)
-    assert p.evaluate((-1.0, 0.0)) == (0.0, 4.0)
-    assert p.evaluate((1.0, 0.0)) == (4.0, 0.0)
+    assert _at(p, 0.0, 0.0) == (1.0, 1.0)
+    assert _at(p, -1.0, 0.0) == (0.0, 4.0)
+    assert _at(p, 1.0, 0.0) == (4.0, 0.0)
 
 
 def test_bisphere_parametrized():
     p = get_problem("bisphere:-1,0,1,0")
-    assert p.evaluate((-1.0, 0.0)) == (0.0, 4.0)
+    assert _at(p, -1.0, 0.0) == (0.0, 4.0)
     q = get_problem("bisphere:0,0,0,2")
-    f1, f2 = q.evaluate((0.0, 1.0))
+    f1, f2 = _at(q, 0.0, 1.0)
     assert f1 == 1.0 and f2 == 1.0
 
 
 def test_aspar_frozen_values():
     # closed form: f1 = x1^4 - 2 x1^2 + 2 x2^2 + 1, f2 = (x1+0.5)^2 + (x2-2)^2
     p = make_aspar()
-    assert p.evaluate((0.0, 0.0)) == (1.0, 4.25)
-    assert p.evaluate((1.0, 0.0)) == (0.0, 6.25)
-    assert p.evaluate((-1.0, 0.0)) == (0.0, 4.25)
+    assert _at(p, 0.0, 0.0) == (1.0, 4.25)
+    assert _at(p, 1.0, 0.0) == (0.0, 6.25)
+    assert _at(p, -1.0, 0.0) == (0.0, 4.25)
 
 
 def test_sgk_frozen_values():
     p = make_sgk()
-    f1, f2 = p.evaluate((1.0, 1.0))
+    f1, f2 = _at(p, 1.0, 1.0)
     # f1 = 1 - 1/(1 + 4*(1/3)^2) = 4/13; f2 = 1 - max(..., 3/(1+0)) = -2
     assert abs(f1 - 4.0 / 13.0) < 1e-15
     assert f2 == -2.0
-    f1c, _ = p.evaluate((2.0 / 3.0, 1.0))
+    f1c, _ = _at(p, 2.0 / 3.0, 1.0)
     assert f1c == 0.0
 
 
@@ -72,19 +79,19 @@ def test_sgk_f2_has_exactly_three_local_minima():
 
 def test_mindist_and_kursawe_values():
     p = get_problem("mindist")
-    assert p.evaluate((-2.0, -1.0)) == (0.0, 4.0)
-    assert p.evaluate((2.0, 1.0)) == (0.0, 4.0)
+    assert _at(p, -2.0, -1.0) == (0.0, 4.0)
+    assert _at(p, 2.0, 1.0) == (0.0, 4.0)
     k = get_problem("kursawe")
-    f1, f2 = k.evaluate((0.0, 0.0))
+    f1, f2 = _at(k, 0.0, 0.0)
     assert f1 == -10.0 and f2 == 0.0
 
 
 def test_out_of_bounds_raises_domain_error_naming_bound():
     p = make_bisphere()
-    with pytest.raises(DomainError, match="above the upper bound 2.0"):
-        p.evaluate((3.0, 0.0))
-    with pytest.raises(DomainError, match="x2.*below the lower bound"):
-        p.evaluate((0.0, -5.0))
+    with pytest.raises(DomainError, match=r"\[0.0, 3.0\] along x1 .* \[-2.0, 2.0\]"):
+        evaluate_grid(p, build_grid((0.0, 0.0), (3.0, 1.0), 5, 5))
+    with pytest.raises(DomainError, match=r"\[-5.0, 1.0\] along x2 .* \[-2.0, 2.0\]"):
+        evaluate_grid(p, build_grid((0.0, -5.0), (1.0, 1.0), 5, 5))
 
 
 def test_unknown_problem_lists_available():
@@ -99,16 +106,14 @@ def test_parametrization_errors():
         get_problem("sgk:1,2,3,4")
     with pytest.raises(UnknownProblemError, match="could not parse"):
         get_problem("bisphere:a,b,c,d")
-
-
-def test_point_shape_check():
-    with pytest.raises(ValueError, match="shape"):
-        make_bisphere().evaluate((1.0, 2.0, 3.0))
+    for params in ("nan,0,1,0", "-1,0,inf,0", "-1,0,1,-inf"):
+        with pytest.raises(UnknownProblemError, match="must be finite"):
+            get_problem(f"bisphere:{params}")
 
 
 def test_analytic_gradients_match_finite_differences_on_quadratic():
     # central differences are exact for quadratics: only rounding remains
-    from paretoscape import build_grid, evaluate_grid, finite_diff_gradients
+    from paretoscape import finite_diff_gradients
 
     p = make_bisphere()
     g = build_grid(p.lower, p.upper, 81, 81)
@@ -127,5 +132,5 @@ def test_vectorized_matches_scalar_evaluation():
         pts = rng.uniform(p.lower, p.upper, size=(20, 2))
         F1, F2 = p.evaluate_arrays(pts[:, 0], pts[:, 1])
         for k in range(20):
-            f1, f2 = p.evaluate(pts[k])
+            f1, f2 = _at(p, *pts[k])
             assert f1 == F1[k] and f2 == F2[k]
