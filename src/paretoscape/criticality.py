@@ -7,13 +7,18 @@ single-objective gradients at its corners contains the origin — the
 discrete counterpart of the first-order efficiency condition, robust to the
 efficient set passing between grid points.
 
-Criticality of a hull is decided by one angular-gap kernel, shared by the
-scalar ``origin_in_hull`` and the grid-wide ``interior_criticality``: sort the
-gradient directions, and the origin lies in the hull iff no open half-plane
-contains all of them, i.e. the largest angular gap between consecutive
-directions is at most pi (ties at exactly pi count as enclosing, so exactly
-opposed gradients register).  Any (numerically) zero gradient, by the one
-rule in ``gradients``, makes the hull trivially enclosing.
+Criticality of a hull is decided by one exact predicate, shared by the
+scalar ``origin_in_hull`` and the grid-wide ``interior_criticality``: the
+origin lies outside the hull iff some vector has every other one strictly
+counter-clockwise of it within a half-turn (cross > 0) or along it (cross
+== 0 and dot > 0), i.e. iff an open half-plane contains them all, so exactly
+opposed gradients register.  Each cross and dot sign is exact (Shewchuk's
+robust orientation predicates): unequal rounded products decide it, and
+only equal ones are compared through exact two-product error terms.  On
+the grid a cheap certificate clears most cells first: if one direction has
+a provably positive dot product with all eight gradients of a cell, none of
+its four triangles encloses the origin.  Any (numerically) zero gradient,
+by the one rule in ``gradients``, makes the hull trivially enclosing.
 
 A second-order condition separates locally efficient points from ridge/
 saddle criticality: a critical triangle survives only if the divergence of
@@ -28,6 +33,7 @@ applied at the resolution the grid can support.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -63,30 +69,78 @@ NEIGHBOR_OFFSETS = (
 )
 
 
-def _gap_encloses(angles: np.ndarray, zero) -> np.ndarray:
-    """Angular-gap test over the last axis of ``angles`` (sorted in place).
+def _two_product(a: np.ndarray, b: np.ndarray):
+    """(p, e) with p the rounded a*b and a*b == p + e exactly (Dekker's
+    TwoProduct); exact for |a|, |b| < 1, where nothing over- or underflows."""
+    p = a * b
+    a1 = a * 134217729.0                # 2**27 + 1 splits 53 bits into 26 + 27
+    a_hi = a1 - (a1 - a)
+    a_lo = a - a_hi
+    b1 = b * 134217729.0
+    b_hi = b1 - (b1 - b)
+    b_lo = b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
-    True where ``zero`` is set or the largest gap between consecutive
-    directions, the wrap-around gap included, is at most pi (ties enclosing):
-    then no open half-plane contains all vectors, so the origin is enclosed.
+
+def _product_sign(a, b, c, d) -> np.ndarray:
+    """Exact sign (int8 -1, 0 or 1) of a*b - c*d for finite float arrays.
+
+    Rounding is monotone, so unequal rounded products already order the
+    exact ones.  Ties (equal, or both overflowed to the same infinity) are
+    broken exactly on the frexp mantissas, whose products neither over- nor
+    underflow, and the exponent sums.
     """
-    angles.sort(axis=-1)
-    gaps = np.diff(angles, axis=-1).max(axis=-1, initial=0.0)
-    wrap = angles[..., 0] + 2.0 * np.pi - angles[..., -1]
-    return zero | (np.maximum(gaps, wrap) <= np.pi)
+    with np.errstate(over="ignore"):
+        p, q = a * b, c * d
+    sign = np.subtract(p > q, p < q, dtype=np.int8)
+    tie = np.flatnonzero(sign == 0)
+    (ma, ea), (mb, eb), (mc, ec), (md, ed) = (np.frexp(v[tie])
+                                              for v in (a, b, c, d))
+    p1, e1 = _two_product(ma, mb)
+    p2, e2 = _two_product(mc, md)
+    # both exact mantissa products are 0 or of magnitude in [1/4, 1), so an
+    # exponent gap clipped to 4 still orders them
+    shift = np.clip(ea + eb - ec - ed, -4, 4)
+    p1, e1 = np.ldexp(p1, shift), np.ldexp(e1, shift)
+    sign[tie] = np.where(p1 != p2, np.sign(p1 - p2), np.sign(e1 - e2))
+    return sign
+
+
+def _ahead(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Exact orientation table of K vectors per column, x and y of shape
+    (K, M): a (K, K, M) bool array, True at [i, k] where vector k lies
+    strictly counter-clockwise of vector i within a half-turn (cross > 0) or
+    along it (cross == 0 and dot > 0), and on the diagonal."""
+    k_vectors = x.shape[0]
+    ahead = np.ones((k_vectors,) + x.shape, dtype=bool)
+    for i, k in itertools.combinations(range(k_vectors), 2):
+        cross = _product_sign(x[i], y[k], y[i], x[k])
+        along = (cross == 0) & (_product_sign(x[i], x[k], -y[i], y[k]) > 0)
+        ahead[i, k] = (cross > 0) | along
+        ahead[k, i] = (cross < 0) | along
+    return ahead
+
+
+def _encloses(ahead: np.ndarray, zero) -> np.ndarray:
+    """True where ``zero`` is set or no vector has all the others ahead of
+    it; such a vector would put them all in an open half-plane, outside of
+    which the origin lies."""
+    return zero | ~ahead.all(axis=1).any(axis=0)
 
 
 def origin_in_hull(vectors, zero_tol: float = 0.0) -> bool:
     """True iff the origin lies in the convex hull of the given 2-D vectors.
 
     Any vector with norm below ``zero_tol`` (or exactly zero) makes the
-    answer True; otherwise the angular-gap test decides.
+    answer True.  Otherwise the exact orientation test decides: the origin
+    lies outside iff all vectors fit in an open half-plane, so exactly
+    opposed vectors enclose it.  Vectors must be finite.
     """
     vs = np.asarray(vectors, dtype=float).reshape(-1, 2)
     if vs.shape[0] == 0:
         raise ValueError("origin_in_hull requires at least one vector")
     zero = _is_zero(gradient_norms(vs), zero_tol).any()
-    return bool(_gap_encloses(np.arctan2(vs[:, 1], vs[:, 0]), zero))
+    return bool(_encloses(_ahead(vs[:, :1], vs[:, 1:]), zero)[0])
 
 
 def pair_slices(d: int):
@@ -98,43 +152,76 @@ def pair_slices(d: int):
     return slice(None), slice(None)
 
 
+# offsets of the corners of the cell [i, i+1] x [j, j+1]; corner (oi, oj)
+# is number oi + 2 * oj
+_CELL_CORNERS = ((0, 0), (1, 0), (0, 1), (1, 1))
+
+
 def interior_criticality(g1: np.ndarray, g2: np.ndarray, grid: Grid,
                          zero_tol: float = 0.0):
     """First-order test over all triangle neighbourhoods.
 
+    Each grid cell holds one triangle per orientation.  A cell whose eight
+    gradients all have a provably positive dot product with its anchor's
+    d = g1/|g1| + g2/|g2| (and no zero-rule corner) lies in an open
+    half-plane, so none of its triangles is critical.  The other cells get
+    the exact orientation test of ``origin_in_hull``.
+
     Returns:
         triangles: int32 array (T, 4), rows (i, j, di, dj) meaning corners
-            (i, j), (i+di, j), (i, j+dj) — only critical triangles listed.
+            (i, j), (i+di, j), (i, j+dj) — only critical triangles listed,
+            orientation by orientation in ``ORIENTATIONS`` order, row-major.
         crit_mask: (n1, n2) bool, True at every corner of a critical triangle.
     """
-    ang1 = np.arctan2(g1[..., 1], g1[..., 0])
-    ang2 = np.arctan2(g2[..., 1], g2[..., 0])
-    zero = (_is_zero(gradient_norms(g1), zero_tol)
-            | _is_zero(gradient_norms(g2), zero_tol))
+    n1, n2 = grid.shape
+    norm1, norm2 = gradient_norms(g1), gradient_norms(g2)
+    zero = _is_zero(norm1, zero_tol) | _is_zero(norm2, zero_tol)
+    g1x, g1y, g2x, g2y = (np.ascontiguousarray(g[..., c])
+                          for g in (g1, g2) for c in (0, 1))
 
-    crit_mask = np.zeros(grid.shape, dtype=bool)
+    # the certificate: fl(fl(a) + fl(b)) > 0 iff fl(a) > -fl(b), and as
+    # rounding is monotone that proves a + b > 0 exactly; a zero norm makes
+    # d NaN, which proves nothing
+    anchor = np.s_[:-1, :-1]
+    certified = np.ones((n1 - 1, n2 - 1), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dx = g1x[anchor] / norm1[anchor] + g2x[anchor] / norm2[anchor]
+        dy = g1y[anchor] / norm1[anchor] + g2y[anchor] / norm2[anchor]
+        dot, part = np.empty_like(dx), np.empty_like(dx)
+        for oi, oj in _CELL_CORNERS:
+            corner = np.s_[oi:n1 - 1 + oi, oj:n2 - 1 + oj]
+            certified &= ~zero[corner]
+            for gx, gy in ((g1x, g1y), (g2x, g2y)):
+                np.multiply(dx, gx[corner], out=dot)
+                dot += np.multiply(dy, gy[corner], out=part)
+                certified &= dot > 0.0
+
+    ci, cj = np.divmod(np.flatnonzero(~certified), n2 - 1)
+    points = np.stack([(ci + oi) * n2 + cj + oj for oi, oj in _CELL_CORNERS])
+    ahead = _ahead(  # vectors 0-3: g1 at corners 0-3, then g2
+        np.concatenate([g1x.reshape(-1)[points], g2x.reshape(-1)[points]]),
+        np.concatenate([g1y.reshape(-1)[points], g2y.reshape(-1)[points]]))
+    cell_zero = zero.reshape(-1)[points]
+
     tri_rows = []
     for di, dj in ORIENTATIONS:
-        ai, hi = pair_slices(di)
-        aj, vj = pair_slices(dj)
-        angles = np.stack(
-            [ang1[ai, aj], ang1[hi, aj], ang1[ai, vj],
-             ang2[ai, aj], ang2[hi, aj], ang2[ai, vj]], axis=-1)
-        crit = _gap_encloses(
-            angles, zero[ai, aj] | zero[hi, aj] | zero[ai, vj])
-
-        crit_mask[ai, aj] |= crit
-        crit_mask[hi, aj] |= crit
-        crit_mask[ai, vj] |= crit
-
-        idx = np.argwhere(crit)
-        rows = np.empty((idx.shape[0], 4), dtype=np.int32)
-        rows[:, 0] = idx[:, 0] + (1 if di == -1 else 0)
-        rows[:, 1] = idx[:, 1] + (1 if dj == -1 else 0)
+        ai, aj = int(di < 0), int(dj < 0)
+        corners = [ai + 2 * aj, ai + di + 2 * aj, ai + 2 * (aj + dj)]
+        six = corners + [c + 4 for c in corners]
+        crit = _encloses(ahead[np.ix_(six, six)],
+                         cell_zero[corners].any(axis=0))
+        rows = np.empty((int(crit.sum()), 4), dtype=np.int32)
+        rows[:, 0] = ci[crit] + ai
+        rows[:, 1] = cj[crit] + aj
         rows[:, 2] = di
         rows[:, 3] = dj
         tri_rows.append(rows)
-    return np.concatenate(tri_rows, axis=0), crit_mask
+    triangles = np.concatenate(tri_rows, axis=0)
+
+    crit_mask = np.zeros(grid.shape, dtype=bool)
+    tri_i, tri_j = triangle_corners(triangles)
+    crit_mask[tri_i, tri_j] = True
+    return triangles, crit_mask
 
 
 def triangle_corners(triangles: np.ndarray):

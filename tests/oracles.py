@@ -1,9 +1,37 @@
 """Brute-force reference implementations the production code is checked
 against."""
 
+from fractions import Fraction
+
 import numpy as np
 
 from paretoscape.criticality import NEIGHBOR_OFFSETS
+
+
+def _cross(u, w):
+    return u[0] * w[1] - u[1] * w[0]
+
+
+def hull_contains_origin(vectors) -> bool:
+    """Exact rational test of whether the origin lies in the convex hull of
+    finite 2-D vectors: by Caratheodory in the plane, iff some vector is 0,
+    two are exactly opposed, or the closed triangle of three holds it."""
+    vs = [(Fraction(float(x)), Fraction(float(y))) for x, y in vectors]
+    if any(x == 0 and y == 0 for x, y in vs):
+        return True
+    for a, u in enumerate(vs):
+        for w in vs[a + 1:]:
+            if _cross(u, w) == 0 and u[0] * w[0] + u[1] * w[1] < 0:
+                return True
+    for a, u in enumerate(vs):
+        for b, v in enumerate(vs[a + 1:], a + 1):
+            for w in vs[b + 1:]:
+                # the origin's side of each edge; all three 0 means the
+                # three are collinear through 0, which the pairs decided
+                sides = (_cross(u, v), _cross(v, w), _cross(w, u))
+                if any(sides) and (min(sides) >= 0 or max(sides) <= 0):
+                    return True
+    return False
 
 
 def dominance_counts_brute(F: np.ndarray, chunk: int = 512) -> np.ndarray:

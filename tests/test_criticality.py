@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import hull_contains_origin
 from paretoscape import (BiObjectiveProblem, CriticalityMap, PointClass,
                          build_fieldset, build_grid, classify, make_aspar,
                          make_bisphere, make_kursawe, make_sgk,
@@ -17,58 +18,6 @@ from paretoscape.criticality import (CLASS_NAMES, ORIENTATIONS,
                                      neighbor_dominated_mask,
                                      rotate_boundary_field, triangle_corners,
                                      triangle_second_order)
-
-# ---------------------------------------------------------------------------
-# independent oracle: origin in conv(S) iff some point is the origin, the
-# origin lies on a segment between two points, or inside a triangle of three
-# (Caratheodory in the plane).  Exact for integer coordinates.
-# ---------------------------------------------------------------------------
-
-
-def _cross(u, w):
-    return u[0] * w[1] - u[1] * w[0]
-
-
-def _triangle_contains_origin(a, b, c):
-    d1, d2, d3 = _cross(a, b), _cross(b, c), _cross(c, a)
-    if d1 == 0 and d2 == 0 and d3 == 0:
-        return False  # degenerate: segment cases are handled pairwise
-    has_neg = d1 < 0 or d2 < 0 or d3 < 0
-    has_pos = d1 > 0 or d2 > 0 or d3 > 0
-    return not (has_neg and has_pos)
-
-
-def _hull_oracle(vectors):
-    vs = [np.asarray(v, dtype=float) for v in vectors]
-    for v in vs:
-        if v[0] == 0.0 and v[1] == 0.0:
-            return True
-    n = len(vs)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if _cross(vs[a], vs[b]) == 0 and float(vs[a] @ vs[b]) <= 0:
-                return True
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                if _triangle_contains_origin(vs[a], vs[b], vs[c]):
-                    return True
-    return False
-
-
-def _has_skew_antipode(vs):
-    # exactly antipodal pairs off the axes sit on the decision boundary of
-    # the angular-gap test, where libm rounding of arctan2 may differ from
-    # the exact answer by one ulp; those are exercised with axis-aligned
-    # vectors instead
-    for a in range(len(vs)):
-        for b in range(a + 1, len(vs)):
-            u, w = vs[a], vs[b]
-            if (_cross(u, w) == 0 and float(u @ w) < 0
-                    and u[0] != 0 and u[1] != 0):
-                return True
-    return False
-
 
 def test_origin_in_hull_frozen_cases():
     assert origin_in_hull([(1.0, 0.0), (-1.0, 0.0)]) is True
@@ -86,7 +35,7 @@ def test_third_frozen_case_certificate():
     # so lambda = (1/3, 1/3, 1/3) expresses the origin exactly
     vs = np.array([(1.0, 0.0), (-0.5, 0.9), (-0.5, -0.9)])
     assert np.allclose(vs.sum(axis=0), 0.0)
-    assert _hull_oracle(vs) is True
+    assert hull_contains_origin(vs) is True
 
 
 def test_origin_in_hull_matches_exhaustive_oracle():
@@ -95,9 +44,7 @@ def test_origin_in_hull_matches_exhaustive_oracle():
     while checked < 400:
         k = int(rng.integers(1, 7))
         vs = rng.integers(-5, 6, size=(k, 2)).astype(float)
-        if _has_skew_antipode(vs):
-            continue
-        assert origin_in_hull(vs) == _hull_oracle(vs), vs.tolist()
+        assert origin_in_hull(vs) == hull_contains_origin(vs), vs.tolist()
         checked += 1
 
 
@@ -111,6 +58,52 @@ def test_origin_in_hull_scale_invariant():
             continue
         scales = 2.0 ** rng.integers(-3, 4, size=vs.shape[0])
         assert origin_in_hull(vs) == origin_in_hull(vs * scales[:, None])
+
+
+def test_origin_in_hull_opposed_pairs_enclose():
+    # exactly opposed and exactly scaled-opposed pairs lie on the decision
+    # boundary: the segment between them passes through the origin
+    rng = np.random.default_rng(77)
+    for _ in range(2000):
+        v = rng.normal(size=2)
+        assert origin_in_hull([v, -v]) is True, v.tolist()
+        # integer mantissas of up to 21 bits times an odd factor below 2**10
+        # keep c * v exact
+        w = (rng.integers(-2**20, 2**20, size=2)
+             * 2.0 ** rng.integers(-60, 60, size=2))
+        if not w.any():
+            continue
+        c = float(2 * rng.integers(0, 512) + 1) * 2.0 ** int(rng.integers(-30, 30))
+        assert origin_in_hull([w, -c * w]) is True, (w.tolist(), c)
+        assert origin_in_hull([-c * w, w, rng.normal(size=2)]) is True
+
+
+# 2**-531 and 2**531 are near 1e-160 and 1e+160: products of two such
+# components underflow below the normal range or overflow to inf
+_EXTREME_SCALES = (1.0, 2.0 ** -531, 2.0 ** 531)
+_SCALE_IDS = ("1", "2**-531", "2**531")
+
+
+@pytest.mark.parametrize("scale", _EXTREME_SCALES, ids=_SCALE_IDS)
+def test_origin_in_hull_exact_at_ties_and_extreme_scales(scale):
+    eps = 2.0 ** -52
+    a = np.array([1.0, 1.0])
+    b = np.array([-1.0, -(1.0 + eps)])     # -a turned clockwise by a hair
+    cases = [
+        ([a, b, (1.0, -1.0)], False),
+        ([a, b, (-1.0, 1.0)], True),
+        ([a, -a], True),
+        ([a, 2.0 * a, (1.0, -1.0)], False),
+        ([a, -2.0 * a, (1.0, -1.0)], True),
+        # (1 + eps) * (1 - eps/2) and 1 * 1 round to the same product, but
+        # the two vectors are not collinear, so they do not enclose
+        ([(1.0 + eps, 1.0), (-1.0, -(1.0 - eps / 2))], False),
+        ([(1.0 + eps, 1.0), (-(1.0 + eps), -1.0)], True),
+    ]
+    for vectors, expected in cases:
+        vs = np.array(vectors, dtype=float) * scale
+        assert hull_contains_origin(vs) is expected, vectors
+        assert origin_in_hull(vs) is expected, (vectors, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +183,24 @@ def test_triangle_list_matches_pointwise_hull_test():
     assert mask[0, 0] and mask[1, 0] and mask[0, 1]
 
 
+def _triangles_where(g1, g2, encloses):
+    """(every, hits): the triangles (i, j, di, dj) of all four orientations,
+    and those whose six corner gradients (g1, then g2) pass ``encloses``."""
+    n1, n2 = g1.shape[:2]
+    every, hits = set(), set()
+    for di, dj in ORIENTATIONS:
+        for i in range(n1):
+            for j in range(n2):
+                if not (0 <= i + di < n1 and 0 <= j + dj < n2):
+                    continue
+                corners = [(i, j), (i + di, j), (i, j + dj)]
+                every.add((i, j, di, dj))
+                if encloses(np.array([g[c] for g in (g1, g2)
+                                      for c in corners])):
+                    hits.add((i, j, di, dj))
+    return every, hits
+
+
 @pytest.mark.parametrize("seed,zero_tol", [(0, 0.0), (1, 0.0), (2, 1.5),
                                            (3, 0.0), (4, 1.5)])
 def test_interior_criticality_matches_scalar_hull_test(seed, zero_tol):
@@ -204,27 +215,137 @@ def test_interior_criticality_matches_scalar_hull_test(seed, zero_tol):
     grid = build_grid((0.0, 0.0), (1.0, 1.0), n1, n2)
     triangles, mask = interior_criticality(g1, g2, grid, zero_tol)
     got = {tuple(r) for r in triangles.tolist()}
-
-    expected, checked, skipped = set(), set(), set()
-    for di, dj in ORIENTATIONS:
-        for i in range(n1):
-            for j in range(n2):
-                if not (0 <= i + di < n1 and 0 <= j + dj < n2):
-                    continue
-                corners = [(i, j), (i + di, j), (i, j + dj)]
-                six = np.array([g[a, b] for g in (g1, g2) for a, b in corners])
-                if _has_skew_antipode(six):
-                    skipped.add((i, j, di, dj))
-                    continue
-                checked.add((i, j, di, dj))
-                if origin_in_hull(six, zero_tol):
-                    expected.add((i, j, di, dj))
-    assert (got - skipped) == expected
+    checked, expected = _triangles_where(
+        g1, g2, lambda six: origin_in_hull(six, zero_tol))
+    assert got == expected
     assert 0 < len(expected) < len(checked)
     ci, cj = triangle_corners(triangles)
     corner_mask = np.zeros((n1, n2), dtype=bool)
     corner_mask[ci.ravel(), cj.ravel()] = True
     assert np.array_equal(mask, corner_mask)
+
+
+def _oracle_triangles(g1, g2, zero_tol=0.0):
+    """Every critical triangle by the zero-gradient rule and the rational
+    oracle."""
+    def critical(six):
+        small = np.hypot(six[:, 0], six[:, 1]) < zero_tol
+        return bool(small.any()) or hull_contains_origin(six)
+    return _triangles_where(g1, g2, critical)[1]
+
+
+def _assert_triangle_contract(triangles, mask, shape):
+    assert triangles.dtype == np.int32 and triangles.shape[1:] == (4,)
+    assert mask.dtype == bool and mask.shape == shape
+    # rows run orientation by orientation, then row-major
+    order = np.array([ORIENTATIONS.index(tuple(o)) for o in
+                      triangles[:, 2:].tolist()], dtype=np.int64)
+    key = (order * shape[0] + triangles[:, 0]) * shape[1] + triangles[:, 1]
+    assert (np.diff(key) > 0).all()
+    ci, cj = triangle_corners(triangles)
+    corner_mask = np.zeros(shape, dtype=bool)
+    corner_mask[ci.ravel(), cj.ravel()] = True
+    assert np.array_equal(mask, corner_mask)
+
+
+@pytest.mark.parametrize("scale", _EXTREME_SCALES, ids=_SCALE_IDS)
+@pytest.mark.parametrize("shape", [(8, 9), (2, 9), (9, 2), (2, 2)])
+def test_interior_criticality_matches_exact_oracle(shape, scale):
+    # random directions, with many pairs on the decision boundary: g2 is an
+    # exact power-of-two multiple of +-g1 at a third of the points, and
+    # some gradients repeat a neighbour's, so cross products tie exactly
+    rng = np.random.default_rng(sum(shape))
+    found = set()
+    for _ in range(6):
+        g1 = rng.normal(size=shape + (2,))
+        g2 = rng.normal(size=shape + (2,))
+        tie = rng.random(shape) < 0.35
+        g2[tie] = (g1[tie] * rng.choice([-1.0, 1.0], size=(tie.sum(), 1))
+                   * 2.0 ** rng.integers(-3, 4, size=(tie.sum(), 1)))
+        copy = rng.random(shape) < 0.2
+        g1[copy] = np.roll(g1, 1, axis=1)[copy]
+        g1 *= scale
+        g2 *= scale
+        grid = build_grid((0.0, 0.0), (1.0, 1.0), *shape)
+        triangles, mask = interior_criticality(g1, g2, grid)
+        _assert_triangle_contract(triangles, mask, shape)
+        expected = _oracle_triangles(g1, g2)
+        assert {tuple(r) for r in triangles.tolist()} == expected
+        found |= expected
+    assert found
+
+
+def test_kursawe_triangle_outside_half_plane_is_not_critical():
+    # triangle (751, 751, -1, 1) of kursawe at 1000x1000: the six gradients
+    # (g1 then g2 at P, H and V) lie strictly inside an open half-plane, a
+    # case that rounded arctan2 angles get wrong
+    P = ((0.693855923894092, 0.693855923894092),
+         (-90.92693057689819, -90.92693057689817))
+    H = ((0.6934523496710467, 0.696220643205697),
+         (-92.92632681945467, -90.92693057689817))
+    V = ((0.6914972902845625, 0.6942468029161877),
+         (-90.92693057689822, -85.51822519301255))
+    six = [P[0], H[0], V[0], P[1], H[1], V[1]]
+    assert hull_contains_origin(six) is False
+    assert origin_in_hull(six) is False
+    # the same triangle on a 2x2 grid: anchor (1, 0), H (0, 0), V (1, 1)
+    g1 = np.empty((2, 2, 2))
+    g2 = np.empty((2, 2, 2))
+    for (i, j), (v1, v2) in zip(((1, 0), (0, 0), (1, 1), (0, 1)),
+                                (P, H, V, P)):
+        g1[i, j], g2[i, j] = v1, v2
+    grid = build_grid((0.0, 0.0), (1.0, 1.0), 2, 2)
+    triangles, _ = interior_criticality(g1, g2, grid)
+    assert (1, 0, -1, 1) not in {tuple(r) for r in triangles.tolist()}
+    assert {tuple(r) for r in triangles.tolist()} == _oracle_triangles(g1, g2)
+
+
+def test_sub_tolerance_gradient_blocks_the_certificate():
+    # every gradient points the same way, so each cell has a half-plane
+    # certificate; a centre gradient that is non-zero but below zero_tol
+    # must still make the four triangles of every orientation touching it
+    # critical
+    g1 = np.zeros((3, 3, 2))
+    g2 = np.zeros((3, 3, 2))
+    g1[...] = (1.0, 0.0)
+    g2[...] = (1.0, 0.25)
+    g1[1, 1] = (1e-3, 0.0)
+    grid = build_grid((0.0, 0.0), (1.0, 1.0), 3, 3)
+    triangles, mask = interior_criticality(g1, g2, grid)
+    _assert_triangle_contract(triangles, mask, (3, 3))
+    assert triangles.shape[0] == 0
+    triangles, mask = interior_criticality(g1, g2, grid, zero_tol=1e-2)
+    _assert_triangle_contract(triangles, mask, (3, 3))
+    assert triangles.shape[0] == 12
+    assert {(di, dj) for di, dj in triangles[:, 2:].tolist()} == set(
+        ORIENTATIONS)
+    ci, cj = triangle_corners(triangles)
+    assert ((ci == 1) & (cj == 1)).any(axis=1).all()
+    assert {tuple(r) for r in triangles.tolist()} == _oracle_triangles(
+        g1, g2, zero_tol=1e-2)
+
+
+@pytest.mark.parametrize("spec,farthest", [
+    ("-1,0,1,0", 0.0),
+    ("-1,-1,1,1", np.sqrt(0.5)),            # 0.71 h
+    ("-1,-0.5,1,0.5", 3.0 / np.sqrt(5.0)),  # 1.34 h
+])
+def test_bisphere_recall(spec, farthest):
+    # every grid point within h/2 of the segment between the centres is
+    # efficient, and no efficient point lies farther from it than the
+    # figure pinned for the segment's direction
+    a, b = np.array(spec.split(","), dtype=float).reshape(2, 2)
+    p = make_bisphere(a, b)
+    for n in (101, 201, 401):
+        g = build_grid(p.lower, p.upper, n, n)
+        efficient = classify(build_fieldset(p, g)).efficient_mask
+        X = np.stack(g.meshes(), axis=-1)
+        t = np.clip((X - a) @ (b - a) / ((b - a) @ (b - a)), 0.0, 1.0)
+        foot = a + t[..., None] * (b - a)
+        dist = np.hypot(*np.moveaxis(X - foot, -1, 0))
+        h = g.s1
+        assert efficient[dist <= h / 2].all(), (spec, n)
+        assert dist[efficient].max() <= farthest * h + 1e-12, (spec, n)
 
 
 def test_fritz_john_point_forces_criticality():
