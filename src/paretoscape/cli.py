@@ -17,10 +17,9 @@ from typing import Optional
 from .criticality import export_critical_points_json
 from .gradients import check_tolerance, export_fields_csv
 from .grid import EvaluationError
-from .landscape import analyze, cost_landscape, export_decomposition_json, \
-    export_heights_csv
-from .problems import DomainError, UnknownProblemError, get_problem, \
-    PROBLEM_FACTORIES
+from .landscape import analyze, export_decomposition_json, export_heights_csv
+from .problems import DomainError, UnknownProblemError, available_problems, \
+    get_problem
 from .render import render
 
 MODES = ("plot", "gfh", "cost", "critical")
@@ -120,8 +119,8 @@ def parse_args(argv) -> Optional[RunConfig]:
     """Translate argv into a RunConfig; None means --list-problems handled."""
     args = build_parser().parse_args(_glue_signed_values(argv))
     if args.list_problems:
-        for name in sorted(PROBLEM_FACTORIES):
-            prob = PROBLEM_FACTORIES[name]()
+        for name in available_problems():
+            prob = get_problem(name)
             box = (f"[{prob.lower[0]:g},{prob.upper[0]:g}] x "
                    f"[{prob.lower[1]:g},{prob.upper[1]:g}]")
             print(f"{name:10s} {box:24s} {prob.note}")

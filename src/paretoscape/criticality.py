@@ -245,9 +245,10 @@ def triangle_second_order(triangles: np.ndarray, div_descent: np.ndarray,
 
 
 # box edges in edge-id order bottom (j2=1), top (j2=n2), left (j1=1), right
-# (j1=n1): the edge's fixed grid index, its tangential axis, and the sign of
-# the outward normal, which lies along the other axis
-_EDGES = ((0, 0, -1.0), (-1, 0, 1.0), (0, 1, -1.0), (-1, 1, 1.0))
+# (j1=n1): the edge's fixed grid index, its tangential axis, the sign of the
+# outward normal, which lies along the other axis, and its grid line
+_EDGES = ((0, 0, -1.0, np.s_[:, 0]), (-1, 0, 1.0, np.s_[:, -1]),
+          (0, 1, -1.0, np.s_[0, :]), (-1, 1, 1.0, np.s_[-1, :]))
 
 
 def boundary_criticality(g1: np.ndarray, g2: np.ndarray, mo_raw: np.ndarray,
@@ -268,8 +269,7 @@ def boundary_criticality(g1: np.ndarray, g2: np.ndarray, mo_raw: np.ndarray,
     """
     pairs, crit, eff = [], [], []
     crit_mask = np.zeros(grid.shape, dtype=bool)
-    for edge_id, (fixed, t, n_sign) in enumerate(_EDGES):
-        line = (slice(None), fixed) if t == 0 else (fixed, slice(None))
+    for edge_id, (fixed, t, n_sign, line) in enumerate(_EDGES):
         d1 = g1[line][:, t]
         d2 = g2[line][:, t]
         mo_out = n_sign * mo_raw[line][:, 1 - t]
@@ -304,8 +304,7 @@ def rotate_boundary_field(mo_raw: np.ndarray, skip_mask: np.ndarray,
     (first-order critical) keep their field.
     """
     mo = mo_raw.copy()
-    for fixed, t, n_sign in _EDGES:
-        line = (slice(None), fixed) if t == 0 else (fixed, slice(None))
+    for _, t, n_sign, line in _EDGES:
         edge = mo[line]
         exits = ~skip_mask[line] & (n_sign * edge[:, 1 - t] < 0.0)
         edge[exits, 1 - t] = 0.0

@@ -1,11 +1,11 @@
 """Finite-difference gradient machinery on evaluation grids.
 
-All stencils are the classical second-order central differences in the grid
-interior with first-order one-sided fallbacks on the first/last index of each
-axis, applied axis by axis.  The multi-objective gradient is the sum of the
-two normalised single-objective gradients (an ascent direction); wherever
-either single gradient is (numerically) zero the joint gradient is defined
-as the zero vector, which encodes single-objective criticality.
+All derivatives use numpy's ``np.gradient`` stencil: second-order central
+differences in the grid interior, first-order one-sided ones on the
+first/last index of each axis.  The multi-objective gradient is the sum of
+the two normalised single-objective gradients (an ascent direction);
+wherever either single gradient is (numerically) zero the joint gradient is
+the zero vector, which encodes single-objective criticality.
 """
 
 from __future__ import annotations
@@ -16,30 +16,18 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import Grid, export_grid_csv
-
-
-def _axis_derivative(values: np.ndarray, spacing: float, axis: int) -> np.ndarray:
-    v = np.moveaxis(values, axis, 0)
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * spacing)
-    out[0] = (v[1] - v[0]) / spacing
-    out[-1] = (v[-1] - v[-2]) / spacing
-    return np.moveaxis(out, 0, axis)
+from .grid import Grid, check_finite, evaluate_grid, export_grid_csv
 
 
 def finite_diff_gradients(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Gradient field of a scalar grid field, shape (n1, n2, 2).
 
-    Central differences over interior points, forward/backward differences
-    on the grid boundary (denominators s_i and 2*s_i respectively).
+    numpy's stencil, which ``divergence`` uses too: (f[i+1] - f[i-1]) / 2s
+    inside, (f[1] - f[0]) / s and (f[-1] - f[-2]) / s on the boundary.
     """
     if values.shape != grid.shape:
         raise ValueError(f"field shape {values.shape} does not match grid {grid.shape}")
-    return np.stack(
-        [_axis_derivative(values, grid.s1, 0), _axis_derivative(values, grid.s2, 1)],
-        axis=-1,
-    )
+    return np.stack(np.gradient(values, grid.s1, grid.s2), axis=-1)
 
 
 def gradient_norms(g: np.ndarray) -> np.ndarray:
@@ -78,7 +66,7 @@ def divergence(v: np.ndarray, grid: Grid) -> np.ndarray:
     """Divergence of a vector field, same stencils as the gradients."""
     if v.shape != grid.shape + (2,):
         raise ValueError(f"vector field shape {v.shape} does not match grid {grid.shape}")
-    return _axis_derivative(v[..., 0], grid.s1, 0) + _axis_derivative(v[..., 1], grid.s2, 1)
+    return np.gradient(v[..., 0], grid.s1, axis=0) + np.gradient(v[..., 1], grid.s2, axis=1)
 
 
 @dataclass
@@ -119,13 +107,15 @@ def build_fieldset(problem, grid: Grid, zero_tol_rel: float = 1e-12,
 
     Raises:
         ValueError: ``zero_tol_rel`` is negative, infinite or NaN.
+        EvaluationError: an objective or a finite-difference gradient
+            (which overflows on huge objectives) is NaN or infinite.
     """
-    from .grid import evaluate_grid
-
     check_tolerance("zero_tol_rel", zero_tol_rel)
     f1, f2 = evaluate_grid(problem, grid, workers=workers)
-    g1 = finite_diff_gradients(f1, grid)
-    g2 = finite_diff_gradients(f2, grid)
+    with np.errstate(over="ignore"):
+        g1 = finite_diff_gradients(f1, grid)
+        g2 = finite_diff_gradients(f2, grid)
+    check_finite(problem, grid, (("gradient of f1", g1), ("gradient of f2", g2)))
     zero_tol = zero_tol_rel * gradient_scale(g1, g2)
     mo = mo_gradient(g1, g2, zero_tol)
     return FieldSet(grid=grid, f1=f1, f2=f2, g1=g1, g2=g2,

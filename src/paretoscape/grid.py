@@ -18,7 +18,7 @@ from .problems import BiObjectiveProblem, DomainError
 
 
 class EvaluationError(RuntimeError):
-    """A problem produced a non-finite objective value on the grid."""
+    """A problem produced a non-finite objective or gradient on the grid."""
 
 
 @dataclass
@@ -119,15 +119,21 @@ def evaluate_grid(problem: BiObjectiveProblem, grid: Grid, workers: int = 1):
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(eval_block, slices))
 
-    for name, f in (("f1", f1), ("f2", f2)):
+    check_finite(problem, grid, (("f1", f1), ("f2", f2)))
+    return f1, f2
+
+
+def check_finite(problem, grid: Grid, named_fields) -> None:
+    """Raise EvaluationError at the first grid point, in scan order, where
+    a (name, field) pair's scalar or vector field is NaN or infinite."""
+    for name, f in named_fields:
         bad = ~np.isfinite(f)
         if bad.any():
-            i, j = np.argwhere(bad)[0]
+            i, j = np.argwhere(bad)[0][:2]
             raise EvaluationError(
                 f"problem {problem.name!r} produced non-finite {name} = {f[i, j]} "
                 f"at grid point (j1={i + 1}, j2={j + 1}), x = ({grid.x1[i]}, {grid.x2[j]})"
             )
-    return f1, f2
 
 
 # rows per formatted block of a CSV export: bounds the Python strings alive

@@ -35,7 +35,7 @@ import numpy as np
 
 from .criticality import (CriticalityMap, NEIGHBOR_OFFSETS, classify,
                           pair_slices)
-from .gradients import FieldSet, build_fieldset
+from .gradients import FieldSet, build_fieldset, gradient_norms
 from .grid import Grid, build_grid, export_grid_csv
 
 
@@ -145,11 +145,8 @@ def connected_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
     Returns an int32 array (-1 outside the mask, component ids 0..C-1 in
     scan order of each component's first point) and the component count.
 
-    A union-find over the masked points, numbered in scan order.  Each
-    round hooks the larger root of every neighbour pair whose roots differ
-    onto the smaller one, then jumps pointers until every point points at
-    its root.  Roots only move to smaller numbers, so each component's
-    root ends at its first point in scan order.
+    ``_roots`` over the masked points, numbered in scan order, and their
+    neighbour pairs: each component's root is its first point in scan order.
     """
     mask = np.asarray(mask, dtype=bool)
     n1, n2 = mask.shape
@@ -167,13 +164,23 @@ def connected_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
         hit = flat_mask[target]
         u.append(inside[hit])
         v.append(np.searchsorted(points, target[hit]))
-    u, v = np.concatenate(u), np.concatenate(v)
+    root = _roots(n, np.concatenate(u), np.concatenate(v))
+    is_root = root == np.arange(n)
+    labels[mask] = (np.cumsum(is_root) - 1)[root]
+    return labels, int(is_root.sum())
+
+
+def _roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each node's root, the smallest node of its connected component, by a
+    union-find over nodes 0..n-1 and edges (u[k], v[k]).  Each round hooks
+    the larger root of every edge whose roots differ onto the smaller one,
+    then jumps pointers until every node points at its root."""
     root = np.arange(n)
     while True:
         ru, rv = root[u], root[v]
         differ = ru != rv
         if not differ.any():
-            break
+            return root
         np.minimum.at(root, np.maximum(ru, rv)[differ],
                       np.minimum(ru, rv)[differ])
         while True:
@@ -181,9 +188,6 @@ def connected_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
             if np.array_equal(up, root):
                 break
             root = up
-    is_root = root == np.arange(n)
-    labels[mask] = (np.cumsum(is_root) - 1)[root]
-    return labels, int(is_root.sum())
 
 
 @dataclass
@@ -247,7 +251,7 @@ class BasinMap:
     """How descent paths end: basins reached and paths per stop kind."""
 
     grid: Grid
-    n_basins: int             # distinct components actually reached
+    n_basins: int             # components reached: all n_components
     n_unconverged: int        # grid points whose path reaches no efficient point
     stop_counts: dict         # STOP_KINDS name -> paths ending that way
     n_cycles: int             # distinct successor cycles cut by the peel
@@ -271,22 +275,21 @@ def gfh_heights(fields: FieldSet, critmap: CriticalityMap,
     * ``cycle``: on a cycle of the successor graph, or in a tail that drains
       into one.  Each cycle is cut: its members get height 0.
 
-    Stops have height 0, and only efficient stops carry a basin.  The
-    successor graph is peeled in topological rounds, sources first; each
-    round decrements the in-degree of its frontier's targets only, so a
-    round costs O(F log F) for a frontier of F points and the whole peel
-    about O(N log N).  Heights are then filled in by walking the rounds
-    backwards, h[v] = cost[v] + h[succ[v]].
+    Stops have height 0; every efficient point ends its own path, so all
+    components are basins.  The successor graph is peeled in topological
+    rounds, sources first; each round decrements the in-degree of its
+    frontier's targets only, so the whole peel costs about O(N log N).
+    Walking the rounds backwards, h[v] = cost[v] + h[succ[v]], and each
+    peeled point takes its successor's stop kind with its height.
     """
     grid = fields.grid
     n1, n2 = grid.shape
     N = n1 * n2
     mo = fields.mo
-    mo_norm = np.hypot(mo[..., 0], mo[..., 1])
-    vx = -mo[..., 0]
-    vy = -mo[..., 1]
+    mo_norm = gradient_norms(mo)
 
-    best = np.full(grid.shape, -np.inf)
+    # by exact negation, the least mo . step / length is -mo's best step
+    low = np.full(grid.shape, np.inf)
     succ = np.full(grid.shape, -1, dtype=np.int64)    # flat index i*n2 + j
     step_len = np.zeros(grid.shape)
     flat_idx = np.arange(N, dtype=np.int64).reshape(grid.shape)
@@ -295,16 +298,16 @@ def gfh_heights(fields: FieldSet, critmap: CriticalityMap,
         ai, bi = pair_slices(di)
         aj, bj = pair_slices(dj)
         length = float(np.hypot(di * grid.s1, dj * grid.s2))
-        dot = (vx[ai, aj] * (di * grid.s1) + vy[ai, aj] * (dj * grid.s2)) / length
-        better = dot > best[ai, aj]
+        dot = (mo[ai, aj, 0] * (di * grid.s1) + mo[ai, aj, 1] * (dj * grid.s2)) / length
+        better = dot < low[ai, aj]
         # slice views: updates only where the offset target stays in-grid
-        np.copyto(best[ai, aj], dot, where=better)
+        np.copyto(low[ai, aj], dot, where=better)
         np.copyto(succ[ai, aj], flat_idx[bi, bj], where=better)
         np.copyto(step_len[ai, aj], length, where=better)
 
     eff = critmap.efficient_mask
     pit = ~eff & (mo_norm <= 0.0)
-    dead_end = ~eff & ~pit & (best <= 0.0)
+    dead_end = ~eff & ~pit & (low >= 0.0)
     terminal = eff | pit | dead_end
     succ[terminal] = -1
     cost = mo_norm * step_len
@@ -328,25 +331,21 @@ def gfh_heights(fields: FieldSet, critmap: CriticalityMap,
 
     # terminals and cycle members end their own paths; every peeled point
     # ends where its successor does
-    heights = np.zeros(N)
-    stop_at = np.arange(N)
-    for frontier in reversed(rounds):
-        t = succ_flat[frontier]
-        heights[frontier] = cost_flat[frontier] + heights[t]
-        stop_at[frontier] = stop_at[t]
-
     kind = np.full(grid.shape, STOP_KINDS.index("cycle"), dtype=np.int8)
     kind[eff] = STOP_KINDS.index("efficient")
     kind[dead_end] = STOP_KINDS.index("dead_end")
     kind[pit] = STOP_KINDS.index("pit")
-    per_kind = np.bincount(kind.ravel()[stop_at], minlength=len(STOP_KINDS))
+    kind = kind.ravel()
+    heights = np.zeros(N)
+    for frontier in reversed(rounds):
+        t = succ_flat[frontier]
+        heights[frontier] = cost_flat[frontier] + heights[t]
+        kind[frontier] = kind[t]
+    per_kind = np.bincount(kind, minlength=len(STOP_KINDS))
     stop_counts = dict(zip(STOP_KINDS, per_kind.tolist()))
 
     height_field = HeightField(grid=grid, values=heights.reshape(grid.shape))
-    # every efficient point ends its own path, so the basins reached are
-    # the components of the efficient points
-    n_basins = np.unique(decomposition.component_labels[eff]).size
-    basin_map = BasinMap(grid=grid, n_basins=int(n_basins),
+    basin_map = BasinMap(grid=grid, n_basins=decomposition.n_components,
                          n_unconverged=N - stop_counts["efficient"],
                          stop_counts=stop_counts,
                          n_cycles=_count_cycles(succ_flat, on_cycle))
@@ -355,20 +354,11 @@ def gfh_heights(fields: FieldSet, critmap: CriticalityMap,
 
 def _count_cycles(succ_flat: np.ndarray, on_cycle: np.ndarray) -> int:
     """Number of distinct cycles among the points ``on_cycle``, whose
-    successors all lie on the same cycles.
-
-    Pointer doubling over the cycle members only: after k rounds each member
-    knows the smallest position among the next 2**k members of its cycle,
-    so once 2**k exceeds the member count, every cycle has exactly one
-    member that is its own minimum.
-    """
-    members = np.flatnonzero(on_cycle)
-    nxt = np.searchsorted(members, succ_flat[members])
-    low = np.arange(members.size)
-    for _ in range(members.size.bit_length()):
-        low = np.minimum(low, low[nxt])
-        nxt = nxt[nxt]
-    return int((low == np.arange(members.size)).sum())
+    successors all lie on the same cycles: the number of roots of the
+    union-find over the members' successor edges."""
+    members = np.arange(np.count_nonzero(on_cycle))
+    nxt = np.searchsorted(np.flatnonzero(on_cycle), succ_flat[on_cycle])
+    return int((_roots(members.size, members, nxt) == members).sum())
 
 
 # ---------------------------------------------------------------------------

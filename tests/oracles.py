@@ -1,11 +1,33 @@
 """Brute-force reference implementations the production code is checked
-against."""
+against, and problems that break it."""
 
 from fractions import Fraction
 
 import numpy as np
 
+from paretoscape import BiObjectiveProblem
 from paretoscape.criticality import NEIGHBOR_OFFSETS
+
+
+def axis_derivative(values: np.ndarray, spacing: float, axis: int) -> np.ndarray:
+    """Hand-written finite-difference stencil along one axis: central
+    (f[i+1] - f[i-1]) / (2 spacing) inside, (f[1] - f[0]) / spacing and
+    (f[-1] - f[-2]) / spacing on the first and last index."""
+    v = np.moveaxis(values, axis, 0)
+    out = np.empty_like(v)
+    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * spacing)
+    out[0] = (v[1] - v[0]) / spacing
+    out[-1] = (v[-1] - v[-2]) / spacing
+    return np.moveaxis(out, 0, axis)
+
+
+def make_overflow():
+    """Finite objectives on [-1, 1]^2 whose f1 differences overflow: f1 =
+    1.7e308 sign(x1) sqrt|x1|, f2 = (x1 - 0.3)^2 + x2^2."""
+    return BiObjectiveProblem(
+        name="overflow", lower=(-1.0, -1.0), upper=(1.0, 1.0),
+        fn=lambda x1, x2: (1.7e308 * np.sign(x1) * np.sqrt(np.abs(x1)),
+                           (x1 - 0.3) ** 2 + x2 ** 2))
 
 
 def _cross(u, w):

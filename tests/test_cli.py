@@ -8,8 +8,9 @@ import pytest
 from paretoscape import analyze, get_problem
 from paretoscape.cli import RunConfig, main, parse_args
 from paretoscape.grid import _distinct_text
+from paretoscape.problems import PROBLEM_FACTORIES
 
-from oracles import grid_csv_rows
+from oracles import grid_csv_rows, make_overflow
 
 
 def _summary(capsys):
@@ -79,6 +80,16 @@ def test_non_finite_bisphere_parameters_exit_1(params, tmp_path, capsys):
     assert main(["--problem", f"bisphere:{params}", "--resolution", "20",
                  "--out", str(out)]) == 1
     assert "bisphere parameters must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_gradients_exit_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(PROBLEM_FACTORIES, "overflow", make_overflow)
+    out = tmp_path / "x.ppm"
+    assert main(["--problem", "overflow", "--resolution", "9",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite gradient of f1" in err and "(j1=4, j2=1)" in err
     assert not out.exists()
 
 

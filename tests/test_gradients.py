@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from paretoscape import (BiObjectiveProblem, build_fieldset, build_grid,
-                         classify, divergence, export_fields_csv,
+from oracles import axis_derivative, make_overflow
+from paretoscape import (BiObjectiveProblem, EvaluationError, analyze,
+                         build_fieldset, build_grid, classify, divergence,
+                         evaluate_grid, export_fields_csv,
                          finite_diff_gradients, make_aspar, make_bisphere,
                          mo_gradient)
 from paretoscape.gradients import gradient_norms, gradient_scale
@@ -123,6 +125,34 @@ def test_divergence_linearity():
     lhs = divergence(2.5 * a - 4.0 * b, g)
     rhs = 2.5 * divergence(a, g) - 4.0 * divergence(b, g)
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 7), (7, 2), (33, 17)])
+def test_stencils_bytes_match_hand_written_reference(shape):
+    g = build_grid((-1.0, 0.5), (2.0, 0.75), *shape)
+    assert g.s1 != g.s2
+    rng = np.random.default_rng(sum(shape))
+    f = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+    v = rng.normal(size=shape + (2,))
+    grad = np.stack([axis_derivative(f, g.s1, 0), axis_derivative(f, g.s2, 1)],
+                    axis=-1)
+    assert finite_diff_gradients(f, g).tobytes() == grad.tobytes()
+    div = axis_derivative(v[..., 0], g.s1, 0) + axis_derivative(v[..., 1], g.s2, 1)
+    assert divergence(v, g).tobytes() == div.tobytes()
+
+
+def test_non_finite_gradients_raise_evaluation_error():
+    # the objectives are finite, but the central differences of f1 around
+    # x1 = 0 overflow: the first bad point in scan order is (j1=4, j2=1)
+    p = make_overflow()
+    g = build_grid(p.lower, p.upper, 9, 9)
+    f1, f2 = evaluate_grid(p, g)
+    assert np.isfinite(f1).all() and np.isfinite(f2).all()
+    with pytest.raises(EvaluationError,
+                       match=r"non-finite gradient of f1 .* \(j1=4, j2=1\)"):
+        build_fieldset(p, g)
+    with pytest.raises(EvaluationError, match="gradient of f1"):
+        analyze(p, 9)
 
 
 def test_finite_difference_error_shrinks_at_second_order():

@@ -212,6 +212,7 @@ def _assert_gfh_matches_walk(fields, critmap, decomposition):
     h, b, counts, n_cycles = gfh_walk(fields, critmap, decomposition)
     assert heights.values.tobytes() == h.tobytes()
     assert basins.n_basins == np.unique(b[b >= 0]).size
+    assert basins.n_basins == decomposition.n_components
     assert basins.stop_counts == counts
     assert sum(counts.values()) == h.size
     assert basins.n_cycles == n_cycles
@@ -265,6 +266,48 @@ def test_gfh_heights_cut_cycles_like_descent_walk():
     assert basins.stop_counts == {"efficient": 3, "cycle": 8, "dead_end": 1,
                                   "pit": n * n - 12}
     assert basins.n_basins == 1
+
+
+def _vortex_basins(lower, upper, n1, n2, descent):
+    """gfh of the joint field -descent(X1, X2), with no efficient point,
+    checked against the descent walk."""
+    grid = build_grid(lower, upper, n1, n2)
+    dx, dy = descent(*grid.meshes())
+    mo = -np.stack([dx, dy], axis=-1)
+    zero = np.zeros(grid.shape)
+    fields = FieldSet(grid=grid, f1=zero, f2=zero, g1=np.zeros_like(mo),
+                      g2=np.zeros_like(mo), mo_raw=mo, mo=mo, zero_tol=0.0)
+    critmap = _critmap(grid, np.zeros(grid.shape, dtype=np.uint8))
+    decomposition = decompose_efficient_set(critmap, zero, zero)
+    return _assert_gfh_matches_walk(fields, critmap, decomposition)
+
+
+def test_gfh_heights_vortex_ends_on_one_long_cycle():
+    """Rotation about the centre: the grid walk spirals out onto one cycle
+    along the rim; only the centre, where the field vanishes, is a pit."""
+    basins = _vortex_basins((-1.0, -1.0), (1.0, 1.0), 41, 41,
+                            lambda x1, x2: (-x2, x1))
+    assert basins.stop_counts == {"efficient": 0, "cycle": 41 * 41 - 1,
+                                  "dead_end": 0, "pit": 1}
+    assert basins.n_cycles == 1 and basins.n_basins == 0
+
+
+def test_gfh_heights_two_vortices_end_on_two_long_cycles():
+    """Two rotations about (-1, 0) and (1, 0), each pulled onto a
+    three-petal ring: every path ends on one of two cycles of 66 points.
+    Each ring has several local minima in scan order, so the union-find
+    that counts the cycles needs more than one hooking round."""
+    def descent(x1, x2):
+        dx, dy = x1 - np.where(x1 < 0, -1.0, 1.0), x2
+        r = np.hypot(dx, dy)
+        ring = 0.55 + 0.25 * np.cos(3.0 * np.arctan2(dy, dx))
+        pull = (ring - r) / np.where(r > 0, r, 1.0)
+        return -dy + pull * dx, dx + pull * dy
+
+    basins = _vortex_basins((-2.0, -1.0), (2.0, 1.0), 81, 41, descent)
+    assert basins.stop_counts == {"efficient": 0, "cycle": 81 * 41 - 2,
+                                  "dead_end": 0, "pit": 2}
+    assert basins.n_cycles == 2
 
 
 def test_aspar_component_count_stable_across_resolutions():
