@@ -16,7 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import Grid, check_finite, evaluate_grid, export_grid_csv
+from .grid import (EvaluationError, Grid, check_finite, evaluate_grid,
+                   export_grid_csv)
 
 
 def finite_diff_gradients(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -39,11 +40,6 @@ def _is_zero(norms: np.ndarray, zero_tol: float) -> np.ndarray:
     return (norms <= 0.0) | (norms < zero_tol)
 
 
-def gradient_scale(g1: np.ndarray, g2: np.ndarray) -> float:
-    """Problem-intrinsic gradient magnitude: pooled mean single-gradient norm."""
-    return float(0.5 * (gradient_norms(g1).mean() + gradient_norms(g2).mean()))
-
-
 def mo_gradient(g1: np.ndarray, g2: np.ndarray, zero_tol: float = 0.0) -> np.ndarray:
     """Sum of the normalised single-objective gradients.
 
@@ -52,8 +48,11 @@ def mo_gradient(g1: np.ndarray, g2: np.ndarray, zero_tol: float = 0.0) -> np.nda
     the point is critical on its own and no direction of joint ascent is
     defined there.
     """
-    n1 = gradient_norms(g1)
-    n2 = gradient_norms(g2)
+    return _unit_sum(g1, g2, gradient_norms(g1), gradient_norms(g2), zero_tol)
+
+
+def _unit_sum(g1, g2, n1, n2, zero_tol: float) -> np.ndarray:
+    """``mo_gradient`` from the norms n1 and n2 of g1 and g2."""
     zero = _is_zero(n1, zero_tol) | _is_zero(n2, zero_tol)
     d1 = np.where(zero, 1.0, n1)[..., None]
     d2 = np.where(zero, 1.0, n2)[..., None]
@@ -102,22 +101,28 @@ def build_fieldset(problem, grid: Grid, zero_tol_rel: float = 1e-12,
                    workers: int = 1) -> FieldSet:
     """Evaluate a problem on a grid and derive all first-order fields.
 
-    ``zero_tol_rel`` is relative: the absolute zero tolerance is
-    ``zero_tol_rel * gradient_scale(g1, g2)``.
+    ``zero_tol_rel`` is relative to the gradient scale, the pooled mean
+    norm 0.5 * (mean ||g1|| + mean ||g2||).
 
     Raises:
         ValueError: ``zero_tol_rel`` is negative, infinite or NaN.
-        EvaluationError: an objective or a finite-difference gradient
-            (which overflows on huge objectives) is NaN or infinite.
+        EvaluationError: an objective, a finite-difference gradient or its
+            norm is NaN or infinite, or the gradient scale overflows.
     """
     check_tolerance("zero_tol_rel", zero_tol_rel)
     f1, f2 = evaluate_grid(problem, grid, workers=workers)
     with np.errstate(over="ignore"):
         g1 = finite_diff_gradients(f1, grid)
         g2 = finite_diff_gradients(f2, grid)
-    check_finite(problem, grid, (("gradient of f1", g1), ("gradient of f2", g2)))
-    zero_tol = zero_tol_rel * gradient_scale(g1, g2)
-    mo = mo_gradient(g1, g2, zero_tol)
+        n1, n2 = gradient_norms(g1), gradient_norms(g2)
+        scale = float(0.5 * (n1.mean() + n2.mean()))
+    check_finite(problem, grid, (("gradient of f1", g1), ("gradient of f2", g2),
+                                 ("gradient norm of f1", n1),
+                                 ("gradient norm of f2", n2)))
+    if not math.isfinite(scale):
+        raise EvaluationError(f"problem {problem.name!r}: gradient scale overflows")
+    zero_tol = zero_tol_rel * scale
+    mo = _unit_sum(g1, g2, n1, n2, zero_tol)
     return FieldSet(grid=grid, f1=f1, f2=f2, g1=g1, g2=g2,
                     mo_raw=mo, mo=mo, zero_tol=zero_tol)
 

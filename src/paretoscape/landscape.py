@@ -9,8 +9,8 @@ Two height fields summarise the landscape:
   lands in is its basin.  Paths that end in a field-zero pit, at a dead end
   with no descending neighbour, or in a cycle carry no basin and are
   counted as unconverged; each of the four stop kinds is counted apart.
-  Heights are accumulated over topological rounds of the successor forest
-  in about O(N log N).
+  Each point keeps its step as an int8 offset code; heights accumulate
+  over topological rounds of the successor forest in about O(N log N).
 
 * cost landscape ("cost"): the height of a point is the number of grid
   points that strictly dominate it.  Exact tie semantics matter: points with
@@ -276,89 +276,83 @@ def gfh_heights(fields: FieldSet, critmap: CriticalityMap,
       into one.  Each cycle is cut: its members get height 0.
 
     Stops have height 0; every efficient point ends its own path, so all
-    components are basins.  The successor graph is peeled in topological
-    rounds, sources first; each round decrements the in-degree of its
-    frontier's targets only, so the whole peel costs about O(N log N).
-    Walking the rounds backwards, h[v] = cost[v] + h[succ[v]], and each
-    peeled point takes its successor's stop kind with its height.
+    components are basins.  A point keeps only its step, an int8 index into
+    ``NEIGHBOR_OFFSETS``; 8-entry tables give the successor of flat point v,
+    succ[v] = v + shift[step[v]], and its cost ||mo[v]|| * length[step[v]].
+    The successor graph is peeled in topological rounds, sources first;
+    each round decrements the in-degree of its frontier's targets only, so
+    the whole peel costs about O(N log N).  Walking the rounds backwards,
+    h[v] = cost[v] + h[succ[v]], and each peeled point takes its
+    successor's stop kind with its height.
     """
     grid = fields.grid
-    n1, n2 = grid.shape
-    N = n1 * n2
+    N = grid.n1 * grid.n2
     mo = fields.mo
-    mo_norm = gradient_norms(mo)
+    offsets = np.array(NEIGHBOR_OFFSETS)
+    length = np.hypot(offsets[:, 0] * grid.s1, offsets[:, 1] * grid.s2)
+    shift = offsets[:, 0] * grid.n2 + offsets[:, 1]
 
     # by exact negation, the least mo . step / length is -mo's best step
     low = np.full(grid.shape, np.inf)
-    succ = np.full(grid.shape, -1, dtype=np.int64)    # flat index i*n2 + j
-    step_len = np.zeros(grid.shape)
-    flat_idx = np.arange(N, dtype=np.int64).reshape(grid.shape)
-
-    for di, dj in NEIGHBOR_OFFSETS:
-        ai, bi = pair_slices(di)
-        aj, bj = pair_slices(dj)
-        length = float(np.hypot(di * grid.s1, dj * grid.s2))
-        dot = (mo[ai, aj, 0] * (di * grid.s1) + mo[ai, aj, 1] * (dj * grid.s2)) / length
-        better = dot < low[ai, aj]
+    step = np.zeros(grid.shape, dtype=np.int8)
+    for k, (di, dj) in enumerate(NEIGHBOR_OFFSETS):
         # slice views: updates only where the offset target stays in-grid
+        ai, aj = pair_slices(di)[0], pair_slices(dj)[0]
+        dot = (mo[ai, aj, 0] * (di * grid.s1) + mo[ai, aj, 1] * (dj * grid.s2)) / length[k]
+        better = dot < low[ai, aj]
         np.copyto(low[ai, aj], dot, where=better)
-        np.copyto(succ[ai, aj], flat_idx[bi, bj], where=better)
-        np.copyto(step_len[ai, aj], length, where=better)
+        np.copyto(step[ai, aj], k, where=better)
+    step = step.ravel()
 
-    eff = critmap.efficient_mask
-    pit = ~eff & (mo_norm <= 0.0)
-    dead_end = ~eff & ~pit & (low >= 0.0)
-    terminal = eff | pit | dead_end
-    succ[terminal] = -1
-    cost = mo_norm * step_len
-    cost[terminal] = 0.0
+    # terminals end their own paths, each kind overriding the ones before
+    # it; the linked rest stay "cycle" unless the peel reaches them
+    mo_norm = gradient_norms(mo).ravel()
+    cycle = STOP_KINDS.index("cycle")
+    kind = np.full(N, cycle, dtype=np.int8)
+    kind[low.ravel() >= 0.0] = STOP_KINDS.index("dead_end")
+    kind[mo_norm <= 0.0] = STOP_KINDS.index("pit")
+    kind[critmap.efficient_mask.ravel()] = STOP_KINDS.index("efficient")
+    linked = kind == cycle
+    del low
 
-    succ_flat = succ.ravel()
-    cost_flat = cost.ravel()
-    linked = succ_flat >= 0
-    indeg = np.bincount(succ_flat[linked], minlength=N)
+    def succ(v):
+        return v + shift[step[v]]
+
+    indeg = np.bincount(succ(np.flatnonzero(linked)), minlength=N)
     frontier = np.flatnonzero(linked & (indeg == 0))
     rounds = []
     while frontier.size:
         rounds.append(frontier)
-        cand, dec = np.unique(succ_flat[frontier], return_counts=True)
+        cand, dec = np.unique(succ(frontier), return_counts=True)
         indeg[cand] -= dec
         cand = cand[indeg[cand] == 0]
         frontier = cand[linked[cand]]
     # every linked point whose in-degree reached 0 was peeled; the rest keep
     # an in-edge from each other and form the cycles
-    on_cycle = linked & (indeg > 0)
+    on_cycle = np.flatnonzero(linked & (indeg > 0))
+    del indeg
 
-    # terminals and cycle members end their own paths; every peeled point
-    # ends where its successor does
-    kind = np.full(grid.shape, STOP_KINDS.index("cycle"), dtype=np.int8)
-    kind[eff] = STOP_KINDS.index("efficient")
-    kind[dead_end] = STOP_KINDS.index("dead_end")
-    kind[pit] = STOP_KINDS.index("pit")
-    kind = kind.ravel()
+    # every peeled point ends where its successor does
     heights = np.zeros(N)
     for frontier in reversed(rounds):
-        t = succ_flat[frontier]
-        heights[frontier] = cost_flat[frontier] + heights[t]
+        s = step[frontier]
+        t = frontier + shift[s]
+        heights[frontier] = mo_norm[frontier] * length[s] + heights[t]
         kind[frontier] = kind[t]
     per_kind = np.bincount(kind, minlength=len(STOP_KINDS))
     stop_counts = dict(zip(STOP_KINDS, per_kind.tolist()))
-
-    height_field = HeightField(grid=grid, values=heights.reshape(grid.shape))
-    basin_map = BasinMap(grid=grid, n_basins=decomposition.n_components,
-                         n_unconverged=N - stop_counts["efficient"],
-                         stop_counts=stop_counts,
-                         n_cycles=_count_cycles(succ_flat, on_cycle))
-    return height_field, basin_map
+    return (HeightField(grid=grid, values=heights.reshape(grid.shape)),
+            BasinMap(grid=grid, n_basins=decomposition.n_components,
+                     n_unconverged=N - stop_counts["efficient"],
+                     stop_counts=stop_counts,
+                     n_cycles=_count_cycles(on_cycle, succ(on_cycle))))
 
 
-def _count_cycles(succ_flat: np.ndarray, on_cycle: np.ndarray) -> int:
-    """Number of distinct cycles among the points ``on_cycle``, whose
-    successors all lie on the same cycles: the number of roots of the
-    union-find over the members' successor edges."""
-    members = np.arange(np.count_nonzero(on_cycle))
-    nxt = np.searchsorted(np.flatnonzero(on_cycle), succ_flat[on_cycle])
-    return int((_roots(members.size, members, nxt) == members).sum())
+def _count_cycles(members: np.ndarray, nxt: np.ndarray) -> int:
+    """Distinct cycles through the sorted flat points ``members``, whose
+    successors ``nxt`` are members too: the roots of their union-find."""
+    k = np.arange(members.size)
+    return int((_roots(members.size, k, np.searchsorted(members, nxt)) == k).sum())
 
 
 # ---------------------------------------------------------------------------

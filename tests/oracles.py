@@ -30,6 +30,22 @@ def make_overflow():
                            (x1 - 0.3) ** 2 + x2 ** 2))
 
 
+def make_norm_overflow():
+    """f1 = 1.5e308 (x1 + x2) on [0, 0.5]^2: finite objectives and finite
+    gradients (1.5e308, 1.5e308), whose norm overflows at every point."""
+    return BiObjectiveProblem(
+        name="norm-overflow", lower=(0.0, 0.0), upper=(0.5, 0.5),
+        fn=lambda x1, x2: (1.5e308 * (x1 + x2), (x1 - 0.3) ** 2 + x2 ** 2))
+
+
+def make_scale_overflow():
+    """f1 = 1e308 x1 on [0, 0.5]^2: every gradient norm of f1 is 1e308, but
+    their mean over more than one grid point overflows."""
+    return BiObjectiveProblem(
+        name="scale-overflow", lower=(0.0, 0.0), upper=(0.5, 0.5),
+        fn=lambda x1, x2: (1e308 * x1, (x1 - 0.3) ** 2 + x2 ** 2))
+
+
 def _cross(u, w):
     return u[0] * w[1] - u[1] * w[0]
 

@@ -10,7 +10,8 @@ from paretoscape.cli import RunConfig, main, parse_args
 from paretoscape.grid import _distinct_text
 from paretoscape.problems import PROBLEM_FACTORIES
 
-from oracles import grid_csv_rows, make_overflow
+from oracles import (grid_csv_rows, make_norm_overflow, make_overflow,
+                     make_scale_overflow)
 
 
 def _summary(capsys):
@@ -90,6 +91,20 @@ def test_non_finite_gradients_exit_2(tmp_path, monkeypatch, capsys):
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "non-finite gradient of f1" in err and "(j1=4, j2=1)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("factory,message", [
+    (make_norm_overflow, "non-finite gradient norm of f1 = inf"),
+    (make_scale_overflow, "gradient scale"),
+])
+def test_overflowing_gradient_norms_exit_2(factory, message, tmp_path,
+                                           monkeypatch, capsys):
+    monkeypatch.setitem(PROBLEM_FACTORIES, "huge", factory)
+    out = tmp_path / "x.ppm"
+    assert main(["--problem", "huge", "--resolution", "9",
+                 "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from oracles import axis_derivative, make_overflow
+from oracles import (axis_derivative, make_norm_overflow, make_overflow,
+                     make_scale_overflow)
 from paretoscape import (BiObjectiveProblem, EvaluationError, analyze,
                          build_fieldset, build_grid, classify, divergence,
                          evaluate_grid, export_fields_csv,
                          finite_diff_gradients, make_aspar, make_bisphere,
                          mo_gradient)
-from paretoscape.gradients import gradient_norms, gradient_scale
+from paretoscape.gradients import gradient_norms
 
 
 def _grid(n1=11, n2=11, lo=(0.0, 0.0), hi=(1.0, 1.0)):
@@ -99,13 +100,15 @@ def test_mo_gradient_unit_summand_norms():
 
 
 def test_gradient_scale_is_pooled_mean_norm():
-    g1 = np.zeros((1, 2, 2))
-    g1[0, 0] = (3.0, 4.0)   # norm 5
-    g1[0, 1] = (0.0, 1.0)   # norm 1
-    g2 = np.zeros((1, 2, 2))
-    g2[0, 0] = (0.0, 2.0)   # norm 2
-    g2[0, 1] = (0.0, 0.0)   # norm 0
-    assert gradient_scale(g1, g2) == pytest.approx(2.0)
+    # on a 5 x 5 grid of [0, 1]^2 (s = 0.25) the differences are exact:
+    # ||grad f1|| = 5 everywhere, and ||grad f2|| runs 0.25, 0.5, 1.0, 1.5,
+    # 1.75 along x2 (one-sided at the ends), mean 1.0; so the scale is
+    # 0.5 * (5 + 1) = 3 and zero_tol = zero_tol_rel * 3
+    p = BiObjectiveProblem(name="scale", lower=(0.0, 0.0), upper=(1.0, 1.0),
+                           fn=lambda x1, x2: (3.0 * x1 + 4.0 * x2, x2 * x2))
+    g = build_grid(p.lower, p.upper, 5, 5)
+    assert build_fieldset(p, g, zero_tol_rel=0.25).zero_tol == 0.75
+    assert build_fieldset(p, g, zero_tol_rel=1e-12).zero_tol == 3e-12
 
 
 def test_divergence_exact_for_linear_fields():
@@ -155,6 +158,24 @@ def test_non_finite_gradients_raise_evaluation_error():
         analyze(p, 9)
 
 
+@pytest.mark.parametrize("factory,message", [
+    # finite gradients whose norms overflow: the first bad point is named
+    (make_norm_overflow,
+     r"non-finite gradient norm of f1 = inf at grid point \(j1=1, j2=1\)"),
+    # finite norms whose mean overflows
+    (make_scale_overflow, "gradient scale overflows"),
+])
+def test_overflowing_gradient_norms_raise_evaluation_error(factory, message):
+    p = factory()
+    g = build_grid(p.lower, p.upper, 9, 9)
+    f1, _ = evaluate_grid(p, g)
+    assert np.isfinite(finite_diff_gradients(f1, g)).all()
+    with pytest.raises(EvaluationError, match=message):
+        build_fieldset(p, g)
+    with pytest.raises(EvaluationError, match=message):
+        analyze(p, 9)
+
+
 def test_finite_difference_error_shrinks_at_second_order():
     p = make_aspar()
     errs = []
@@ -176,7 +197,8 @@ def test_fieldset_matches_componentwise_construction():
     fs = build_fieldset(p, g)
     assert fs.f1.shape == (31, 31)
     assert fs.g1.shape == (31, 31, 2)
-    expect_tol = 1e-12 * gradient_scale(fs.g1, fs.g2)
+    expect_tol = 1e-12 * float(0.5 * (gradient_norms(fs.g1).mean()
+                                      + gradient_norms(fs.g2).mean()))
     assert fs.zero_tol == expect_tol
     assert np.array_equal(fs.mo, mo_gradient(fs.g1, fs.g2, fs.zero_tol))
     assert np.array_equal(fs.mo, fs.mo_raw)
