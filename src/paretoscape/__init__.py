@@ -6,7 +6,7 @@ from .problems import (BiObjectiveProblem, DomainError, UnknownProblemError,
                        make_bisphere, make_kursawe, make_mindist, make_sgk)
 from .grid import EvaluationError, Grid, build_grid, evaluate_grid
 from .gradients import (FieldSet, build_fieldset, divergence,
-                        export_fields_csv, finite_diff_gradients, mo_gradient)
+                        export_fields_csv, finite_diff_gradients)
 from .criticality import (CLASS_NAMES, CriticalityMap, PointClass, classify,
                           export_critical_points_json, origin_in_hull)
 from .landscape import (BasinMap, EfficientSetDecomposition, HeightField,
@@ -25,7 +25,7 @@ __all__ = [
     "make_kursawe", "make_mindist", "make_sgk",
     "EvaluationError", "Grid", "build_grid", "evaluate_grid",
     "FieldSet", "build_fieldset", "divergence", "export_fields_csv",
-    "finite_diff_gradients", "mo_gradient",
+    "finite_diff_gradients",
     "CLASS_NAMES", "CriticalityMap", "PointClass", "classify",
     "export_critical_points_json", "origin_in_hull",
     "BasinMap", "EfficientSetDecomposition", "HeightField",

@@ -40,19 +40,15 @@ def _is_zero(norms: np.ndarray, zero_tol: float) -> np.ndarray:
     return (norms <= 0.0) | (norms < zero_tol)
 
 
-def mo_gradient(g1: np.ndarray, g2: np.ndarray, zero_tol: float = 0.0) -> np.ndarray:
-    """Sum of the normalised single-objective gradients.
+def _unit_sum(g1, g2, n1, n2, zero_tol: float) -> np.ndarray:
+    """Sum of the normalised single-objective gradients g1 and g2, given
+    their norms n1 and n2.
 
     Points where either gradient norm is below ``zero_tol`` (or exactly
     zero) get the zero vector: a vanishing single-objective gradient means
     the point is critical on its own and no direction of joint ascent is
     defined there.
     """
-    return _unit_sum(g1, g2, gradient_norms(g1), gradient_norms(g2), zero_tol)
-
-
-def _unit_sum(g1, g2, n1, n2, zero_tol: float) -> np.ndarray:
-    """``mo_gradient`` from the norms n1 and n2 of g1 and g2."""
     zero = _is_zero(n1, zero_tol) | _is_zero(n2, zero_tol)
     d1 = np.where(zero, 1.0, n1)[..., None]
     d2 = np.where(zero, 1.0, n2)[..., None]

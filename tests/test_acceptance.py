@@ -2,6 +2,7 @@
 one ACCEPTANCE line on success (visible via the -rP report section)."""
 
 import json
+import multiprocessing
 import subprocess
 import sys
 import time
@@ -13,6 +14,7 @@ from paretoscape import (BiObjectiveProblem, PointClass, analyze,
                          build_fieldset, build_grid, cost_landscape,
                          dominance_counts, finite_diff_gradients, get_problem,
                          make_aspar, make_bisphere, make_sgk, origin_in_hull)
+from paretoscape import grid as grid_module
 from paretoscape.cli import RunConfig, run
 from paretoscape.criticality import boundary_criticality, triangle_corners
 
@@ -162,21 +164,29 @@ def test_criterion_6b_monotone_transform_invariance():
                "objective transforms")
 
 
-def test_criterion_6c_determinism_across_runs_and_workers(tmp_path, capsys):
+def test_criterion_6c_determinism_across_runs_and_workers(tmp_path, capsys,
+                                                          monkeypatch):
     blobs = []
-    for tag, workers in (("a", 1), ("b", 1), ("c", 3)):
-        img = tmp_path / f"{tag}.ppm"
-        csv = tmp_path / f"{tag}.csv"
-        js = tmp_path / f"{tag}.json"
-        cfg = RunConfig(problem="sgk", mode="plot", n1=101, n2=101,
-                        out=str(img), export_csv=str(csv),
-                        export_json=str(js), workers=workers)
-        assert run(cfg) == 0
-        blobs.append((img.read_bytes(), csv.read_bytes(), js.read_bytes(),
-                      capsys.readouterr().out))
+    # run tag, evaluation workers, CSV processes (the field CSV's pool)
+    for tag, workers, processes in (("a", 1, 1), ("b", 1, 2), ("c", 3, 3)):
+        monkeypatch.setattr(grid_module, "_csv_processes", lambda: processes)
+        blob = []
+        for mode in ("plot", "critical"):
+            img = tmp_path / f"{tag}_{mode}.ppm"
+            csv = tmp_path / f"{tag}_{mode}.csv"
+            js = tmp_path / f"{tag}_{mode}.json"
+            cfg = RunConfig(problem="sgk", mode=mode, n1=101, n2=101,
+                            out=str(img), export_csv=str(csv),
+                            export_json=str(js), workers=workers)
+            assert run(cfg) == 0
+            blob += [img.read_bytes(), csv.read_bytes(), js.read_bytes(),
+                     capsys.readouterr().out]
+        blobs.append(blob)
     assert blobs[0] == blobs[1] == blobs[2]
-    _report(6, "pipeline byte-identical across repeated runs and worker "
-               "counts 1 vs 3 (image, CSV, JSON, summary)")
+    assert multiprocessing.active_children() == []
+    _report(6, "pipeline byte-identical across repeated runs, worker counts "
+               "1 vs 3 and CSV processes 1, 2, 3 (plot and critical mode: "
+               "image, CSV, JSON, summary)")
 
 
 def test_criterion_7_boundary_logic():

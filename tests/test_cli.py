@@ -1,11 +1,13 @@
 """Command-line interface: parsing, exit codes, artifacts, exports."""
 
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
 
 from paretoscape import analyze, get_problem
+from paretoscape import grid as grid_module
 from paretoscape.cli import RunConfig, main, parse_args
 from paretoscape.grid import _distinct_text
 from paretoscape.problems import PROBLEM_FACTORIES
@@ -160,6 +162,17 @@ def test_critical_mode_exports(tmp_path, capsys):
     classes = {r["class"] for r in records}
     assert "CriticalOnly" in classes
     assert "LocallyEfficientInterior" in classes
+
+
+def test_failed_pooled_export_leaves_no_child(tmp_path, capsys, monkeypatch):
+    # the field CSV forks its pool, then fails to open its file: exit 2
+    monkeypatch.setattr(grid_module, "_csv_processes", lambda: 2)
+    csv = tmp_path / "missing" / "fields.csv"
+    assert main(["--problem", "mindist", "--mode", "critical",
+                 "--resolution", "101", "--out", str(tmp_path / "c.ppm"),
+                 "--export-csv", str(csv)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
 
 
 def test_critical_csv_matches_naive_writer(tmp_path, capsys):

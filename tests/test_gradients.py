@@ -8,9 +8,8 @@ from oracles import (axis_derivative, make_norm_overflow, make_overflow,
 from paretoscape import (BiObjectiveProblem, EvaluationError, analyze,
                          build_fieldset, build_grid, classify, divergence,
                          evaluate_grid, export_fields_csv,
-                         finite_diff_gradients, make_aspar, make_bisphere,
-                         mo_gradient)
-from paretoscape.gradients import gradient_norms
+                         finite_diff_gradients, make_aspar, make_bisphere)
+from paretoscape.gradients import _unit_sum, gradient_norms
 
 
 def _grid(n1=11, n2=11, lo=(0.0, 0.0), hi=(1.0, 1.0)):
@@ -56,23 +55,28 @@ def test_one_sided_boundary_error_within_curvature_bound():
     assert err[0, :].max() > err[1:-1, :].max()
 
 
+def _mo(g1, g2, zero_tol=0.0):
+    """The multi-objective gradient as ``build_fieldset`` forms it."""
+    return _unit_sum(g1, g2, gradient_norms(g1), gradient_norms(g2), zero_tol)
+
+
 def test_mo_gradient_frozen_examples():
     g1 = np.array([[[1.0, 0.0]]])
     g2 = np.array([[[-1.0, 0.0]]])
-    assert np.array_equal(mo_gradient(g1, g2), np.zeros((1, 1, 2)))
+    assert np.array_equal(_mo(g1, g2), np.zeros((1, 1, 2)))
 
     g1 = np.array([[[2.0, 0.0]]])
     g2 = np.array([[[0.0, 3.0]]])
-    assert np.array_equal(mo_gradient(g1, g2), np.array([[[1.0, 1.0]]]))
+    assert np.array_equal(_mo(g1, g2), np.array([[[1.0, 1.0]]]))
 
 
 def test_mo_gradient_zero_tolerance_and_exact_zero():
     tiny = np.array([[[1e-15, 0.0]]])
     big = np.array([[[5.0, 0.0]]])
-    out = mo_gradient(tiny, big, zero_tol=1e-12)
+    out = _mo(tiny, big, zero_tol=1e-12)
     assert np.array_equal(out, np.zeros((1, 1, 2)))
     # exact zero gradient suppresses the sum even with zero_tol=0
-    out0 = mo_gradient(np.zeros((1, 1, 2)), big, zero_tol=0.0)
+    out0 = _mo(np.zeros((1, 1, 2)), big, zero_tol=0.0)
     assert np.array_equal(out0, np.zeros((1, 1, 2)))
 
 
@@ -80,11 +84,11 @@ def test_mo_gradient_invariant_under_gradient_scaling():
     rng = np.random.default_rng(7)
     g1 = rng.normal(size=(6, 5, 2))
     g2 = rng.normal(size=(6, 5, 2))
-    base = mo_gradient(g1, g2)
+    base = _mo(g1, g2)
     # powers of two rescale exactly in floating point
-    exact = mo_gradient(4.0 * g1, 0.25 * g2)
+    exact = _mo(4.0 * g1, 0.25 * g2)
     assert np.array_equal(base, exact)
-    approx = mo_gradient(3.7 * g1, 0.9 * g2)
+    approx = _mo(3.7 * g1, 0.9 * g2)
     assert np.allclose(base, approx, atol=1e-12)
 
 
@@ -92,7 +96,7 @@ def test_mo_gradient_unit_summand_norms():
     rng = np.random.default_rng(11)
     g1 = rng.normal(size=(8, 8, 2)) + 3.0  # bounded away from zero
     g2 = rng.normal(size=(8, 8, 2)) - 3.0
-    mo = mo_gradient(g1, g2)
+    mo = _mo(g1, g2)
     u1 = g1 / gradient_norms(g1)[..., None]
     u2 = g2 / gradient_norms(g2)[..., None]
     assert np.allclose(mo, u1 + u2, atol=1e-15)
@@ -200,7 +204,7 @@ def test_fieldset_matches_componentwise_construction():
     expect_tol = 1e-12 * float(0.5 * (gradient_norms(fs.g1).mean()
                                       + gradient_norms(fs.g2).mean()))
     assert fs.zero_tol == expect_tol
-    assert np.array_equal(fs.mo, mo_gradient(fs.g1, fs.g2, fs.zero_tol))
+    assert np.array_equal(fs.mo, _mo(fs.g1, fs.g2, fs.zero_tol))
     assert np.array_equal(fs.mo, fs.mo_raw)
 
 

@@ -1,5 +1,8 @@
 """Grid construction, evaluation, and CSV export contracts."""
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -152,3 +155,56 @@ def test_export_grid_csv_matches_naive_writer(tmp_path, monkeypatch):
         out = tmp_path / f"blocked{rows}.csv"
         export_grid_csv(out, g, header, columns)
         assert out.read_bytes() == expected
+
+
+def _pool_case(shape):
+    """Columns for a grid of ``shape``: a float column on the row-by-row path
+    with -0.0 and subnormals, and an int column on the distinct-value path."""
+    rng = np.random.default_rng(shape[0] * shape[1])
+    floats = rng.normal(size=shape)
+    k = np.arange(floats.size).reshape(shape)
+    floats[k % 7 == 0] = -0.0
+    floats[k % 11 == 3] = 5e-324 * k[k % 11 == 3]      # subnormal multiples
+    ints = _takes_each(rng, np.arange(-3, 4) * 2 ** 40, shape)
+    assert grid_module._distinct_text(floats.T.ravel()) is None
+    assert grid_module._distinct_text(ints.T.ravel()) is not None
+    return ["f", "k"], [floats, ints]
+
+
+@pytest.mark.parametrize("blocks", [0.5, 3, 3.25])
+def test_export_grid_csv_bytes_do_not_depend_on_processes(tmp_path, monkeypatch,
+                                                          blocks):
+    # below one block, an exact multiple of CSV_BLOCK_ROWS, a ragged tail
+    n1 = int(blocks * grid_module.CSV_BLOCK_ROWS) // 64
+    g = build_grid((-1.0, 0.0), (1.0, 2.0), n1, 64)
+    header, columns = _pool_case(g.shape)
+    expected = ("\n".join(grid_csv_rows(g, header, columns)) + "\n").encode()
+    for processes in (1, 2, 3):
+        monkeypatch.setattr(grid_module, "_csv_processes", lambda: processes)
+        out = tmp_path / f"p{processes}.csv"
+        export_grid_csv(out, g, header, columns)
+        assert out.read_bytes() == expected
+        assert multiprocessing.active_children() == []
+
+
+_PARENT = os.getpid()
+_csv_block = grid_module._csv_block
+
+
+def _fails_in_a_worker(lo):
+    # raising only outside the test process shows that the pool ran the block
+    if lo == grid_module.CSV_BLOCK_ROWS and os.getpid() != _PARENT:
+        raise ValueError(f"block {lo} failed in a worker")
+    return _csv_block(lo)
+
+
+def test_export_grid_csv_worker_failure_reaches_caller(tmp_path, monkeypatch):
+    n1 = 3 * grid_module.CSV_BLOCK_ROWS // 64
+    g = build_grid((-1.0, 0.0), (1.0, 2.0), n1, 64)
+    header, columns = _pool_case(g.shape)
+    monkeypatch.setattr(grid_module, "_csv_processes", lambda: 2)
+    monkeypatch.setattr(grid_module, "_csv_block", _fails_in_a_worker)
+    with pytest.raises(ValueError, match="block .* failed in a worker"):
+        export_grid_csv(tmp_path / "f.csv", g, header, columns)
+    assert multiprocessing.active_children() == []
+    assert grid_module._csv_job is None
