@@ -221,7 +221,10 @@ def export_grid_csv(path, grid: Grid, header, columns) -> None:
     strings, the distinct-value tables and the columns, so that only block
     starts and block bytes are pickled.  The pool is joined, or
     terminated on an exception, before this returns.  The output bytes do
-    not depend on P.
+    not depend on P.  ``CSV_BLOCK_ROWS`` is 4096 because a worker's resident
+    set is the parent's plus its block's strings: the mindist ``critical``
+    CLI run at 1000² peaked at 186–187 MB with 16384-row blocks in the pool,
+    177–179 MB with 4096, and 181 MB exporting serially.
     """
     global _csv_job
     n = grid.n1 * grid.n2
