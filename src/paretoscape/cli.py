@@ -1,15 +1,18 @@
 """Command-line frontend: run the pipeline, write images and exports.
 
 Exit codes: 0 on success, 1 on usage errors (bad flags, unknown problem,
-invalid bounds/resolution, tolerances that are negative or not finite), 2 on
-runtime failures (evaluation blew up, output path unwritable).  On success a single-line JSON summary goes to
-standard output.
+invalid bounds/resolution, a resolution whose memory estimate exceeds the
+physical memory, tolerances that are negative or not finite), 2 on runtime
+failures (evaluation blew up, output path unwritable).  On success a
+single-line JSON summary goes to standard output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -28,6 +31,20 @@ FORMATS = ("ppm", "png")
 
 class UsageError(Exception):
     pass
+
+
+# the memory budget: the CLI's peak RSS, measured in every mode with every
+# export on sgk, kursawe and mindist at 500², 1000² and 2000², stayed below
+# this base plus this many bytes per grid point (README "Memory budget")
+BUDGET_BASE_BYTES = 32 * 2**20
+BUDGET_BYTES_PER_POINT = 390
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory, or infinity where ``os.sysconf`` is missing."""
+    if not hasattr(os, "sysconf"):
+        return math.inf
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 @dataclass
@@ -138,6 +155,13 @@ def parse_args(argv) -> Optional[RunConfig]:
         raise UsageError(f"--resolution takes N or N,M, got {args.resolution!r}")
     if n1 < 2 or n2 < 2:
         raise UsageError(f"resolution must be at least 2 per axis, got {n1},{n2}")
+    estimate = BUDGET_BASE_BYTES + BUDGET_BYTES_PER_POINT * n1 * n2
+    physical = _physical_memory()
+    if estimate > physical:
+        raise UsageError(
+            f"resolution {n1},{n2} needs an estimated {estimate / 2**20:.0f} MB "
+            f"({BUDGET_BASE_BYTES // 2**20} MB + {BUDGET_BYTES_PER_POINT} B per "
+            f"point), more than the {physical / 2**20:.0f} MB of physical memory")
     try:
         check_tolerance("--zero-tol", args.zero_tol)
         check_tolerance("--div-tol", args.div_tol)

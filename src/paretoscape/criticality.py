@@ -41,7 +41,7 @@ import numpy as np
 
 from .gradients import (FieldSet, _is_zero, check_tolerance, divergence,
                         gradient_norms)
-from .grid import Grid
+from .grid import Grid, row_blocks
 
 
 class PointClass(IntEnum):
@@ -94,6 +94,8 @@ def _product_sign(a, b, c, d) -> np.ndarray:
         p, q = a * b, c * d
     sign = np.subtract(p > q, p < q, dtype=np.int8)
     tie = np.flatnonzero(sign == 0)
+    if tie.size == 0:
+        return sign
     (ma, ea), (mb, eb), (mc, ec), (md, ed) = (np.frexp(v[tie])
                                               for v in (a, b, c, d))
     p1, e1 = _two_product(ma, mb)
@@ -165,7 +167,13 @@ def interior_criticality(g1: np.ndarray, g2: np.ndarray, grid: Grid,
     gradients all have a provably positive dot product with its anchor's
     d = g1/|g1| + g2/|g2| (and no zero-rule corner) lies in an open
     half-plane, so none of its triangles is critical.  The other cells get
-    the exact orientation test of ``origin_in_hull``.
+    the exact orientation test of ``origin_in_hull``, on their eight
+    gradients gathered from ``g1`` and ``g2``.
+
+    Both run per block of ``row_blocks`` cell rows, on that block's norms,
+    zero rule and strided component views, so that the temporaries grow
+    with one block; each element gets the same expressions as on the whole
+    grid, so the result does not depend on the block size.
 
     Returns:
         triangles: int32 array (T, 4), rows (i, j, di, dj) meaning corners
@@ -174,22 +182,56 @@ def interior_criticality(g1: np.ndarray, g2: np.ndarray, grid: Grid,
         crit_mask: (n1, n2) bool, True at every corner of a critical triangle.
     """
     n1, n2 = grid.shape
-    norm1, norm2 = gradient_norms(g1), gradient_norms(g2)
+    tri_rows = [[] for _ in ORIENTATIONS]
+    for cells in row_blocks(n1 - 1):
+        ci, cj, cell_zero = _uncertified_cells(g1, g2, cells, zero_tol)
+        corner_g = [g[ci + oi, cj + oj] for g in (g1, g2)
+                    for oi, oj in _CELL_CORNERS]
+        ahead = _ahead(  # vectors 0-3: g1 at corners 0-3, then g2
+            np.stack([g[:, 0] for g in corner_g]),
+            np.stack([g[:, 1] for g in corner_g]))
+        for rows, (di, dj) in zip(tri_rows, ORIENTATIONS):
+            ai, aj = int(di < 0), int(dj < 0)
+            corners = [ai + 2 * aj, ai + di + 2 * aj, ai + 2 * (aj + dj)]
+            six = corners + [c + 4 for c in corners]
+            crit = _encloses(ahead[np.ix_(six, six)],
+                             cell_zero[corners].any(axis=0))
+            block = np.empty((int(crit.sum()), 4), dtype=np.int32)
+            block[:, 0] = ci[crit] + ai
+            block[:, 1] = cj[crit] + aj
+            block[:, 2] = di
+            block[:, 3] = dj
+            rows.append(block)
+    triangles = np.concatenate([b for rows in tri_rows for b in rows], axis=0)
+
+    crit_mask = np.zeros(grid.shape, dtype=bool)
+    tri_i, tri_j = triangle_corners(triangles)
+    crit_mask[tri_i, tri_j] = True
+    return triangles, crit_mask
+
+
+def _uncertified_cells(g1: np.ndarray, g2: np.ndarray, cells: slice,
+                       zero_tol: float):
+    """Grid indices (ci, cj) of the cells in rows ``cells`` that the
+    half-plane certificate does not clear, and the (4, len(ci)) zero-rule
+    flags of their corners."""
+    points = slice(cells.start, cells.stop + 1)
+    norm1, norm2 = gradient_norms(g1[points]), gradient_norms(g2[points])
     zero = _is_zero(norm1, zero_tol) | _is_zero(norm2, zero_tol)
-    g1x, g1y, g2x, g2y = (np.ascontiguousarray(g[..., c])
-                          for g in (g1, g2) for c in (0, 1))
+    g1x, g1y, g2x, g2y = (g[points, :, c] for g in (g1, g2) for c in (0, 1))
+    m, n2 = zero.shape
 
     # the certificate: fl(fl(a) + fl(b)) > 0 iff fl(a) > -fl(b), and as
     # rounding is monotone that proves a + b > 0 exactly; a zero norm makes
     # d NaN, which proves nothing
     anchor = np.s_[:-1, :-1]
-    certified = np.ones((n1 - 1, n2 - 1), dtype=bool)
+    certified = np.ones((m - 1, n2 - 1), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         dx = g1x[anchor] / norm1[anchor] + g2x[anchor] / norm2[anchor]
         dy = g1y[anchor] / norm1[anchor] + g2y[anchor] / norm2[anchor]
         dot, part = np.empty_like(dx), np.empty_like(dx)
         for oi, oj in _CELL_CORNERS:
-            corner = np.s_[oi:n1 - 1 + oi, oj:n2 - 1 + oj]
+            corner = np.s_[oi:m - 1 + oi, oj:n2 - 1 + oj]
             certified &= ~zero[corner]
             for gx, gy in ((g1x, g1y), (g2x, g2y)):
                 np.multiply(dx, gx[corner], out=dot)
@@ -197,31 +239,8 @@ def interior_criticality(g1: np.ndarray, g2: np.ndarray, grid: Grid,
                 certified &= dot > 0.0
 
     ci, cj = np.divmod(np.flatnonzero(~certified), n2 - 1)
-    points = np.stack([(ci + oi) * n2 + cj + oj for oi, oj in _CELL_CORNERS])
-    ahead = _ahead(  # vectors 0-3: g1 at corners 0-3, then g2
-        np.concatenate([g1x.reshape(-1)[points], g2x.reshape(-1)[points]]),
-        np.concatenate([g1y.reshape(-1)[points], g2y.reshape(-1)[points]]))
-    cell_zero = zero.reshape(-1)[points]
-
-    tri_rows = []
-    for di, dj in ORIENTATIONS:
-        ai, aj = int(di < 0), int(dj < 0)
-        corners = [ai + 2 * aj, ai + di + 2 * aj, ai + 2 * (aj + dj)]
-        six = corners + [c + 4 for c in corners]
-        crit = _encloses(ahead[np.ix_(six, six)],
-                         cell_zero[corners].any(axis=0))
-        rows = np.empty((int(crit.sum()), 4), dtype=np.int32)
-        rows[:, 0] = ci[crit] + ai
-        rows[:, 1] = cj[crit] + aj
-        rows[:, 2] = di
-        rows[:, 3] = dj
-        tri_rows.append(rows)
-    triangles = np.concatenate(tri_rows, axis=0)
-
-    crit_mask = np.zeros(grid.shape, dtype=bool)
-    tri_i, tri_j = triangle_corners(triangles)
-    crit_mask[tri_i, tri_j] = True
-    return triangles, crit_mask
+    cell_zero = np.stack([zero[ci + oi, cj + oj] for oi, oj in _CELL_CORNERS])
+    return ci + cells.start, cj, cell_zero
 
 
 def triangle_corners(triangles: np.ndarray):

@@ -10,6 +10,7 @@ the inner loop ("j1 fastest").
 from __future__ import annotations
 
 import concurrent.futures
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -56,11 +57,13 @@ def build_grid(lower, upper, n1: int, n2: int) -> Grid:
     Args:
         lower, upper: box corners, length-2 sequences with lower < upper
             componentwise.
-        n1, n2: number of grid points per axis, each at least 2.
+        n1, n2: number of grid points per axis, integers of at least 2.
 
     Raises:
+        TypeError: a resolution is not an integer (``operator.index``).
         ValueError: on inverted/degenerate bounds or resolutions below 2.
     """
+    n1, n2 = operator.index(n1), operator.index(n2)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     if lower.shape != (2,) or upper.shape != (2,):
@@ -80,8 +83,19 @@ def build_grid(lower, upper, n1: int, n2: int) -> Grid:
     x2 = lower[1] + s2 * np.arange(n2)
     x1[-1] = upper[0]
     x2[-1] = upper[1]
-    return Grid(lower=lower, upper=upper, n1=int(n1), n2=int(n2),
+    return Grid(lower=lower, upper=upper, n1=n1, n2=n2,
                 s1=float(s1), s2=float(s2), x1=x1, x2=x2)
+
+
+# grid rows per block of the per-point stages after ``build_fieldset``:
+# their temporaries then grow with one block, not with the whole grid
+BLOCK_ROWS = 128
+
+
+def row_blocks(n: int) -> list:
+    """Slices of at most ``BLOCK_ROWS`` consecutive indices, in order,
+    that cover ``range(n)``."""
+    return [slice(lo, min(lo + BLOCK_ROWS, n)) for lo in range(0, n, BLOCK_ROWS)]
 
 
 def evaluate_grid(problem: BiObjectiveProblem, grid: Grid, workers: int = 1):
@@ -92,8 +106,9 @@ def evaluate_grid(problem: BiObjectiveProblem, grid: Grid, workers: int = 1):
     on a thread pool; results are written into preallocated arrays slice by
     slice, so the output is identical for any worker count.  Threads must
     not become the default: on sgk at 2000² (2-vCPU VM) two workers cut the
-    CLI's wall time by about 10 % but raised its peak RSS from 592 to 714 MB
-    (+21 %).
+    CLI's wall time by about 10 % but raised its peak RSS from 487 to 609 MB
+    (+25 %, ``cli.run`` in process), above everything the one-thread run
+    allocates after this call.
 
     Raises:
         DomainError: grid box not contained in the problem box.

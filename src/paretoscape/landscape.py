@@ -36,7 +36,7 @@ import numpy as np
 from .criticality import (CriticalityMap, NEIGHBOR_OFFSETS, classify,
                           pair_slices)
 from .gradients import FieldSet, build_fieldset, gradient_norms
-from .grid import Grid, build_grid, export_grid_csv
+from .grid import Grid, build_grid, export_grid_csv, row_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -279,65 +279,84 @@ def gfh_heights(fields: FieldSet, critmap: CriticalityMap,
     components are basins.  A point keeps only its step, an int8 index into
     ``NEIGHBOR_OFFSETS``; 8-entry tables give the successor of flat point v,
     succ[v] = v + shift[step[v]], and its cost ||mo[v]|| * length[step[v]].
-    The successor graph is peeled in topological rounds, sources first;
-    each round decrements the in-degree of its frontier's targets only, so
-    the whole peel costs about O(N log N).  Walking the rounds backwards,
-    h[v] = cost[v] + h[succ[v]], and each peeled point takes its
-    successor's stop kind with its height.
+    The steps, the stop kinds and each point's cost, which starts out in
+    its height, are found per block of ``row_blocks`` rows, with the same
+    expressions on each element as on the whole grid, so no full grid of
+    norms is needed.  The in-degree is counted as int8, one offset at a
+    time, on slice views.  The successor graph is peeled in topological
+    rounds, sources first, kept as int32 point indices; each round
+    decrements the in-degree of its frontier's targets only, so the whole
+    peel costs about O(N log N).  Stops then get height 0, and walking the
+    rounds backwards, h[v] = cost[v] + h[succ[v]], and each peeled point
+    takes its successor's stop kind with its height.
     """
     grid = fields.grid
-    N = grid.n1 * grid.n2
+    n1, n2 = grid.shape
+    N = n1 * n2
     mo = fields.mo
     offsets = np.array(NEIGHBOR_OFFSETS)
     length = np.hypot(offsets[:, 0] * grid.s1, offsets[:, 1] * grid.s2)
-    shift = offsets[:, 0] * grid.n2 + offsets[:, 1]
-
-    # by exact negation, the least mo . step / length is -mo's best step
-    low = np.full(grid.shape, np.inf)
-    step = np.zeros(grid.shape, dtype=np.int8)
-    for k, (di, dj) in enumerate(NEIGHBOR_OFFSETS):
-        # slice views: updates only where the offset target stays in-grid
-        ai, aj = pair_slices(di)[0], pair_slices(dj)[0]
-        dot = (mo[ai, aj, 0] * (di * grid.s1) + mo[ai, aj, 1] * (dj * grid.s2)) / length[k]
-        better = dot < low[ai, aj]
-        np.copyto(low[ai, aj], dot, where=better)
-        np.copyto(step[ai, aj], k, where=better)
-    step = step.ravel()
+    shift = offsets[:, 0] * n2 + offsets[:, 1]
 
     # terminals end their own paths, each kind overriding the ones before
     # it; the linked rest stay "cycle" unless the peel reaches them
-    mo_norm = gradient_norms(mo).ravel()
     cycle = STOP_KINDS.index("cycle")
-    kind = np.full(N, cycle, dtype=np.int8)
-    kind[low.ravel() >= 0.0] = STOP_KINDS.index("dead_end")
-    kind[mo_norm <= 0.0] = STOP_KINDS.index("pit")
-    kind[critmap.efficient_mask.ravel()] = STOP_KINDS.index("efficient")
+    kind = np.full(grid.shape, cycle, dtype=np.int8)
+    step = np.zeros(grid.shape, dtype=np.int8)
+    heights = np.empty(grid.shape)
+    for rows in row_blocks(n1):
+        # by exact negation, the least mo . step / length is -mo's best step
+        low = np.full((rows.stop - rows.start, n2), np.inf)
+        for k, (di, dj) in enumerate(NEIGHBOR_OFFSETS):
+            # the block's rows whose offset target stays in-grid, as views
+            src = slice(max(rows.start, -di), min(rows.stop, n1 - di))
+            ai = slice(src.start - rows.start, src.stop - rows.start)
+            aj = pair_slices(dj)[0]
+            dot = (mo[src, aj, 0] * (di * grid.s1) + mo[src, aj, 1] * (dj * grid.s2)) / length[k]
+            better = dot < low[ai, aj]
+            np.copyto(low[ai, aj], dot, where=better)
+            np.copyto(step[src, aj], k, where=better)
+        block = kind[rows]
+        block[low >= 0.0] = STOP_KINDS.index("dead_end")
+        norm = gradient_norms(mo[rows])
+        block[norm <= 0.0] = STOP_KINDS.index("pit")
+        # each point's step cost, which the peel turns into its height
+        np.multiply(norm, length[step[rows]], out=heights[rows])
+    kind[critmap.efficient_mask] = STOP_KINDS.index("efficient")
     linked = kind == cycle
-    del low
+
+    # at most 8 in-edges per point
+    indeg = np.zeros(grid.shape, dtype=np.int8)
+    for k, (di, dj) in enumerate(NEIGHBOR_OFFSETS):
+        (ai, bi), (aj, bj) = pair_slices(di), pair_slices(dj)
+        indeg[bi, bj] += linked[ai, aj] & (step[ai, aj] == k)
+    step, kind, linked, indeg, heights = (
+        a.ravel() for a in (step, kind, linked, indeg, heights))
 
     def succ(v):
         return v + shift[step[v]]
 
-    indeg = np.bincount(succ(np.flatnonzero(linked)), minlength=N)
+    index = np.int32 if N <= np.iinfo(np.int32).max else np.int64
     frontier = np.flatnonzero(linked & (indeg == 0))
     rounds = []
     while frontier.size:
-        rounds.append(frontier)
+        rounds.append(frontier.astype(index))
         cand, dec = np.unique(succ(frontier), return_counts=True)
         indeg[cand] -= dec
         cand = cand[indeg[cand] == 0]
         frontier = cand[linked[cand]]
     # every linked point whose in-degree reached 0 was peeled; the rest keep
     # an in-edge from each other and form the cycles
-    on_cycle = np.flatnonzero(linked & (indeg > 0))
-    del indeg
+    cut = linked & (indeg > 0)
+    on_cycle = np.flatnonzero(cut)
+    heights[cut | ~linked] = 0.0
+    del indeg, linked, cut
 
     # every peeled point ends where its successor does
-    heights = np.zeros(N)
     for frontier in reversed(rounds):
-        s = step[frontier]
-        t = frontier + shift[s]
-        heights[frontier] = mo_norm[frontier] * length[s] + heights[t]
+        frontier = frontier.astype(np.intp)
+        t = frontier + shift[step[frontier]]
+        heights[frontier] += heights[t]
         kind[frontier] = kind[t]
     per_kind = np.bincount(kind, minlength=len(STOP_KINDS))
     stop_counts = dict(zip(STOP_KINDS, per_kind.tolist()))

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criticality import CriticalityMap, PointClass
+from .criticality import CriticalityMap
+from .grid import row_blocks
 from .landscape import EfficientSetDecomposition, HeightField
 
 
@@ -48,16 +49,18 @@ def colormap_blue_red(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def normalize_heights(values: np.ndarray, log_scale: bool = True) -> np.ndarray:
-    """Scale heights to [0, 1]; constant fields collapse to 0."""
-    v = np.asarray(values, dtype=float)
-    lo = v.min()
-    span = v.max() - lo
+def _normalizer(values: np.ndarray, log_scale: bool):
+    """The map that scales heights ``values`` to [0, 1], log-compressed if
+    ``log_scale``, as a function of any block of them: the minimum and
+    maximum are found once.  Constant fields collapse to 0."""
+    lo = np.float64(np.min(values))
+    span = np.float64(np.max(values)) - lo
     if span <= 0:
-        return np.zeros(v.shape)
+        return lambda v: np.zeros(np.shape(v))
     if log_scale:
-        return np.log1p(v - lo) / np.log1p(span)
-    return (v - lo) / span
+        top = np.log1p(span)
+        return lambda v: np.log1p(np.asarray(v, dtype=float) - lo) / top
+    return lambda v: (np.asarray(v, dtype=float) - lo) / span
 
 
 @dataclass
@@ -102,38 +105,52 @@ def _encode_png(raster: np.ndarray) -> bytes:
             + _png_chunk(b"IEND", b""))
 
 
-def _grid_to_image(rgb_grid: np.ndarray) -> np.ndarray:
-    """(n1, n2, 3) grid-indexed colours -> (n2, n1, 3) image, x2 up."""
-    return np.ascontiguousarray(np.flip(np.transpose(rgb_grid, (1, 0, 2)), axis=0))
+def _image(shape, colour_rows) -> np.ndarray:
+    """(n2, n1, 3) image, x2 up, of the colours of an (n1, n2) grid, which
+    ``colour_rows(rows)`` gives as a (k, n2, 3) or (k, n2, 1) uint8 array
+    for each block ``rows`` of ``row_blocks`` grid rows."""
+    n1, n2 = shape
+    image = np.empty((n2, n1, 3), dtype=np.uint8)
+    for rows in row_blocks(n1):
+        image[::-1, rows] = np.swapaxes(colour_rows(rows), 0, 1)
+    return image
 
 
 def render_height_map(heights: HeightField, log_scale: bool = True) -> PlotArtifact:
-    """Blue-to-red map of a (gfh or cost) height field."""
-    u = normalize_heights(heights.values, log_scale=log_scale)
-    return PlotArtifact(raster=_grid_to_image(colormap_blue_red(u)))
+    """Blue-to-red map of a (gfh or cost) height field, normalised and
+    coloured per block of grid rows."""
+    values = heights.values
+    norm = _normalizer(values, log_scale)
+    return PlotArtifact(raster=_image(
+        values.shape, lambda rows: colormap_blue_red(norm(values[rows]))))
+
+
+# colour of each PointClass value
+_CLASS_RGB = np.array([WHITE, GRAY_CRITICAL, BLACK_EFFICIENT, BLACK_EFFICIENT],
+                      dtype=np.uint8)
 
 
 def render_critical_map(critmap: CriticalityMap) -> PlotArtifact:
     """White background, gray critical-only points, black efficient points."""
-    rgb = np.empty(critmap.grid.shape + (3,), dtype=np.uint8)
-    rgb[...] = WHITE
-    rgb[critmap.critical_only_mask] = GRAY_CRITICAL
-    rgb[critmap.efficient_mask] = BLACK_EFFICIENT
-    return PlotArtifact(raster=_grid_to_image(rgb))
+    labels = critmap.labels
+    return PlotArtifact(raster=_image(
+        labels.shape, lambda rows: _CLASS_RGB.take(labels[rows], axis=0)))
 
 
 def compose_plot(heights: HeightField, decomposition: EfficientSetDecomposition,
                  log_scale: bool = True) -> PlotArtifact:
     """Rank-coloured efficient set over a grayscale descent-height background.
 
+    The background is normalised and coloured per block of grid rows.
     Efficient pixels take the blue-to-red colour of their dominance rank
     relative to the largest rank present (all-rank-0 sets come out uniformly
     blue).  With no efficient points the background is returned alone and
     the legend's only key, ``"warning"``, says so.
     """
-    u = normalize_heights(heights.values, log_scale=log_scale)
-    gray = np.rint(255.0 * (1.0 - u)).astype(np.uint8)
-    rgb = np.repeat(gray[..., None], 3, axis=2)
+    values = heights.values
+    norm = _normalizer(values, log_scale)
+    image = _image(values.shape, lambda rows: np.rint(
+        255.0 * (1.0 - norm(values[rows]))).astype(np.uint8)[..., None])
     legend = {}
     if decomposition.n_efficient == 0:
         legend["warning"] = "no locally efficient points detected"
@@ -141,9 +158,9 @@ def compose_plot(heights: HeightField, decomposition: EfficientSetDecomposition,
         max_rank = int(decomposition.ranks.max())
         ur = (decomposition.ranks / max_rank) if max_rank > 0 else np.zeros(
             decomposition.ranks.shape)
-        colors = colormap_blue_red(ur)
-        rgb[decomposition.points[:, 0], decomposition.points[:, 1]] = colors
-    return PlotArtifact(raster=_grid_to_image(rgb), legend=legend)
+        i, j = decomposition.points[:, 0], decomposition.points[:, 1]
+        image[values.shape[1] - 1 - j, i] = colormap_blue_red(ur)
+    return PlotArtifact(raster=image, legend=legend)
 
 
 def render(mode: str, *, heights: HeightField = None,

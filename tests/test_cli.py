@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from paretoscape import analyze, get_problem
+from paretoscape import cli as cli_module
 from paretoscape import grid as grid_module
-from paretoscape.cli import RunConfig, main, parse_args
+from paretoscape.cli import RunConfig, UsageError, main, parse_args
 from paretoscape.grid import _distinct_text
 from paretoscape.problems import PROBLEM_FACTORIES
 
@@ -69,6 +70,30 @@ def test_invalid_tolerance_exit_1(flag, value, tmp_path, capsys):
                  "--out", str(out), flag, value]) == 1
     assert f"{flag} must be finite and >= 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_resolution_beyond_the_memory_budget_exits_1(tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli_module, "analyze", None)    # never reached
+    argv = ["--problem", "sgk", "--resolution", "1000000",
+            "--export-csv", "h.csv", "--export-json", "d.json"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    estimate = (cli_module.BUDGET_BASE_BYTES
+                + cli_module.BUDGET_BYTES_PER_POINT * 10 ** 12) / 2 ** 20
+    assert f"needs an estimated {estimate:.0f} MB" in err
+    assert "physical memory" in err
+    assert list(tmp_path.iterdir()) == []
+    # the same estimate decides: just below physical memory passes the check
+    n = 3000
+    need = (cli_module.BUDGET_BASE_BYTES
+            + cli_module.BUDGET_BYTES_PER_POINT * n * n)
+    monkeypatch.setattr(cli_module, "_physical_memory", lambda: need)
+    assert parse_args(["--problem", "sgk", "--resolution", str(n)]).n1 == n
+    monkeypatch.setattr(cli_module, "_physical_memory", lambda: need - 1)
+    with pytest.raises(UsageError, match="needs an estimated"):
+        parse_args(["--problem", "sgk", "--resolution", str(n)])
 
 
 def test_unknown_problem_exit_1(capsys):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from paretoscape import (BiObjectiveProblem, DomainError, EvaluationError,
-                         build_grid, evaluate_grid, make_aspar, make_bisphere)
+                         analyze, build_grid, evaluate_grid, make_aspar,
+                         make_bisphere)
 from paretoscape import grid as grid_module
 from paretoscape.grid import export_grid_csv
 
@@ -54,6 +55,18 @@ def test_build_grid_validation():
         build_grid((1, 0), (0, 1), 5, 5)
     with pytest.raises(ValueError, match="finite"):
         build_grid((0, float("nan")), (1, 1), 5, 5)
+
+
+def test_build_grid_rejects_non_integer_resolutions():
+    # int(5.5) would give 5 rows with coordinates spaced 1/4.5
+    for n1, n2 in [(5.5, 4), (4, 3.0), ("5", 4), (np.float64(6.0), 4)]:
+        with pytest.raises(TypeError):
+            build_grid((0, 0), (1, 1), n1, n2)
+    with pytest.raises(TypeError):
+        analyze(make_aspar(), 30.5)
+    g = build_grid((0, 0), (1, 1), np.int64(5), np.int32(4))
+    assert g.shape == (5, 4) and type(g.n1) is int and type(g.n2) is int
+    assert g.x1.size == 5 and g.x2.size == 4
 
 
 def test_evaluate_grid_matches_pointwise():

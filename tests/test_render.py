@@ -13,7 +13,7 @@ from paretoscape import (analyze, colormap_blue_red, compose_plot,
 from paretoscape.grid import build_grid
 from paretoscape.landscape import HeightField
 from paretoscape.render import (BLACK_EFFICIENT, GRAY_CRITICAL, WHITE,
-                                normalize_heights)
+                                _normalizer)
 
 
 def _decode_png(data: bytes) -> np.ndarray:
@@ -56,15 +56,16 @@ def test_colormap_endpoints_and_monotone_channels():
 
 def test_normalize_heights_modes():
     v = np.array([[0.0, 1.0], [3.0, 7.0]])
-    lin = normalize_heights(v, log_scale=False)
+    lin = _normalizer(v, log_scale=False)(v)
     assert lin[0, 0] == 0.0 and lin[1, 1] == 1.0
     assert lin[0, 1] == pytest.approx(1.0 / 7.0)
-    log = normalize_heights(v, log_scale=True)
+    log = _normalizer(v, log_scale=True)(v)
     assert log[0, 0] == 0.0 and log[1, 1] == 1.0
     assert log[0, 1] == pytest.approx(np.log1p(1.0) / np.log1p(7.0))
     # log compression lifts mid values above the linear ramp
     assert log[0, 1] > lin[0, 1]
-    const = normalize_heights(np.full((3, 3), 4.2))
+    flat = np.full((3, 3), 4.2)
+    const = _normalizer(flat, log_scale=True)(flat)
     assert (const == 0.0).all()
 
 
