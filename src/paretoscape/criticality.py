@@ -29,6 +29,10 @@ test; one table of the four box edges drives both), and finally any
 efficient-labelled point strictly dominated by one of its eight grid
 neighbours is demoted — the neighbourhood definition of local efficiency
 applied at the resolution the grid can support.
+
+The interior test, the divergence and the dominance trim run per block of
+grid rows on all usable CPUs (``grid.map_blocks``), the stencils with a
+halo row; the labels do not depend on the block size or the thread count.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import numpy as np
 
 from .gradients import (FieldSet, _is_zero, check_tolerance, divergence,
                         gradient_norms)
-from .grid import Grid, row_blocks
+from .grid import Grid, map_blocks, row_blocks, with_halo
 
 
 class PointClass(IntEnum):
@@ -171,9 +175,10 @@ def interior_criticality(g1: np.ndarray, g2: np.ndarray, grid: Grid,
     gradients gathered from ``g1`` and ``g2``.
 
     Both run per block of ``row_blocks`` cell rows, on that block's norms,
-    zero rule and strided component views, so that the temporaries grow
-    with one block; each element gets the same expressions as on the whole
-    grid, so the result does not depend on the block size.
+    zero rule and strided component views, through ``map_blocks``, so that
+    the temporaries grow with one block per thread; each element gets the
+    same expressions as on the whole grid, so the result does not depend on
+    the block size or the thread count.
 
     Returns:
         triangles: int32 array (T, 4), rows (i, j, di, dj) meaning corners
@@ -181,28 +186,32 @@ def interior_criticality(g1: np.ndarray, g2: np.ndarray, grid: Grid,
             orientation by orientation in ``ORIENTATIONS`` order, row-major.
         crit_mask: (n1, n2) bool, True at every corner of a critical triangle.
     """
-    n1, n2 = grid.shape
-    tri_rows = [[] for _ in ORIENTATIONS]
-    for cells in row_blocks(n1 - 1):
+    def block(cells: slice) -> list:
+        # the critical triangles of cell rows ``cells``, per orientation
         ci, cj, cell_zero = _uncertified_cells(g1, g2, cells, zero_tol)
         corner_g = [g[ci + oi, cj + oj] for g in (g1, g2)
                     for oi, oj in _CELL_CORNERS]
         ahead = _ahead(  # vectors 0-3: g1 at corners 0-3, then g2
             np.stack([g[:, 0] for g in corner_g]),
             np.stack([g[:, 1] for g in corner_g]))
-        for rows, (di, dj) in zip(tri_rows, ORIENTATIONS):
+        found = []
+        for di, dj in ORIENTATIONS:
             ai, aj = int(di < 0), int(dj < 0)
             corners = [ai + 2 * aj, ai + di + 2 * aj, ai + 2 * (aj + dj)]
             six = corners + [c + 4 for c in corners]
             crit = _encloses(ahead[np.ix_(six, six)],
                              cell_zero[corners].any(axis=0))
-            block = np.empty((int(crit.sum()), 4), dtype=np.int32)
-            block[:, 0] = ci[crit] + ai
-            block[:, 1] = cj[crit] + aj
-            block[:, 2] = di
-            block[:, 3] = dj
-            rows.append(block)
-    triangles = np.concatenate([b for rows in tri_rows for b in rows], axis=0)
+            rows = np.empty((int(crit.sum()), 4), dtype=np.int32)
+            rows[:, 0] = ci[crit] + ai
+            rows[:, 1] = cj[crit] + aj
+            rows[:, 2] = di
+            rows[:, 3] = dj
+            found.append(rows)
+        return found
+
+    per_block = map_blocks(block, row_blocks(grid.n1 - 1))
+    triangles = np.concatenate([found[k] for k in range(len(ORIENTATIONS))
+                                for found in per_block], axis=0)
 
     crit_mask = np.zeros(grid.shape, dtype=bool)
     tri_i, tri_j = triangle_corners(triangles)
@@ -331,7 +340,21 @@ def rotate_boundary_field(mo_raw: np.ndarray, skip_mask: np.ndarray,
 
 
 def neighbor_dominated_mask(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
-    """True where some 8-neighbour strictly dominates the point."""
+    """True where some 8-neighbour strictly dominates the point; per block
+    of ``row_blocks`` rows with a halo row, through ``map_blocks``."""
+    n1 = f1.shape[0]
+    dom = np.empty(f1.shape, dtype=bool)
+
+    def block(rows: slice):
+        slab, inner = with_halo(rows, n1)
+        dom[rows] = _dominated(f1[slab], f2[slab])[inner]
+
+    map_blocks(block, row_blocks(n1))
+    return dom
+
+
+def _dominated(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+    """``neighbor_dominated_mask`` of whole arrays, for one slab."""
     dom = np.zeros(f1.shape, dtype=bool)
     for di, dj in NEIGHBOR_OFFSETS:
         ai, bi = pair_slices(di)
@@ -391,7 +414,8 @@ def classify(fields: FieldSet, div_tol_rel: float = 1e-9) -> CriticalityMap:
     first_order = interior_mask | boundary_mask
 
     fields.mo = rotate_boundary_field(fields.mo_raw, first_order, grid)
-    fields.div_descent = -divergence(fields.mo, grid)
+    div = divergence(fields.mo, grid)
+    fields.div_descent = np.negative(div, out=div)
     div_tol = div_tol_rel * float(np.abs(fields.div_descent).max(initial=0.0))
 
     tri_eff = triangle_second_order(triangles, fields.div_descent, div_tol)

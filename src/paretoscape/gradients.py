@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import (EvaluationError, Grid, check_finite, evaluate_grid,
-                   export_grid_csv)
+                   export_grid_csv, map_blocks, row_blocks, with_halo)
 
 
 def finite_diff_gradients(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -28,7 +28,19 @@ def finite_diff_gradients(values: np.ndarray, grid: Grid) -> np.ndarray:
     """
     if values.shape != grid.shape:
         raise ValueError(f"field shape {values.shape} does not match grid {grid.shape}")
-    return np.stack(np.gradient(values, grid.s1, grid.s2), axis=-1)
+    g = np.empty(grid.shape + (2,))
+    _gradient_rows(values, grid, slice(0, grid.n1), g)
+    return g
+
+
+def _gradient_rows(values: np.ndarray, grid: Grid, rows: slice,
+                   out: np.ndarray) -> None:
+    """``finite_diff_gradients`` of ``values`` at grid rows ``rows``, into
+    ``out`` of shape (len(rows), n2, 2), from those rows and a halo row on
+    each side."""
+    slab, inner = with_halo(rows, grid.n1)
+    out[..., 0] = np.gradient(values[slab], grid.s1, axis=0)[inner]
+    out[..., 1] = np.gradient(values[rows], grid.s2, axis=1)
 
 
 def gradient_norms(g: np.ndarray) -> np.ndarray:
@@ -58,10 +70,20 @@ def _unit_sum(g1, g2, n1, n2, zero_tol: float) -> np.ndarray:
 
 
 def divergence(v: np.ndarray, grid: Grid) -> np.ndarray:
-    """Divergence of a vector field, same stencils as the gradients."""
+    """Divergence of a vector field, same stencils as the gradients,
+    computed per block of ``row_blocks`` rows with a halo row by
+    ``map_blocks``."""
     if v.shape != grid.shape + (2,):
         raise ValueError(f"vector field shape {v.shape} does not match grid {grid.shape}")
-    return np.gradient(v[..., 0], grid.s1, axis=0) + np.gradient(v[..., 1], grid.s2, axis=1)
+    div = np.empty(grid.shape)
+
+    def block(rows: slice):
+        slab, inner = with_halo(rows, grid.n1)
+        div[rows] = (np.gradient(v[slab, :, 0], grid.s1, axis=0)[inner]
+                     + np.gradient(v[rows, :, 1], grid.s2, axis=1))
+
+    map_blocks(block, row_blocks(grid.n1))
+    return div
 
 
 @dataclass
@@ -98,7 +120,13 @@ def build_fieldset(problem, grid: Grid, zero_tol_rel: float = 1e-12,
     """Evaluate a problem on a grid and derive all first-order fields.
 
     ``zero_tol_rel`` is relative to the gradient scale, the pooled mean
-    norm 0.5 * (mean ||g1|| + mean ||g2||).
+    norm 0.5 * (mean ||g1|| + mean ||g2||), taken over the whole grid's
+    norm arrays.  The stencils, the norms and ``_unit_sum`` run per block
+    of ``row_blocks`` rows (the stencils with a halo row) through
+    ``map_blocks``, with the same expressions on each element as on the
+    whole grid, so the fields do not depend on the block size or the
+    thread count.  ``workers`` is ignored: ``perfbench/chain.py`` still
+    passes it.
 
     Raises:
         ValueError: ``zero_tol_rel`` is negative, infinite or NaN.
@@ -106,11 +134,18 @@ def build_fieldset(problem, grid: Grid, zero_tol_rel: float = 1e-12,
             norm is NaN or infinite, or the gradient scale overflows.
     """
     check_tolerance("zero_tol_rel", zero_tol_rel)
-    f1, f2 = evaluate_grid(problem, grid, workers=workers)
+    f1, f2 = evaluate_grid(problem, grid)
+    g1, g2 = np.empty(grid.shape + (2,)), np.empty(grid.shape + (2,))
+    n1, n2 = np.empty(grid.shape), np.empty(grid.shape)
+
+    def first_order(rows: slice):
+        with np.errstate(over="ignore"):
+            for f, g, n in ((f1, g1, n1), (f2, g2, n2)):
+                _gradient_rows(f, grid, rows, g[rows])
+                n[rows] = gradient_norms(g[rows])
+
+    map_blocks(first_order, row_blocks(grid.n1))
     with np.errstate(over="ignore"):
-        g1 = finite_diff_gradients(f1, grid)
-        g2 = finite_diff_gradients(f2, grid)
-        n1, n2 = gradient_norms(g1), gradient_norms(g2)
         scale = float(0.5 * (n1.mean() + n2.mean()))
     check_finite(problem, grid, (("gradient of f1", g1), ("gradient of f2", g2),
                                  ("gradient norm of f1", n1),
@@ -118,7 +153,12 @@ def build_fieldset(problem, grid: Grid, zero_tol_rel: float = 1e-12,
     if not math.isfinite(scale):
         raise EvaluationError(f"problem {problem.name!r}: gradient scale overflows")
     zero_tol = zero_tol_rel * scale
-    mo = _unit_sum(g1, g2, n1, n2, zero_tol)
+    mo = np.empty(grid.shape + (2,))
+
+    def unit_sum(rows: slice):
+        mo[rows] = _unit_sum(g1[rows], g2[rows], n1[rows], n2[rows], zero_tol)
+
+    map_blocks(unit_sum, row_blocks(grid.n1))
     return FieldSet(grid=grid, f1=f1, f2=f2, g1=g1, g2=g2,
                     mo_raw=mo, mo=mo, zero_tol=zero_tol)
 

@@ -4,12 +4,15 @@ Scalar fields over a grid are plain float arrays of shape (n1, n2) indexed
 ``values[j1, j2]`` (0-based internally; exports use the 1-based convention).
 Vector fields add a trailing axis of length 2.  Per-point CSV exports all go
 through ``export_grid_csv``, which iterates j2 in the outer loop and j1 in
-the inner loop ("j1 fastest").
+the inner loop ("j1 fastest").  The per-point stages of the pipeline run
+in blocks of ``BLOCK_ROWS`` grid rows (``row_blocks``, with ``with_halo``
+for stencils) on the calling thread plus helper threads (``map_blocks``),
+with outputs that depend neither on the block size nor on the thread
+count.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import operator
 import os
 import threading
@@ -87,9 +90,13 @@ def build_grid(lower, upper, n1: int, n2: int) -> Grid:
                 s1=float(s1), s2=float(s2), x1=x1, x2=x2)
 
 
-# grid rows per block of the per-point stages after ``build_fieldset``:
-# their temporaries then grow with one block, not with the whole grid
-BLOCK_ROWS = 128
+# grid rows per block of the per-point stages: their temporaries grow with
+# one block per thread, not with the whole grid.  glibc gives each helper
+# thread its own malloc arena, which keeps freed block temporaries resident,
+# so the block size sets the peak RSS: the CLI sgk plot at 2000² (2 CPUs)
+# peaked at 480, 482, 485 and 493 MB with 16-, 32-, 64- and 128-row blocks
+# (487 MB on one thread with 128) at about the same wall time
+BLOCK_ROWS = 32
 
 
 def row_blocks(n: int) -> list:
@@ -98,17 +105,77 @@ def row_blocks(n: int) -> list:
     return [slice(lo, min(lo + BLOCK_ROWS, n)) for lo in range(0, n, BLOCK_ROWS)]
 
 
+def with_halo(rows: slice, n: int):
+    """(slab, inner): ``rows`` widened by one halo row on each side, within
+    ``range(n)``, and the position of ``rows`` inside that slab.  A stencil
+    over the slab gives the rows of ``inner`` the values it gives them on
+    all n rows."""
+    lo, hi = max(rows.start - 1, 0), min(rows.stop + 1, n)
+    return slice(lo, hi), slice(rows.start - lo, rows.stop - lo)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def map_blocks(fn, blocks) -> list:
+    """``[fn(b) for b in blocks]``, computed on the calling thread plus
+    min(P, len(blocks)) - 1 helper threads, P = ``_cpus()``.
+
+    Each thread takes the next block not yet taken until none is left, so
+    ``fn`` must be safe to run concurrently on different blocks: the stages
+    write disjoint rows of preallocated arrays, and numpy releases the
+    interpreter lock inside its loops.  Results come back in block order.
+    The helpers are started and joined inside each call, so no thread
+    outlives it (``export_grid_csv`` forks).  After a block raises, no
+    thread takes another block, and the exception of the lowest-numbered
+    failing block is raised here once every helper has finished.  Thread-local numpy state such as ``np.errstate``
+    is not inherited by the helpers: ``fn`` sets what it needs.
+    """
+    blocks = list(blocks)
+    results = [None] * len(blocks)
+    errors = {}
+    lock = threading.Lock()
+    pending = iter(range(len(blocks)))
+
+    def work():
+        while True:
+            with lock:
+                k = None if errors else next(pending, None)
+            if k is None:
+                return
+            try:
+                results[k] = fn(blocks[k])
+            except BaseException as exc:    # re-raised by the calling thread
+                with lock:
+                    errors[k] = exc
+
+    helpers = [threading.Thread(target=work, daemon=True)
+               for _ in range(min(_cpus(), len(blocks)) - 1)]
+    for t in helpers:
+        t.start()
+    try:
+        work()
+    finally:
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def evaluate_grid(problem: BiObjectiveProblem, grid: Grid, workers: int = 1):
     """Evaluate both objectives on every grid point.
 
     Returns two (n1, n2) arrays (f1, f2).  The grid box must lie inside the
-    problem's box.  ``workers > 1`` splits the grid into row blocks evaluated
-    on a thread pool; results are written into preallocated arrays slice by
-    slice, so the output is identical for any worker count.  Threads must
-    not become the default: on sgk at 2000² (2-vCPU VM) two workers cut the
-    CLI's wall time by about 10 % but raised its peak RSS from 487 to 609 MB
-    (+25 %, ``cli.run`` in process), above everything the one-thread run
-    allocates after this call.
+    problem's box.  Blocks of ``row_blocks`` grid rows are evaluated by
+    ``map_blocks`` into preallocated arrays; the objectives are elementwise,
+    so the output does not depend on the block size or the thread count.
+    ``workers`` is ignored: ``perfbench/chain.py`` still passes it.
 
     Raises:
         DomainError: grid box not contained in the problem box.
@@ -126,19 +193,10 @@ def evaluate_grid(problem: BiObjectiveProblem, grid: Grid, workers: int = 1):
     f1 = np.empty(grid.shape, dtype=float)
     f2 = np.empty(grid.shape, dtype=float)
 
-    def eval_block(sl: slice):
-        a, b = problem.evaluate_arrays(X1[sl], X2[sl])
-        f1[sl] = a
-        f2[sl] = b
+    def eval_block(rows: slice):
+        f1[rows], f2[rows] = problem.evaluate_arrays(X1[rows], X2[rows])
 
-    if workers <= 1:
-        eval_block(slice(None))
-    else:
-        block = max(1, -(-grid.n1 // workers))
-        slices = [slice(i, min(i + block, grid.n1)) for i in range(0, grid.n1, block)]
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(eval_block, slices))
-
+    map_blocks(eval_block, row_blocks(grid.n1))
     check_finite(problem, grid, (("f1", f1), ("f2", f2)))
     return f1, f2
 
@@ -194,14 +252,6 @@ def _distinct_text(values: np.ndarray):
             inverse.astype(np.min_scalar_type(distinct.size - 1)))
 
 
-def _csv_processes() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _csv_block(lo: int) -> bytes:
     """The ASCII rows ``lo`` to ``lo + CSV_BLOCK_ROWS`` of the export in
     progress."""
@@ -250,7 +300,7 @@ def export_grid_csv(path, grid: Grid, header, columns) -> None:
     distinct = [_distinct_text(c.T.ravel()) for c in columns]
     head = (",".join(["j1", "j2", "x1", "x2", *header]) + "\n").encode("ascii")
     starts = range(0, n, CSV_BLOCK_ROWS)
-    processes = min(_csv_processes(), len(starts))
+    processes = min(_cpus(), len(starts))
     row_by_row = any(d is None for d in distinct)
     with _csv_lock:
         _csv_job = (grid.n1, n, axes, columns, distinct)

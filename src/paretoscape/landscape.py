@@ -9,8 +9,10 @@ Two height fields summarise the landscape:
   lands in is its basin.  Paths that end in a field-zero pit, at a dead end
   with no descending neighbour, or in a cycle carry no basin and are
   counted as unconverged; each of the four stop kinds is counted apart.
-  Each point keeps its step as an int8 offset code; heights accumulate
-  over topological rounds of the successor forest in about O(N log N).
+  Each point keeps its step as an int8 offset code, chosen per block of
+  grid rows on all usable CPUs (``grid.map_blocks``); heights accumulate
+  over topological rounds of the successor forest, peeled sequentially, in
+  about O(N log N).
 
 * cost landscape ("cost"): the height of a point is the number of grid
   points that strictly dominate it.  Exact tie semantics matter: points with
@@ -36,7 +38,8 @@ import numpy as np
 from .criticality import (CriticalityMap, NEIGHBOR_OFFSETS, classify,
                           pair_slices)
 from .gradients import FieldSet, build_fieldset, gradient_norms
-from .grid import Grid, build_grid, export_grid_csv, row_blocks
+from .grid import (Grid, build_grid, export_grid_csv, map_blocks,
+                   row_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +283,12 @@ def gfh_heights(fields: FieldSet, critmap: CriticalityMap,
     ``NEIGHBOR_OFFSETS``; 8-entry tables give the successor of flat point v,
     succ[v] = v + shift[step[v]], and its cost ||mo[v]|| * length[step[v]].
     The steps, the stop kinds and each point's cost, which starts out in
-    its height, are found per block of ``row_blocks`` rows, with the same
-    expressions on each element as on the whole grid, so no full grid of
-    norms is needed.  The in-degree is counted as int8, one offset at a
-    time, on slice views.  The successor graph is peeled in topological
+    its height, are found per block of ``row_blocks`` rows through
+    ``map_blocks``, with the same expressions on each element as on the
+    whole grid, so no full grid of norms is needed and the result does not
+    depend on the block size or the thread count.  The in-degree is counted
+    as int8, per block of target rows and one offset at a time, on slice
+    views.  The successor graph is peeled sequentially in topological
     rounds, sources first, kept as int32 point indices; each round
     decrements the in-degree of its frontier's targets only, so the whole
     peel costs about O(N log N).  Stops then get height 0, and walking the
@@ -304,7 +309,8 @@ def gfh_heights(fields: FieldSet, critmap: CriticalityMap,
     kind = np.full(grid.shape, cycle, dtype=np.int8)
     step = np.zeros(grid.shape, dtype=np.int8)
     heights = np.empty(grid.shape)
-    for rows in row_blocks(n1):
+
+    def steps(rows: slice):
         # by exact negation, the least mo . step / length is -mo's best step
         low = np.full((rows.stop - rows.start, n2), np.inf)
         for k, (di, dj) in enumerate(NEIGHBOR_OFFSETS):
@@ -322,14 +328,22 @@ def gfh_heights(fields: FieldSet, critmap: CriticalityMap,
         block[norm <= 0.0] = STOP_KINDS.index("pit")
         # each point's step cost, which the peel turns into its height
         np.multiply(norm, length[step[rows]], out=heights[rows])
+
+    map_blocks(steps, row_blocks(n1))
     kind[critmap.efficient_mask] = STOP_KINDS.index("efficient")
     linked = kind == cycle
 
-    # at most 8 in-edges per point
+    # at most 8 in-edges per point, counted per block of target rows
     indeg = np.zeros(grid.shape, dtype=np.int8)
-    for k, (di, dj) in enumerate(NEIGHBOR_OFFSETS):
-        (ai, bi), (aj, bj) = pair_slices(di), pair_slices(dj)
-        indeg[bi, bj] += linked[ai, aj] & (step[ai, aj] == k)
+
+    def in_degree(rows: slice):
+        for k, (di, dj) in enumerate(NEIGHBOR_OFFSETS):
+            dst = slice(max(rows.start, di), min(rows.stop, n1 + di))
+            src = slice(dst.start - di, dst.stop - di)
+            aj, bj = pair_slices(dj)
+            indeg[dst, bj] += linked[src, aj] & (step[src, aj] == k)
+
+    map_blocks(in_degree, row_blocks(n1))
     step, kind, linked, indeg, heights = (
         a.ravel() for a in (step, kind, linked, indeg, heights))
 
@@ -406,14 +420,18 @@ def analyze(problem, n1: int, n2: Optional[int] = None, *,
             lower=None, upper=None,
             zero_tol_rel: float = 1e-12, div_tol_rel: float = 1e-9,
             workers: int = 1, with_cost: bool = False) -> LandscapeResult:
-    """Run the full pipeline for a problem at the given grid resolution."""
+    """Run the full pipeline for a problem at the given grid resolution.
+
+    The per-point stages run on all usable CPUs (``grid.map_blocks``), with
+    the same results for any thread count.  ``workers`` is ignored, like
+    the ``workers`` of ``build_fieldset`` and ``evaluate_grid``.
+    """
     if n2 is None:
         n2 = n1
     lo = problem.lower if lower is None else lower
     up = problem.upper if upper is None else upper
     grid = build_grid(lo, up, n1, n2)
-    fields = build_fieldset(problem, grid, zero_tol_rel=zero_tol_rel,
-                            workers=workers)
+    fields = build_fieldset(problem, grid, zero_tol_rel=zero_tol_rel)
     critmap = classify(fields, div_tol_rel=div_tol_rel)
     decomposition = decompose_efficient_set(critmap, fields.f1, fields.f2)
     heights, basins = gfh_heights(fields, critmap, decomposition)

@@ -1,9 +1,11 @@
 """Built-in bi-objective test problems on box-constrained 2-D domains.
 
 Every problem maps a point x = (x1, x2) inside its box to two objective
-values (f1, f2), both to be minimised.  Evaluation is vectorised: the
-callables accept equally shaped coordinate arrays and return objective
-arrays of the same shape, so a full grid is a single call.
+values (f1, f2), both to be minimised.  Evaluation is vectorised and
+elementwise: the callables accept equally shaped coordinate arrays and
+return objective arrays of the same shape, each element depending only on
+its own coordinates.  ``evaluate_grid`` calls them on blocks of grid rows,
+from several threads at once.
 
 Problems with simple closed-form derivatives also carry analytic gradients,
 used by the finite-difference validation tests.
@@ -36,7 +38,8 @@ class BiObjectiveProblem:
     Attributes:
         name: registry name (parametrised instances keep the base name).
         lower, upper: box corners, each a float array of shape (2,).
-        fn: vectorised evaluator (X1, X2) -> (F1, F2).
+        fn: vectorised elementwise evaluator (X1, X2) -> (F1, F2), called
+            concurrently on blocks of grid rows.
         gradient_fn: optional analytic gradient, (X1, X2) -> (G1, G2) where
             G1, G2 have one trailing axis of length 2 (d/dx1, d/dx2).
         note: free-form provenance/usage remark shown by --list-problems.

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .criticality import CriticalityMap
-from .grid import row_blocks
+from .grid import map_blocks, row_blocks
 from .landscape import EfficientSetDecomposition, HeightField
 
 
@@ -96,9 +96,11 @@ def _encode_png(raster: np.ndarray) -> bytes:
     """Minimal 8-bit truecolour PNG encoder (filter 0, fixed zlib level)."""
     h, w = raster.shape[:2]
     ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
-    rows = np.concatenate(
-        [np.zeros((h, 1), dtype=np.uint8), raster.reshape(h, w * 3)], axis=1)
-    idat = zlib.compress(rows.tobytes(), 9)
+    # each row behind its filter byte, compressed straight from the buffer
+    rows = np.empty((h, w * 3 + 1), dtype=np.uint8)
+    rows[:, 0] = 0
+    rows[:, 1:] = raster.reshape(h, w * 3)
+    idat = zlib.compress(rows, 9)
     return (b"\x89PNG\r\n\x1a\n"
             + _png_chunk(b"IHDR", ihdr)
             + _png_chunk(b"IDAT", idat)
@@ -108,11 +110,15 @@ def _encode_png(raster: np.ndarray) -> bytes:
 def _image(shape, colour_rows) -> np.ndarray:
     """(n2, n1, 3) image, x2 up, of the colours of an (n1, n2) grid, which
     ``colour_rows(rows)`` gives as a (k, n2, 3) or (k, n2, 1) uint8 array
-    for each block ``rows`` of ``row_blocks`` grid rows."""
+    for each block ``rows`` of ``row_blocks`` grid rows, run by
+    ``map_blocks``."""
     n1, n2 = shape
     image = np.empty((n2, n1, 3), dtype=np.uint8)
-    for rows in row_blocks(n1):
+
+    def block(rows: slice):
         image[::-1, rows] = np.swapaxes(colour_rows(rows), 0, 1)
+
+    map_blocks(block, row_blocks(n1))
     return image
 
 

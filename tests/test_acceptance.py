@@ -167,9 +167,10 @@ def test_criterion_6b_monotone_transform_invariance():
 def test_criterion_6c_determinism_across_runs_and_workers(tmp_path, capsys,
                                                           monkeypatch):
     blobs = []
-    # run tag, evaluation workers, CSV processes (the field CSV's pool)
-    for tag, workers, processes in (("a", 1, 1), ("b", 1, 2), ("c", 3, 3)):
-        monkeypatch.setattr(grid_module, "_csv_processes", lambda: processes)
+    # run tag and usable CPUs: the threads of the row-block stages and the
+    # processes of the field CSV's pool
+    for tag, cpus in (("a", 1), ("b", 2), ("c", 3)):
+        monkeypatch.setattr(grid_module, "_cpus", lambda: cpus)
         blob = []
         for mode in ("plot", "critical"):
             img = tmp_path / f"{tag}_{mode}.ppm"
@@ -177,16 +178,16 @@ def test_criterion_6c_determinism_across_runs_and_workers(tmp_path, capsys,
             js = tmp_path / f"{tag}_{mode}.json"
             cfg = RunConfig(problem="sgk", mode=mode, n1=101, n2=101,
                             out=str(img), export_csv=str(csv),
-                            export_json=str(js), workers=workers)
+                            export_json=str(js))
             assert run(cfg) == 0
             blob += [img.read_bytes(), csv.read_bytes(), js.read_bytes(),
                      capsys.readouterr().out]
         blobs.append(blob)
     assert blobs[0] == blobs[1] == blobs[2]
     assert multiprocessing.active_children() == []
-    _report(6, "pipeline byte-identical across repeated runs, worker counts "
-               "1 vs 3 and CSV processes 1, 2, 3 (plot and critical mode: "
-               "image, CSV, JSON, summary)")
+    _report(6, "pipeline byte-identical across repeated runs with 1, 2 and 3 "
+               "usable CPUs (block threads and CSV processes; plot and "
+               "critical mode: image, CSV, JSON, summary)")
 
 
 def test_criterion_7_boundary_logic():

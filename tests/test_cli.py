@@ -191,7 +191,7 @@ def test_critical_mode_exports(tmp_path, capsys):
 
 def test_failed_pooled_export_leaves_no_child(tmp_path, capsys, monkeypatch):
     # the field CSV forks its pool, then fails to open its file: exit 2
-    monkeypatch.setattr(grid_module, "_csv_processes", lambda: 2)
+    monkeypatch.setattr(grid_module, "_cpus", lambda: 2)
     csv = tmp_path / "missing" / "fields.csv"
     assert main(["--problem", "mindist", "--mode", "critical",
                  "--resolution", "101", "--out", str(tmp_path / "c.ppm"),

@@ -79,11 +79,13 @@ def test_evaluate_grid_matches_pointwise():
             assert f1[i, j] == e1 and f2[i, j] == e2
 
 
-def test_evaluate_grid_worker_count_does_not_change_output():
+def test_evaluate_grid_worker_count_does_not_change_output(monkeypatch):
     p = make_bisphere()
     g = build_grid(p.lower, p.upper, 101, 101)
-    f1a, f2a = evaluate_grid(p, g, workers=1)
-    f1b, f2b = evaluate_grid(p, g, workers=3)
+    monkeypatch.setattr(grid_module, "_cpus", lambda: 1)
+    f1a, f2a = evaluate_grid(p, g)
+    monkeypatch.setattr(grid_module, "_cpus", lambda: 3)
+    f1b, f2b = evaluate_grid(p, g)
     assert np.array_equal(f1a, f1b)
     assert np.array_equal(f2a, f2b)
 
@@ -193,7 +195,7 @@ def test_export_grid_csv_bytes_do_not_depend_on_processes(tmp_path, monkeypatch,
     header, columns = _pool_case(g.shape)
     expected = ("\n".join(grid_csv_rows(g, header, columns)) + "\n").encode()
     for processes in (1, 2, 3):
-        monkeypatch.setattr(grid_module, "_csv_processes", lambda: processes)
+        monkeypatch.setattr(grid_module, "_cpus", lambda: processes)
         out = tmp_path / f"p{processes}.csv"
         export_grid_csv(out, g, header, columns)
         assert out.read_bytes() == expected
@@ -215,7 +217,7 @@ def test_export_grid_csv_worker_failure_reaches_caller(tmp_path, monkeypatch):
     n1 = 3 * grid_module.CSV_BLOCK_ROWS // 64
     g = build_grid((-1.0, 0.0), (1.0, 2.0), n1, 64)
     header, columns = _pool_case(g.shape)
-    monkeypatch.setattr(grid_module, "_csv_processes", lambda: 2)
+    monkeypatch.setattr(grid_module, "_cpus", lambda: 2)
     monkeypatch.setattr(grid_module, "_csv_block", _fails_in_a_worker)
     with pytest.raises(ValueError, match="block .* failed in a worker"):
         export_grid_csv(tmp_path / "f.csv", g, header, columns)
