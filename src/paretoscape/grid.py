@@ -133,8 +133,9 @@ def map_blocks(fn, blocks) -> list:
     The helpers are started and joined inside each call, so no thread
     outlives it (``export_grid_csv`` forks).  After a block raises, no
     thread takes another block, and the exception of the lowest-numbered
-    failing block is raised here once every helper has finished.  Thread-local numpy state such as ``np.errstate``
-    is not inherited by the helpers: ``fn`` sets what it needs.
+    failing block is raised here once every helper has finished.
+    Thread-local numpy state such as ``np.errstate`` is not inherited by
+    the helpers: ``fn`` sets what it needs.
     """
     blocks = list(blocks)
     results = [None] * len(blocks)
