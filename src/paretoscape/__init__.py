@@ -5,8 +5,7 @@ from .problems import (BiObjectiveProblem, DomainError, UnknownProblemError,
                        available_problems, get_problem, make_aspar,
                        make_bisphere, make_kursawe, make_mindist, make_sgk)
 from .grid import EvaluationError, Grid, build_grid, evaluate_grid
-from .gradients import (FieldSet, build_fieldset, divergence,
-                        export_fields_csv, finite_diff_gradients)
+from .gradients import FieldSet, build_fieldset, divergence, export_fields_csv
 from .criticality import (CLASS_NAMES, CriticalityMap, PointClass, classify,
                           export_critical_points_json, origin_in_hull)
 from .landscape import (BasinMap, EfficientSetDecomposition, HeightField,
@@ -25,7 +24,6 @@ __all__ = [
     "make_kursawe", "make_mindist", "make_sgk",
     "EvaluationError", "Grid", "build_grid", "evaluate_grid",
     "FieldSet", "build_fieldset", "divergence", "export_fields_csv",
-    "finite_diff_gradients",
     "CLASS_NAMES", "CriticalityMap", "PointClass", "classify",
     "export_critical_points_json", "origin_in_hull",
     "BasinMap", "EfficientSetDecomposition", "HeightField",
@@ -34,5 +32,4 @@ __all__ = [
     "export_decomposition_json", "export_heights_csv", "gfh_heights",
     "PlotArtifact", "colormap_blue_red", "compose_plot", "render",
     "render_critical_map", "render_height_map",
-    "__version__",
 ]

@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 on usage errors (bad flags, unknown problem,
 invalid bounds/resolution, a resolution whose memory estimate exceeds the
-physical memory, tolerances that are negative or not finite), 2 on runtime
-failures (evaluation blew up, output path unwritable).  On success a
+physical memory, tolerances that are negative or not finite or whose
+product with the gradient scale or the largest divergence overflows), 2 on
+runtime failures (evaluation blew up, output path unwritable).  On success a
 single-line JSON summary goes to standard output.
 """
 
@@ -21,8 +22,7 @@ from .criticality import export_critical_points_json
 from .gradients import check_tolerance, export_fields_csv
 from .grid import EvaluationError
 from .landscape import analyze, export_decomposition_json, export_heights_csv
-from .problems import DomainError, UnknownProblemError, available_problems, \
-    get_problem
+from .problems import UnknownProblemError, available_problems, get_problem
 from .render import render
 
 MODES = ("plot", "gfh", "cost", "critical")
@@ -229,7 +229,7 @@ def main(argv=None) -> int:
         return 0
     try:
         return run(config)
-    except (UnknownProblemError, DomainError, ValueError) as exc:
+    except ValueError as exc:     # DomainError and UnknownProblemError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (EvaluationError, OSError) as exc:

@@ -43,8 +43,8 @@ from enum import IntEnum
 
 import numpy as np
 
-from .gradients import (FieldSet, _is_zero, check_tolerance, divergence,
-                        gradient_norms)
+from .gradients import (FieldSet, _is_zero, absolute_tolerance,
+                        check_tolerance, divergence, gradient_norms)
 from .grid import Grid, map_blocks, row_blocks, with_halo
 
 
@@ -321,8 +321,8 @@ def boundary_criticality(g1: np.ndarray, g2: np.ndarray, mo_raw: np.ndarray,
             np.concatenate(crit), np.concatenate(eff), crit_mask)
 
 
-def rotate_boundary_field(mo_raw: np.ndarray, skip_mask: np.ndarray,
-                          grid: Grid) -> np.ndarray:
+def rotate_boundary_field(mo_raw: np.ndarray,
+                          skip_mask: np.ndarray) -> np.ndarray:
     """Project the joint gradient onto box edges where descent would exit.
 
     At a non-critical boundary point whose descent direction -mo leaves the
@@ -384,10 +384,6 @@ class CriticalityMap:
     def efficient_mask(self) -> np.ndarray:
         return self.labels >= PointClass.EFFICIENT_INTERIOR
 
-    @property
-    def critical_only_mask(self) -> np.ndarray:
-        return self.labels == PointClass.CRITICAL_ONLY
-
     def counts(self) -> dict:
         u, c = np.unique(self.labels, return_counts=True)
         by = {int(k): 0 for k in PointClass}
@@ -403,7 +399,8 @@ def classify(fields: FieldSet, div_tol_rel: float = 1e-9) -> CriticalityMap:
     divergence tolerance is ``div_tol_rel * max|div|``.
 
     Raises:
-        ValueError: ``div_tol_rel`` is negative, infinite or NaN.
+        ValueError: ``div_tol_rel`` is negative, infinite or NaN, or its
+            product with max|div| overflows.
     """
     check_tolerance("div_tol_rel", div_tol_rel)
     grid = fields.grid
@@ -413,10 +410,12 @@ def classify(fields: FieldSet, div_tol_rel: float = 1e-9) -> CriticalityMap:
         fields.g1, fields.g2, fields.mo_raw, grid)
     first_order = interior_mask | boundary_mask
 
-    fields.mo = rotate_boundary_field(fields.mo_raw, first_order, grid)
+    fields.mo = rotate_boundary_field(fields.mo_raw, first_order)
     div = divergence(fields.mo, grid)
     fields.div_descent = np.negative(div, out=div)
-    div_tol = div_tol_rel * float(np.abs(fields.div_descent).max(initial=0.0))
+    div_tol = absolute_tolerance(
+        "div_tol_rel", div_tol_rel, "largest divergence",
+        float(np.abs(fields.div_descent).max(initial=0.0)))
 
     tri_eff = triangle_second_order(triangles, fields.div_descent, div_tol)
 

@@ -20,24 +20,15 @@ from .grid import (EvaluationError, Grid, check_finite, evaluate_grid,
                    export_grid_csv, map_blocks, row_blocks, with_halo)
 
 
-def finite_diff_gradients(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Gradient field of a scalar grid field, shape (n1, n2, 2).
+def _gradient_rows(values: np.ndarray, grid: Grid, rows: slice,
+                   out: np.ndarray) -> None:
+    """Gradient field of a scalar grid field at grid rows ``rows``, into
+    ``out`` of shape (len(rows), n2, 2), from those rows and a halo row on
+    each side.
 
     numpy's stencil, which ``divergence`` uses too: (f[i+1] - f[i-1]) / 2s
     inside, (f[1] - f[0]) / s and (f[-1] - f[-2]) / s on the boundary.
     """
-    if values.shape != grid.shape:
-        raise ValueError(f"field shape {values.shape} does not match grid {grid.shape}")
-    g = np.empty(grid.shape + (2,))
-    _gradient_rows(values, grid, slice(0, grid.n1), g)
-    return g
-
-
-def _gradient_rows(values: np.ndarray, grid: Grid, rows: slice,
-                   out: np.ndarray) -> None:
-    """``finite_diff_gradients`` of ``values`` at grid rows ``rows``, into
-    ``out`` of shape (len(rows), n2, 2), from those rows and a halo row on
-    each side."""
     slab, inner = with_halo(rows, grid.n1)
     out[..., 0] = np.gradient(values[slab], grid.s1, axis=0)[inner]
     out[..., 1] = np.gradient(values[rows], grid.s2, axis=1)
@@ -95,7 +86,9 @@ class FieldSet:
     (normal components removed where descent would leave the box) and sets
     ``div_descent`` = div(-mo), which the exports need, from None.  No step
     writes either array in place, so ``mo_raw`` always keeps the unrotated
-    field (the boundary efficiency test needs it).
+    field.  ``classify``'s boundary test reads it before the rotation; the
+    rotation keeps every boundary verdict, so after ``classify`` only the
+    probe of ``perfbench/chain.py`` reads ``mo_raw``.
     """
 
     grid: Grid
@@ -115,6 +108,16 @@ def check_tolerance(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
+def absolute_tolerance(name: str, rel: float, scale_name: str,
+                       scale: float) -> float:
+    """``rel * scale``, or ValueError naming both factors if that overflows."""
+    tol = float(rel) * scale
+    if not math.isfinite(tol):
+        raise ValueError(f"{name} {rel!r} times the {scale_name} {scale!r} "
+                         f"overflows")
+    return tol
+
+
 def build_fieldset(problem, grid: Grid, zero_tol_rel: float = 1e-12,
                    workers: int = 1) -> FieldSet:
     """Evaluate a problem on a grid and derive all first-order fields.
@@ -129,7 +132,8 @@ def build_fieldset(problem, grid: Grid, zero_tol_rel: float = 1e-12,
     passes it.
 
     Raises:
-        ValueError: ``zero_tol_rel`` is negative, infinite or NaN.
+        ValueError: ``zero_tol_rel`` is negative, infinite or NaN, or its
+            product with the gradient scale overflows.
         EvaluationError: an objective, a finite-difference gradient or its
             norm is NaN or infinite, or the gradient scale overflows.
     """
@@ -152,7 +156,8 @@ def build_fieldset(problem, grid: Grid, zero_tol_rel: float = 1e-12,
                                  ("gradient norm of f2", n2)))
     if not math.isfinite(scale):
         raise EvaluationError(f"problem {problem.name!r}: gradient scale overflows")
-    zero_tol = zero_tol_rel * scale
+    zero_tol = absolute_tolerance("zero_tol_rel", zero_tol_rel,
+                                  "gradient scale", scale)
     mo = np.empty(grid.shape + (2,))
 
     def unit_sum(rows: slice):

@@ -253,7 +253,6 @@ STOP_KINDS = ("efficient", "cycle", "dead_end", "pit")
 class BasinMap:
     """How descent paths end: basins reached and paths per stop kind."""
 
-    grid: Grid
     n_basins: int             # components reached: all n_components
     n_unconverged: int        # grid points whose path reaches no efficient point
     stop_counts: dict         # STOP_KINDS name -> paths ending that way
@@ -375,7 +374,7 @@ def gfh_heights(fields: FieldSet, critmap: CriticalityMap,
     per_kind = np.bincount(kind, minlength=len(STOP_KINDS))
     stop_counts = dict(zip(STOP_KINDS, per_kind.tolist()))
     return (HeightField(grid=grid, values=heights.reshape(grid.shape)),
-            BasinMap(grid=grid, n_basins=decomposition.n_components,
+            BasinMap(n_basins=decomposition.n_components,
                      n_unconverged=N - stop_counts["efficient"],
                      stop_counts=stop_counts,
                      n_cycles=_count_cycles(on_cycle, succ(on_cycle))))
@@ -407,7 +406,7 @@ class LandscapeResult:
 
     def summary(self) -> dict:
         return {
-            "problem": getattr(self.problem, "name", str(self.problem)),
+            "problem": self.problem.name,
             "n_efficient": self.decomposition.n_efficient,
             "n_components": self.decomposition.n_components,
             "n_rank0": self.decomposition.n_rank0,
@@ -419,12 +418,11 @@ class LandscapeResult:
 def analyze(problem, n1: int, n2: Optional[int] = None, *,
             lower=None, upper=None,
             zero_tol_rel: float = 1e-12, div_tol_rel: float = 1e-9,
-            workers: int = 1, with_cost: bool = False) -> LandscapeResult:
+            with_cost: bool = False) -> LandscapeResult:
     """Run the full pipeline for a problem at the given grid resolution.
 
     The per-point stages run on all usable CPUs (``grid.map_blocks``), with
-    the same results for any thread count.  ``workers`` is ignored, like
-    the ``workers`` of ``build_fieldset`` and ``evaluate_grid``.
+    the same results for any thread count.
     """
     if n2 is None:
         n2 = n1

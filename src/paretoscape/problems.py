@@ -235,15 +235,16 @@ def get_problem(descriptor: str) -> BiObjectiveProblem:
     """Resolve a problem descriptor ``name`` or ``name:p1,p2,...``.
 
     Only ``bisphere`` is parametric: ``bisphere:ax,ay,bx,by`` sets its two
-    finite centres.  Anything else raises UnknownProblemError.
+    finite centres.  Anything else, an empty parameter list after ``:``
+    included, raises UnknownProblemError.
     """
-    name, _, params = descriptor.partition(":")
+    name, colon, params = descriptor.partition(":")
     name = name.strip()
     if name not in PROBLEM_FACTORIES:
         raise UnknownProblemError(
             f"unknown problem {name!r}; available: {', '.join(available_problems())}"
         )
-    if not params:
+    if not colon:
         return PROBLEM_FACTORIES[name]()
     if name != "bisphere":
         raise UnknownProblemError(

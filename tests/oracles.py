@@ -21,6 +21,17 @@ def axis_derivative(values: np.ndarray, spacing: float, axis: int) -> np.ndarray
     return np.moveaxis(out, 0, axis)
 
 
+def make_table(grid, f1: np.ndarray, f2: np.ndarray):
+    """A problem on the box of ``grid`` whose objectives at the grid's
+    points are the given (n1, n2) arrays, looked up by exact coordinate."""
+    def fn(x1, x2):
+        i, j = np.searchsorted(grid.x1, x1), np.searchsorted(grid.x2, x2)
+        return f1[i, j], f2[i, j]
+
+    return BiObjectiveProblem(name="table", lower=grid.lower,
+                              upper=grid.upper, fn=fn)
+
+
 def make_overflow():
     """Finite objectives on [-1, 1]^2 whose f1 differences overflow: f1 =
     1.7e308 sign(x1) sqrt|x1|, f2 = (x1 - 0.3)^2 + x2^2."""

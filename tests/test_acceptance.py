@@ -12,8 +12,8 @@ import numpy as np
 from oracles import cost_landscape_brute
 from paretoscape import (BiObjectiveProblem, PointClass, analyze,
                          build_fieldset, build_grid, cost_landscape,
-                         dominance_counts, finite_diff_gradients, get_problem,
-                         make_aspar, make_bisphere, make_sgk, origin_in_hull)
+                         dominance_counts, get_problem, make_aspar,
+                         make_bisphere, make_sgk, origin_in_hull)
 from paretoscape import grid as grid_module
 from paretoscape.cli import RunConfig, run
 from paretoscape.criticality import boundary_criticality, triangle_corners
@@ -78,7 +78,8 @@ def test_criterion_3_aspar_ridge_filtering():
     cm = r.critmap
     counts = cm.counts()
     assert counts["CriticalOnly"] > 0
-    assert not (cm.critical_only_mask & cm.efficient_mask).any()
+    assert not ((cm.labels == PointClass.CRITICAL_ONLY)
+                & cm.efficient_mask).any()
 
     rejected = cm.triangles[~cm.triangle_efficient]
     assert rejected.shape[0] > 0
@@ -112,11 +113,10 @@ def test_criterion_5_gradient_convergence():
     errs = []
     for n in (101, 201, 401):
         g = build_grid(p.lower, p.upper, n, n)
-        X1, X2 = g.meshes()
-        f1, f2 = p.evaluate_arrays(X1, X2)
-        a1, a2 = p.analytic_gradients(X1, X2)
-        e1 = np.abs(finite_diff_gradients(f1, g) - a1)[1:-1, 1:-1].max()
-        e2 = np.abs(finite_diff_gradients(f2, g) - a2)[1:-1, 1:-1].max()
+        fs = build_fieldset(p, g)
+        a1, a2 = p.analytic_gradients(*g.meshes())
+        e1 = np.abs(fs.g1 - a1)[1:-1, 1:-1].max()
+        e2 = np.abs(fs.g2 - a2)[1:-1, 1:-1].max()
         errs.append(max(e1, e2))
     r1 = errs[0] / errs[1]
     r2 = errs[1] / errs[2]

@@ -111,6 +111,22 @@ def test_non_finite_bisphere_parameters_exit_1(params, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--problem", "kursawe", "--resolution", "20", "--mode", "critical",
+      "--zero-tol", "1e308"], "zero_tol_rel 1e+308 times the gradient scale"),
+    (["--problem", "sgk", "--resolution", "50", "--div-tol", "1e308"],
+     "div_tol_rel 1e+308 times the largest divergence"),
+    (["--problem", "sgk:", "--resolution", "20"], "takes no parameters"),
+    (["--problem", "bisphere:", "--resolution", "20"], "could not parse"),
+])
+def test_overflowing_tolerance_or_empty_parameters_exit_1(argv, message,
+                                                          tmp_path, capsys):
+    out = tmp_path / "x.ppm"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_finite_gradients_exit_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(PROBLEM_FACTORIES, "overflow", make_overflow)
     out = tmp_path / "x.ppm"

@@ -8,8 +8,8 @@ import pytest
 
 from oracles import hull_contains_origin
 from paretoscape import (BiObjectiveProblem, CriticalityMap, PointClass,
-                         build_fieldset, build_grid, classify, make_aspar,
-                         make_bisphere, make_kursawe, make_sgk,
+                         build_fieldset, build_grid, classify, get_problem,
+                         make_aspar, make_bisphere, make_kursawe, make_sgk,
                          origin_in_hull)
 from paretoscape.criticality import (CLASS_NAMES, ORIENTATIONS,
                                      boundary_criticality,
@@ -441,7 +441,7 @@ def test_rotate_boundary_field_projects_exiting_descent():
     )
     fs = _fieldset(p, 9)
     skip = np.zeros(fs.grid.shape, dtype=bool)
-    rotated = rotate_boundary_field(fs.mo_raw, skip, fs.grid)
+    rotated = rotate_boundary_field(fs.mo_raw, skip)
     # ascent mo has positive x and y components everywhere, so descent
     # exits through bottom and left; those edges lose the normal component
     assert (fs.mo_raw[..., 0] > 0).all() and (fs.mo_raw[..., 1] > 0).all()
@@ -456,7 +456,7 @@ def test_rotate_boundary_field_projects_exiting_descent():
     assert np.array_equal(rotated[0, 0], (0.0, 0.0))
     # skip mask preserves the raw field
     skip[:, 0] = True
-    kept = rotate_boundary_field(fs.mo_raw, skip, fs.grid)
+    kept = rotate_boundary_field(fs.mo_raw, skip)
     assert np.array_equal(kept[1:, 0], fs.mo_raw[1:, 0])
 
 
@@ -469,7 +469,7 @@ def test_rotation_only_triggers_on_exiting_descent():
     )
     fs = _fieldset(p, 9)
     skip = np.zeros(fs.grid.shape, dtype=bool)
-    rotated = rotate_boundary_field(fs.mo_raw, skip, fs.grid)
+    rotated = rotate_boundary_field(fs.mo_raw, skip)
     assert (fs.mo_raw[..., 1] < 0).all()
     # the bottom edge keeps its field except the corner shared with the
     # left edge, where ascent mo_x > 0 still zeroes the x-component
@@ -505,14 +505,14 @@ def test_boundary_golden_on_non_square_grid():
     assert ["".join(str(int(v)) for v in row) for row in mask] == [
         "1111", "1001", "1001", "1001", "0001", "1110"]
     # classify skips first-order critical points: one bottom point rotates
-    rotated = rotate_boundary_field(fs.mo_raw, mask, fs.grid)
+    rotated = rotate_boundary_field(fs.mo_raw, mask)
     assert np.argwhere(rotated != fs.mo_raw).tolist() == [[4, 0, 1]]
 
     # hand-built field with both signs on every edge and a scattered skip
     rng = np.random.default_rng(7)
     mo = rng.integers(-2, 3, size=(6, 4, 2)).astype(float)
     skip = rng.random((6, 4)) < 0.25
-    rotated = rotate_boundary_field(mo, skip, fs.grid)
+    rotated = rotate_boundary_field(mo, skip)
     assert np.argwhere(rotated != mo).tolist() == [
         [0, 1, 0], [0, 3, 0], [0, 3, 1], [4, 0, 1], [5, 3, 0], [5, 3, 1]]
     assert (rotated[rotated != mo] == 0.0).all()
@@ -669,3 +669,40 @@ def test_tolerances_must_be_finite_and_nonnegative(tol):
         build_fieldset(p, g, zero_tol_rel=tol)
     with pytest.raises(ValueError, match="div_tol_rel must be finite"):
         classify(build_fieldset(p, g), div_tol_rel=tol)
+
+
+
+def test_overflowing_absolute_tolerances_raise():
+    # kursawe's gradient scale at 20^2 is about 3.15 and sgk's largest
+    # descent divergence at 50^2 about 68: times 1e308 both overflow
+    p = make_kursawe()
+    g = build_grid(p.lower, p.upper, 20, 20)
+    with pytest.raises(ValueError, match=r"zero_tol_rel 1e\+308 times the "
+                                         r"gradient scale 3\.15"):
+        build_fieldset(p, g, zero_tol_rel=1e308)
+    p = make_sgk()
+    fs = build_fieldset(p, build_grid(p.lower, p.upper, 50, 50))
+    with pytest.raises(ValueError, match=r"div_tol_rel 1e\+308 times the "
+                                         r"largest divergence 67\.8"):
+        classify(fs, div_tol_rel=1e308)
+
+
+@pytest.mark.parametrize("name", ["bisphere", "aspar", "sgk", "mindist",
+                                  "kursawe", "slide"])
+@pytest.mark.parametrize("shape", [(31, 17), (17, 31), (2, 9), (9, 2),
+                                   (200, 200)])
+def test_boundary_verdicts_do_not_depend_on_the_rotation(name, shape):
+    # the critical test reads only g1 and g2, and the efficiency test only
+    # the outward components at endpoints of critical pairs, which the
+    # rotation skips (and where it zeroes, the outward component was
+    # negative, so "<= 0" would hold either way): after classify the
+    # unrotated copy mo_raw is no longer needed for the boundary.  "slide"
+    # rotates its whole bottom and left edges
+    p = BiObjectiveProblem(name="slide", lower=(0.0, 0.0), upper=(1.0, 1.0),
+                           fn=lambda x1, x2: (x1 + x2, 2.0 * x1 + x2))
+    fs = _fieldset(p if name == "slide" else get_problem(name), *shape)
+    classify(fs)
+    raw = boundary_criticality(fs.g1, fs.g2, fs.mo_raw, fs.grid)
+    rotated = boundary_criticality(fs.g1, fs.g2, fs.mo, fs.grid)
+    for a, b in zip(raw[:3], rotated[:3]):
+        assert np.array_equal(a, b)

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from oracles import (axis_derivative, make_norm_overflow, make_overflow,
-                     make_scale_overflow)
+                     make_scale_overflow, make_table)
 from paretoscape import (BiObjectiveProblem, EvaluationError, analyze,
                          build_fieldset, build_grid, classify, divergence,
-                         evaluate_grid, export_fields_csv,
-                         finite_diff_gradients, make_aspar, make_bisphere)
+                         evaluate_grid, export_fields_csv, make_aspar,
+                         make_bisphere)
 from paretoscape.gradients import _unit_sum, gradient_norms
 
 
@@ -18,19 +18,22 @@ def _grid(n1=11, n2=11, lo=(0.0, 0.0), hi=(1.0, 1.0)):
 
 def test_linear_field_exact_everywhere_including_boundary():
     # one-sided differences are exact for affine functions
-    g = _grid(7, 5, (-1.0, 2.0), (3.0, 4.0))
-    X1, X2 = g.meshes()
-    f = 3.0 * X1 + 1.0 * X2 - 2.0
-    grad = finite_diff_gradients(f, g)
-    assert np.allclose(grad[..., 0], 3.0, rtol=0, atol=1e-12)
-    assert np.allclose(grad[..., 1], 1.0, rtol=0, atol=1e-12)
+    p = BiObjectiveProblem(name="affine", lower=(-1.0, 2.0), upper=(3.0, 4.0),
+                           fn=lambda x1, x2: (3.0 * x1 + 1.0 * x2 - 2.0,
+                                              2.0 * x2 - x1))
+    fs = build_fieldset(p, build_grid(p.lower, p.upper, 7, 5))
+    for grad, (d1, d2) in ((fs.g1, (3.0, 1.0)), (fs.g2, (-1.0, 2.0))):
+        assert np.allclose(grad[..., 0], d1, rtol=0, atol=1e-12)
+        assert np.allclose(grad[..., 1], d2, rtol=0, atol=1e-12)
 
 
 def test_central_differences_exact_for_quadratics_in_interior():
-    g = _grid(21, 21, (-2.0, -2.0), (2.0, 2.0))
+    p = BiObjectiveProblem(
+        name="quadratic", lower=(-2.0, -2.0), upper=(2.0, 2.0),
+        fn=lambda x1, x2: (x1**2 - 3.0 * x1 * x2 + 0.5 * x2**2, x1 * x1 + x2))
+    g = build_grid(p.lower, p.upper, 21, 21)
+    grad = build_fieldset(p, g).g1
     X1, X2 = g.meshes()
-    f = X1**2 - 3.0 * X1 * X2 + 0.5 * X2**2
-    grad = finite_diff_gradients(f, g)
     d1 = 2.0 * X1 - 3.0 * X2
     d2 = -3.0 * X1 + X2
     assert np.allclose(grad[1:-1, 1:-1, 0], d1[1:-1, 1:-1], atol=1e-11)
@@ -43,9 +46,8 @@ def test_one_sided_boundary_error_within_curvature_bound():
     p = make_aspar()  # box [-2,2] x [-1,3]
     g = build_grid(p.lower, p.upper, 1001, 11)
     assert g.s1 == 0.004
-    X1, X2 = g.meshes()
-    f1 = X1**4 - 2.0 * X1**2 + 2.0 * X2**2 + 1.0
-    grad = finite_diff_gradients(f1, g)
+    X1, _ = g.meshes()
+    grad = build_fieldset(p, g).g1
     analytic = 4.0 * X1**3 - 4.0 * X1
     err = np.abs(grad[..., 0] - analytic)
     bound = 10.0 * g.s1 * 44.0
@@ -141,9 +143,11 @@ def test_stencils_bytes_match_hand_written_reference(shape):
     rng = np.random.default_rng(sum(shape))
     f = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
     v = rng.normal(size=shape + (2,))
-    grad = np.stack([axis_derivative(f, g.s1, 0), axis_derivative(f, g.s2, 1)],
-                    axis=-1)
-    assert finite_diff_gradients(f, g).tobytes() == grad.tobytes()
+    fs = build_fieldset(make_table(g, f, -f), g)
+    for values, grad in ((f, fs.g1), (-f, fs.g2)):
+        expected = np.stack([axis_derivative(values, g.s1, 0),
+                             axis_derivative(values, g.s2, 1)], axis=-1)
+        assert grad.tobytes() == expected.tobytes()
     div = axis_derivative(v[..., 0], g.s1, 0) + axis_derivative(v[..., 1], g.s2, 1)
     assert divergence(v, g).tobytes() == div.tobytes()
 
@@ -173,7 +177,7 @@ def test_overflowing_gradient_norms_raise_evaluation_error(factory, message):
     p = factory()
     g = build_grid(p.lower, p.upper, 9, 9)
     f1, _ = evaluate_grid(p, g)
-    assert np.isfinite(finite_diff_gradients(f1, g)).all()
+    assert all(np.isfinite(d).all() for d in np.gradient(f1, g.s1, g.s2))
     with pytest.raises(EvaluationError, match=message):
         build_fieldset(p, g)
     with pytest.raises(EvaluationError, match=message):
@@ -185,11 +189,10 @@ def test_finite_difference_error_shrinks_at_second_order():
     errs = []
     for n in (101, 201, 401):
         g = build_grid(p.lower, p.upper, n, n)
-        X1, X2 = g.meshes()
-        f1, f2 = p.evaluate_arrays(X1, X2)
-        a1, a2 = p.analytic_gradients(X1, X2)
-        e1 = np.abs(finite_diff_gradients(f1, g) - a1)[1:-1, 1:-1].max()
-        e2 = np.abs(finite_diff_gradients(f2, g) - a2)[1:-1, 1:-1].max()
+        fs = build_fieldset(p, g)
+        a1, a2 = p.analytic_gradients(*g.meshes())
+        e1 = np.abs(fs.g1 - a1)[1:-1, 1:-1].max()
+        e2 = np.abs(fs.g2 - a2)[1:-1, 1:-1].max()
         errs.append(max(e1, e2))
     assert errs[0] / errs[1] >= 3.5
     assert errs[1] / errs[2] >= 3.5

@@ -106,6 +106,11 @@ def test_parametrization_errors():
         get_problem("sgk:1,2,3,4")
     with pytest.raises(UnknownProblemError, match="could not parse"):
         get_problem("bisphere:a,b,c,d")
+    # a ':' with nothing after it is an empty parameter list, not the default
+    with pytest.raises(UnknownProblemError, match="takes no parameters"):
+        get_problem("sgk:")
+    with pytest.raises(UnknownProblemError, match="could not parse"):
+        get_problem("bisphere:")
     for params in ("nan,0,1,0", "-1,0,inf,0", "-1,0,1,-inf"):
         with pytest.raises(UnknownProblemError, match="must be finite"):
             get_problem(f"bisphere:{params}")
@@ -113,12 +118,10 @@ def test_parametrization_errors():
 
 def test_analytic_gradients_match_finite_differences_on_quadratic():
     # central differences are exact for quadratics: only rounding remains
-    from paretoscape import finite_diff_gradients
-
     p = make_bisphere()
     g = build_grid(p.lower, p.upper, 81, 81)
     f1, _ = evaluate_grid(p, g)
-    fd = finite_diff_gradients(f1, g)
+    fd = np.stack(np.gradient(f1, g.s1, g.s2), axis=-1)
     X1, X2 = g.meshes()
     an, _ = p.analytic_gradients(X1, X2)
     interior = np.abs(fd - an)[1:-1, 1:-1]
