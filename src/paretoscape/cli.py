@@ -18,15 +18,14 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .criticality import export_critical_points_json
-from .gradients import check_tolerance, export_fields_csv
+from .criticality import DIV_TOL_REL, export_critical_points_json
+from .gradients import ZERO_TOL_REL, check_tolerance, export_fields_csv
 from .grid import EvaluationError
 from .landscape import analyze, export_decomposition_json, export_heights_csv
 from .problems import UnknownProblemError, available_problems, get_problem
-from .render import render
+from .render import FORMATS, render
 
 MODES = ("plot", "gfh", "cost", "critical")
-FORMATS = ("ppm", "png")
 
 
 class UsageError(Exception):
@@ -59,8 +58,8 @@ class RunConfig:
     fmt: str = "ppm"
     export_csv: Optional[str] = None
     export_json: Optional[str] = None
-    zero_tol: float = 1e-12
-    div_tol: float = 1e-9
+    zero_tol: float = ZERO_TOL_REL
+    div_tol: float = DIV_TOL_REL
     log_scale: bool = True
     # ignored: perfbench/chain.py passes it to build_fieldset and evaluate_grid
     workers: int = 1
@@ -93,20 +92,21 @@ def build_parser() -> _Parser:
         description="Locate, rank and visualise locally efficient points of "
                     "bi-objective problems on an evaluation grid.")
     p.add_argument("--problem", help="problem name, or bisphere:ax,ay,bx,by")
-    p.add_argument("--mode", choices=MODES, default="plot")
-    p.add_argument("--resolution", default="300",
-                   help="grid points per axis: N or N,M (default 300)")
+    p.add_argument("--mode", choices=MODES, default=RunConfig.mode)
+    p.add_argument("--resolution", default=RunConfig.n1,
+                   help="grid points per axis: N or N,M (default %(default)s)")
     p.add_argument("--lower", help="override lower bounds: x1,x2")
     p.add_argument("--upper", help="override upper bounds: x1,x2")
     p.add_argument("--out", help="image output path (default <problem>_<mode>.<fmt>)")
-    p.add_argument("--format", choices=FORMATS, default="ppm", dest="fmt")
+    p.add_argument("--format", choices=FORMATS, default=RunConfig.fmt,
+                   dest="fmt")
     p.add_argument("--export-csv", help="write the mode's height/field table as CSV")
     p.add_argument("--export-json", help="write critical points (critical mode) "
                                          "or the efficient-set decomposition as JSON")
-    p.add_argument("--zero-tol", type=float, default=1e-12,
-                   help="relative zero-gradient tolerance (default 1e-12)")
-    p.add_argument("--div-tol", type=float, default=1e-9,
-                   help="relative divergence tolerance (default 1e-9)")
+    p.add_argument("--zero-tol", type=float, default=RunConfig.zero_tol,
+                   help="relative zero-gradient tolerance (default %(default)s)")
+    p.add_argument("--div-tol", type=float, default=RunConfig.div_tol,
+                   help="relative divergence tolerance (default %(default)s)")
     p.add_argument("--no-log-scale", action="store_true",
                    help="linear instead of log height normalisation")
     p.add_argument("--list-problems", action="store_true")

@@ -47,6 +47,9 @@ from .gradients import (FieldSet, _is_zero, absolute_tolerance,
                         check_tolerance, divergence, gradient_norms)
 from .grid import Grid, map_blocks, row_blocks, with_halo
 
+# default divergence tolerance, relative to the largest divergence
+DIV_TOL_REL = 1e-9
+
 
 class PointClass(IntEnum):
     NON_CRITICAL = 0
@@ -391,7 +394,8 @@ class CriticalityMap:
         return {CLASS_NAMES[PointClass(k)]: v for k, v in by.items()}
 
 
-def classify(fields: FieldSet, div_tol_rel: float = 1e-9) -> CriticalityMap:
+def classify(fields: FieldSet,
+             div_tol_rel: float = DIV_TOL_REL) -> CriticalityMap:
     """Run the full first/second-order classification.
 
     Mutates ``fields``: ``fields.mo`` becomes the boundary-rotated field and

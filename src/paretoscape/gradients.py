@@ -19,6 +19,9 @@ import numpy as np
 from .grid import (EvaluationError, Grid, check_finite, evaluate_grid,
                    export_grid_csv, map_blocks, row_blocks, with_halo)
 
+# default zero-gradient tolerance, relative to the gradient scale
+ZERO_TOL_REL = 1e-12
+
 
 def _gradient_rows(values: np.ndarray, grid: Grid, rows: slice,
                    out: np.ndarray) -> None:
@@ -118,7 +121,7 @@ def absolute_tolerance(name: str, rel: float, scale_name: str,
     return tol
 
 
-def build_fieldset(problem, grid: Grid, zero_tol_rel: float = 1e-12,
+def build_fieldset(problem, grid: Grid, zero_tol_rel: float = ZERO_TOL_REL,
                    workers: int = 1) -> FieldSet:
     """Evaluate a problem on a grid and derive all first-order fields.
 

@@ -35,9 +35,9 @@ from typing import Optional
 
 import numpy as np
 
-from .criticality import (CriticalityMap, NEIGHBOR_OFFSETS, classify,
-                          pair_slices)
-from .gradients import FieldSet, build_fieldset, gradient_norms
+from .criticality import (DIV_TOL_REL, CriticalityMap, NEIGHBOR_OFFSETS,
+                          classify, pair_slices)
+from .gradients import ZERO_TOL_REL, FieldSet, build_fieldset, gradient_norms
 from .grid import (Grid, build_grid, export_grid_csv, map_blocks,
                    row_blocks)
 
@@ -417,7 +417,8 @@ class LandscapeResult:
 
 def analyze(problem, n1: int, n2: Optional[int] = None, *,
             lower=None, upper=None,
-            zero_tol_rel: float = 1e-12, div_tol_rel: float = 1e-9,
+            zero_tol_rel: float = ZERO_TOL_REL,
+            div_tol_rel: float = DIV_TOL_REL,
             with_cost: bool = False) -> LandscapeResult:
     """Run the full pipeline for a problem at the given grid resolution.
 

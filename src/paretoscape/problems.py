@@ -6,15 +6,12 @@ elementwise: the callables accept equally shaped coordinate arrays and
 return objective arrays of the same shape, each element depending only on
 its own coordinates.  ``evaluate_grid`` calls them on blocks of grid rows,
 from several threads at once.
-
-Problems with simple closed-form derivatives also carry analytic gradients,
-used by the finite-difference validation tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -28,7 +25,6 @@ class UnknownProblemError(ValueError):
 
 
 EvalFn = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
-GradFn = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass
@@ -40,8 +36,6 @@ class BiObjectiveProblem:
         lower, upper: box corners, each a float array of shape (2,).
         fn: vectorised elementwise evaluator (X1, X2) -> (F1, F2), called
             concurrently on blocks of grid rows.
-        gradient_fn: optional analytic gradient, (X1, X2) -> (G1, G2) where
-            G1, G2 have one trailing axis of length 2 (d/dx1, d/dx2).
         note: free-form provenance/usage remark shown by --list-problems.
     """
 
@@ -49,7 +43,6 @@ class BiObjectiveProblem:
     lower: np.ndarray
     upper: np.ndarray
     fn: EvalFn
-    gradient_fn: Optional[GradFn] = None
     note: str = ""
 
     def __post_init__(self):
@@ -66,11 +59,6 @@ class BiObjectiveProblem:
     def evaluate_arrays(self, x1: np.ndarray, x2: np.ndarray):
         """Vectorised evaluation without bounds checking (grids are pre-checked)."""
         return self.fn(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
-
-    def analytic_gradients(self, x1: np.ndarray, x2: np.ndarray):
-        if self.gradient_fn is None:
-            raise ValueError(f"problem {self.name!r} has no analytic gradient")
-        return self.gradient_fn(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -89,18 +77,6 @@ def _bisphere_fn(a, b):
     return fn
 
 
-def _bisphere_grad(a, b):
-    ax, ay = a
-    bx, by = b
-
-    def grad(x1, x2):
-        g1 = np.stack([2.0 * (x1 - ax), 2.0 * (x2 - ay)], axis=-1)
-        g2 = np.stack([2.0 * (x1 - bx), 2.0 * (x2 - by)], axis=-1)
-        return g1, g2
-
-    return grad
-
-
 def make_bisphere(a=(-1.0, 0.0), b=(1.0, 0.0)) -> BiObjectiveProblem:
     """Two squared-distance objectives with centres a and b.
 
@@ -114,7 +90,6 @@ def make_bisphere(a=(-1.0, 0.0), b=(1.0, 0.0)) -> BiObjectiveProblem:
         lower=np.array([-2.0, -2.0]),
         upper=np.array([2.0, 2.0]),
         fn=_bisphere_fn(a, b),
-        gradient_fn=_bisphere_grad(a, b),
         note=f"squared distances to {a} and {b}; efficient set = connecting segment",
     )
 
@@ -123,16 +98,6 @@ def _aspar_fn(x1, x2):
     f1 = x1 ** 4 - 2.0 * x1 ** 2 + 2.0 * x2 ** 2 + 1.0
     f2 = (x1 + 0.5) ** 2 + (x2 - 2.0) ** 2
     return f1, f2
-
-
-def _aspar_grad(x1, x2):
-    g1 = np.stack(
-        [4.0 * x1 * (x1 ** 2 - 1.0), 4.0 * x2], axis=-1
-    )
-    g2 = np.stack(
-        [2.0 * (x1 + 0.5), 2.0 * (x2 - 2.0)], axis=-1
-    )
-    return g1, g2
 
 
 def make_aspar() -> BiObjectiveProblem:
@@ -147,7 +112,6 @@ def make_aspar() -> BiObjectiveProblem:
         lower=np.array([-2.0, -1.0]),
         upper=np.array([2.0, 3.0]),
         fn=_aspar_fn,
-        gradient_fn=_aspar_grad,
         note="bi-modal quartic vs. shifted sphere; mixes global/local efficient branches",
     )
 

@@ -33,6 +33,9 @@ _BLUE_RED_STOPS = np.array([
     [1.00, 255, 0, 0],
 ])
 
+# the image formats ``PlotArtifact.save`` writes, and ``--format`` offers
+FORMATS = ("ppm", "png")
+
 GRAY_CRITICAL = (128, 128, 128)
 BLACK_EFFICIENT = (0, 0, 0)
 WHITE = (255, 255, 255)
@@ -77,10 +80,11 @@ class PlotArtifact:
     def to_png_bytes(self) -> bytes:
         return _encode_png(self.raster)
 
-    def save(self, path, fmt: str = None) -> None:
-        path = str(path)
-        if fmt is None:
-            fmt = "png" if path.lower().endswith(".png") else "ppm"
+    def save(self, path, fmt: str) -> None:
+        """Write the image to ``path`` as ``fmt``, one of ``FORMATS``."""
+        if fmt not in FORMATS:
+            raise ValueError(f"unknown image format {fmt!r}; expected one of "
+                             f"{', '.join(FORMATS)}")
         data = self.to_png_bytes() if fmt == "png" else self.to_ppm_bytes()
         with open(path, "wb") as fh:
             fh.write(data)

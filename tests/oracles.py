@@ -21,6 +21,22 @@ def axis_derivative(values: np.ndarray, spacing: float, axis: int) -> np.ndarray
     return np.moveaxis(out, 0, axis)
 
 
+def bisphere_gradients(x1, x2):
+    """Analytic (g1, g2) of ``make_bisphere()`` at the points (x1, x2),
+    each with a trailing axis (d/dx1, d/dx2)."""
+    g1 = np.stack([2.0 * (x1 + 1.0), 2.0 * x2], axis=-1)
+    g2 = np.stack([2.0 * (x1 - 1.0), 2.0 * x2], axis=-1)
+    return g1, g2
+
+
+def aspar_gradients(x1, x2):
+    """Analytic (g1, g2) of ``make_aspar()`` at the points (x1, x2), each
+    with a trailing axis (d/dx1, d/dx2)."""
+    g1 = np.stack([4.0 * x1 * (x1 ** 2 - 1.0), 4.0 * x2], axis=-1)
+    g2 = np.stack([2.0 * (x1 + 0.5), 2.0 * (x2 - 2.0)], axis=-1)
+    return g1, g2
+
+
 def make_table(grid, f1: np.ndarray, f2: np.ndarray):
     """A problem on the box of ``grid`` whose objectives at the grid's
     points are the given (n1, n2) arrays, looked up by exact coordinate."""

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, exit codes, artifacts, exports."""
 
+import inspect
 import json
 import multiprocessing
 
@@ -33,6 +34,16 @@ def test_parse_defaults():
     assert cfg.output_path() == "sgk_plot.ppm"
 
 
+def test_defaults_are_stated_once():
+    # the parser takes its defaults from RunConfig, and RunConfig and the
+    # library take the tolerances from the same module constants
+    assert parse_args(["--problem", "sgk"]) == RunConfig(problem="sgk")
+    params = inspect.signature(analyze).parameters
+    assert params["zero_tol_rel"].default == RunConfig.zero_tol
+    assert params["div_tol_rel"].default == RunConfig.div_tol
+    assert (RunConfig.zero_tol, RunConfig.div_tol) == (1e-12, 1e-9)
+
+
 def test_parse_resolution_and_bounds():
     cfg = parse_args(["--problem", "sgk", "--resolution", "101,51",
                       "--lower", "0,0.5", "--upper", "1.5,2",
@@ -56,6 +67,7 @@ def test_output_path_sanitizes_parametrized_problem():
     ["--problem", "sgk", "--lower", "1"],
     ["--problem", "sgk", "--mode", "volumetric"],
     [],
+    ["--problem", "sgk", "--format", "jpg"],
 ])
 def test_usage_errors_exit_1(argv, capsys):
     assert main(argv) == 1

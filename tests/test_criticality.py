@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from oracles import hull_contains_origin
-from paretoscape import (BiObjectiveProblem, CriticalityMap, PointClass,
-                         build_fieldset, build_grid, classify, get_problem,
-                         make_aspar, make_bisphere, make_kursawe, make_sgk,
-                         origin_in_hull)
+from paretoscape import (BiObjectiveProblem, PointClass, build_fieldset,
+                         build_grid, classify, get_problem, make_aspar,
+                         make_bisphere, make_kursawe, make_sgk, origin_in_hull)
 from paretoscape.criticality import (CLASS_NAMES, ORIENTATIONS,
                                      boundary_criticality,
                                      export_critical_points_json,

@@ -13,7 +13,7 @@ from paretoscape import (analyze, colormap_blue_red, compose_plot,
 from paretoscape.grid import build_grid
 from paretoscape.landscape import HeightField
 from paretoscape.render import (BLACK_EFFICIENT, GRAY_CRITICAL, WHITE,
-                                _normalizer)
+                                PlotArtifact, _normalizer)
 
 
 def _decode_png(data: bytes) -> np.ndarray:
@@ -141,8 +141,6 @@ def test_compose_plot_empty_warns():
 def test_ppm_bytes_golden():
     raster = np.array([[[255, 0, 0], [0, 255, 0]],
                        [[0, 0, 255], [9, 8, 7]]], dtype=np.uint8)
-    from paretoscape.render import PlotArtifact
-
     art = PlotArtifact(raster=raster)
     data = art.to_ppm_bytes()
     assert data == (b"P6\n2 2\n255\n"
@@ -152,8 +150,6 @@ def test_ppm_bytes_golden():
 def test_png_roundtrip():
     rng = np.random.default_rng(8)
     raster = rng.integers(0, 256, size=(5, 9, 3), dtype=np.uint8)
-    from paretoscape.render import PlotArtifact
-
     decoded = _decode_png(PlotArtifact(raster=raster).to_png_bytes())
     assert decoded.shape == (5, 9, 3)
     assert np.array_equal(decoded, raster)
@@ -164,8 +160,6 @@ def test_png_roundtrip_via_pillow():
         "PIL.Image", reason="Pillow not installed; cross-check skipped")
     rng = np.random.default_rng(8)
     raster = rng.integers(0, 256, size=(5, 9, 3), dtype=np.uint8)
-    from paretoscape.render import PlotArtifact
-
     art = PlotArtifact(raster=raster)
     img = image.open(io.BytesIO(art.to_png_bytes()))
     assert img.size == (9, 5)
@@ -173,21 +167,33 @@ def test_png_roundtrip_via_pillow():
     assert np.array_equal(np.asarray(img), raster)
 
 
-def test_save_infers_format_and_is_deterministic(tmp_path):
+def test_save_writes_the_given_format_and_is_deterministic(tmp_path):
     r = analyze(make_bisphere(), 41)
     art = render("plot", heights=r.heights, decomposition=r.decomposition)
     p1 = tmp_path / "a.png"
     p2 = tmp_path / "b.png"
-    art.save(p1)
-    art.save(p2)
+    art.save(p1, "png")
+    art.save(p2, "png")
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_bytes()[:8] == b"\x89PNG\r\n\x1a\n"
     q = tmp_path / "a.ppm"
-    art.save(q)
-    assert q.read_bytes()[:2] == b"P6"
+    art.save(q, "ppm")
+    assert q.read_bytes() == art.to_ppm_bytes()
+    # the format comes from fmt alone, never from the file name
+    art.save(p2, "ppm")
+    assert p2.read_bytes() == q.read_bytes()
     decoded = _decode_png(p1.read_bytes())
     assert decoded.shape == (41, 41, 3)
     assert np.array_equal(decoded, art.raster)
+
+
+@pytest.mark.parametrize("name, fmt", [("x.png", "PNG"), ("x.jpg", "jpg"),
+                                       ("x.ppm", ""), ("x.png", None)])
+def test_save_rejects_unknown_formats(tmp_path, name, fmt):
+    art = PlotArtifact(raster=np.zeros((2, 3, 3), dtype=np.uint8))
+    with pytest.raises(ValueError, match="unknown image format"):
+        art.save(tmp_path / name, fmt)
+    assert not (tmp_path / name).exists()
 
 
 def test_render_dispatch():
