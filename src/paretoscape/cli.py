@@ -22,13 +22,13 @@ from .criticality import DIV_TOL_REL, export_critical_points_json
 from .gradients import ZERO_TOL_REL, check_tolerance, export_fields_csv
 from .grid import EvaluationError
 from .landscape import analyze, export_decomposition_json, export_heights_csv
-from .problems import UnknownProblemError, available_problems, get_problem
+from .problems import available_problems, get_problem
 from .render import FORMATS, render
 
 MODES = ("plot", "gfh", "cost", "critical")
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -76,14 +76,38 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _pair(text: str, flag: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise UsageError(f"{flag} expects two comma-separated values, got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise UsageError(f"could not parse {flag} {text!r}: {exc}") from exc
+def _flag_type(convert):
+    """``convert`` as an argparse ``type=``: a ValueError it raises becomes
+    the usage error's message, after the flag's name."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return parse
+
+
+@_flag_type
+def _resolution(text: str) -> tuple[int, int]:
+    sizes = [int(s) for s in text.split(",")]
+    if len(sizes) > 2:
+        raise ValueError(f"takes N or N,M, got {text!r}")
+    return sizes[0], sizes[-1]
+
+
+@_flag_type
+def _pair(text: str) -> tuple[float, float]:
+    values = tuple(float(s) for s in text.split(","))
+    if len(values) != 2:
+        raise ValueError(f"expects two comma-separated values, got {text!r}")
+    return values
+
+
+def _tolerance(flag: str):
+    def convert(text: str) -> float:
+        check_tolerance(flag, float(text))
+        return float(text)
+    return _flag_type(convert)
 
 
 def build_parser() -> _Parser:
@@ -93,21 +117,23 @@ def build_parser() -> _Parser:
                     "bi-objective problems on an evaluation grid.")
     p.add_argument("--problem", help="problem name, or bisphere:ax,ay,bx,by")
     p.add_argument("--mode", choices=MODES, default=RunConfig.mode)
-    p.add_argument("--resolution", default=RunConfig.n1,
+    p.add_argument("--resolution", type=_resolution, default=str(RunConfig.n1),
                    help="grid points per axis: N or N,M (default %(default)s)")
-    p.add_argument("--lower", help="override lower bounds: x1,x2")
-    p.add_argument("--upper", help="override upper bounds: x1,x2")
+    p.add_argument("--lower", type=_pair, help="override lower bounds: x1,x2")
+    p.add_argument("--upper", type=_pair, help="override upper bounds: x1,x2")
     p.add_argument("--out", help="image output path (default <problem>_<mode>.<fmt>)")
     p.add_argument("--format", choices=FORMATS, default=RunConfig.fmt,
                    dest="fmt")
     p.add_argument("--export-csv", help="write the mode's height/field table as CSV")
     p.add_argument("--export-json", help="write critical points (critical mode) "
                                          "or the efficient-set decomposition as JSON")
-    p.add_argument("--zero-tol", type=float, default=RunConfig.zero_tol,
+    p.add_argument("--zero-tol", type=_tolerance("--zero-tol"),
+                   default=RunConfig.zero_tol,
                    help="relative zero-gradient tolerance (default %(default)s)")
-    p.add_argument("--div-tol", type=float, default=RunConfig.div_tol,
+    p.add_argument("--div-tol", type=_tolerance("--div-tol"),
+                   default=RunConfig.div_tol,
                    help="relative divergence tolerance (default %(default)s)")
-    p.add_argument("--no-log-scale", action="store_true",
+    p.add_argument("--no-log-scale", action="store_false", dest="log_scale",
                    help="linear instead of log height normalisation")
     p.add_argument("--list-problems", action="store_true")
     return p
@@ -120,42 +146,28 @@ _SIGNED_VALUE_FLAGS = ("--lower", "--upper", "--zero-tol", "--div-tol")
 
 
 def _glue_signed_values(argv):
-    out, it = [], iter(argv)
-    for token in it:
-        if token in _SIGNED_VALUE_FLAGS:
-            value = next(it, None)
-            if value is None:
-                out.append(token)  # let argparse report the missing value
-            else:
-                out.append(f"{token}={value}")
+    out = []
+    for token in argv:
+        if out and out[-1] in _SIGNED_VALUE_FLAGS:
+            out[-1] += "=" + token
         else:
-            out.append(token)
+            out.append(token)   # a trailing flag stays for argparse to report
     return out
 
 
 def parse_args(argv) -> Optional[RunConfig]:
     """Translate argv into a RunConfig; None means --list-problems handled."""
-    args = build_parser().parse_args(_glue_signed_values(argv))
-    if args.list_problems:
+    options = vars(build_parser().parse_args(_glue_signed_values(argv)))
+    if options.pop("list_problems"):
         for name in available_problems():
             prob = get_problem(name)
             box = (f"[{prob.lower[0]:g},{prob.upper[0]:g}] x "
                    f"[{prob.lower[1]:g},{prob.upper[1]:g}]")
             print(f"{name:10s} {box:24s} {prob.note}")
         return None
-    if not args.problem:
+    if not options["problem"]:
         raise UsageError("--problem is required (or use --list-problems)")
-
-    res = str(args.resolution).split(",")
-    try:
-        n1 = int(res[0])
-        n2 = int(res[1]) if len(res) > 1 else n1
-    except ValueError as exc:
-        raise UsageError(f"bad --resolution {args.resolution!r}: {exc}") from exc
-    if len(res) > 2:
-        raise UsageError(f"--resolution takes N or N,M, got {args.resolution!r}")
-    if n1 < 2 or n2 < 2:
-        raise UsageError(f"resolution must be at least 2 per axis, got {n1},{n2}")
+    n1, n2 = options.pop("resolution")
     estimate = BUDGET_BASE_BYTES + BUDGET_BYTES_PER_POINT * n1 * n2
     physical = _physical_memory()
     if estimate > physical:
@@ -163,26 +175,7 @@ def parse_args(argv) -> Optional[RunConfig]:
             f"resolution {n1},{n2} needs an estimated {estimate / 2**20:.0f} MB "
             f"({BUDGET_BASE_BYTES // 2**20} MB + {BUDGET_BYTES_PER_POINT} B per "
             f"point), more than the {physical / 2**20:.0f} MB of physical memory")
-    try:
-        check_tolerance("--zero-tol", args.zero_tol)
-        check_tolerance("--div-tol", args.div_tol)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-    return RunConfig(
-        problem=args.problem,
-        mode=args.mode,
-        n1=n1, n2=n2,
-        lower=_pair(args.lower, "--lower") if args.lower else None,
-        upper=_pair(args.upper, "--upper") if args.upper else None,
-        out=args.out,
-        fmt=args.fmt,
-        export_csv=args.export_csv,
-        export_json=args.export_json,
-        zero_tol=args.zero_tol,
-        div_tol=args.div_tol,
-        log_scale=not args.no_log_scale,
-    )
+    return RunConfig(n1=n1, n2=n2, **options)
 
 
 def run(config: RunConfig) -> int:
@@ -222,14 +215,10 @@ def run(config: RunConfig) -> int:
 def main(argv=None) -> int:
     try:
         config = parse_args(sys.argv[1:] if argv is None else argv)
-    except (UsageError, UnknownProblemError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if config is None:
-        return 0
-    try:
+        if config is None:
+            return 0
         return run(config)
-    except ValueError as exc:     # DomainError and UnknownProblemError too
+    except ValueError as exc:     # UsageError, DomainError, UnknownProblemError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (EvaluationError, OSError) as exc:

@@ -380,7 +380,6 @@ class CriticalityMap:
     pair_critical: np.ndarray       # (M,) bool
     pair_efficient: np.ndarray      # (M,) bool
     div_tol: float
-    zero_tol: float
     n_trimmed: int = 0              # efficient points demoted by the trim
 
     @property
@@ -388,10 +387,8 @@ class CriticalityMap:
         return self.labels >= PointClass.EFFICIENT_INTERIOR
 
     def counts(self) -> dict:
-        u, c = np.unique(self.labels, return_counts=True)
-        by = {int(k): 0 for k in PointClass}
-        by.update({int(k): int(v) for k, v in zip(u, c)})
-        return {CLASS_NAMES[PointClass(k)]: v for k, v in by.items()}
+        c = np.bincount(self.labels.ravel(), minlength=len(PointClass))
+        return {CLASS_NAMES[k]: int(c[k]) for k in PointClass}
 
 
 def classify(fields: FieldSet,
@@ -439,7 +436,7 @@ def classify(fields: FieldSet,
         grid=grid, labels=labels,
         triangles=triangles, triangle_efficient=tri_eff,
         pairs=pairs, pair_critical=pair_crit, pair_efficient=pair_eff,
-        div_tol=div_tol, zero_tol=fields.zero_tol,
+        div_tol=div_tol,
         n_trimmed=int(demote.sum()),
     )
 

@@ -290,17 +290,19 @@ def export_grid_csv(path, grid: Grid, header, columns) -> None:
     value and indexed per row, any other column row by row.
 
     Rows are formatted ``CSV_BLOCK_ROWS`` at a time and written in order.
-    When some column takes the row-by-row path, there are at least two
-    blocks and this process may run on P >= 2 CPUs (its affinity mask, else
-    ``os.cpu_count()``), the blocks are formatted in a pool of
-    min(P, blocks) processes started by ``fork``: they inherit the axis
-    strings, the distinct-value tables and the columns, so that only block
-    starts and block bytes are pickled.  The pool is joined, or
-    terminated on an exception, before this returns.  The output bytes do
-    not depend on P.  ``CSV_BLOCK_ROWS`` is 4096 because a worker's resident
-    set is the parent's plus its block's strings: the mindist ``critical``
-    CLI run at 1000² peaked at 186–187 MB with 16384-row blocks in the pool,
-    177–179 MB with 4096, and 181 MB exporting serially.
+    When there are at least two blocks and this process may run on P >= 2
+    CPUs (its affinity mask, else ``os.cpu_count()``), the blocks are
+    formatted in a pool of min(P, blocks) processes started by ``fork``:
+    they inherit the axis strings, the distinct-value tables and the
+    columns, so that only block starts and block bytes are pickled.  The pool
+    is closed and joined before this returns, also on an exception:
+    terminating it could kill a worker that holds the result queue's lock
+    while it sends a block, and then the pool's own shutdown waits forever
+    for that lock.  The output bytes do not depend on P.  ``CSV_BLOCK_ROWS``
+    is 4096 because a worker's resident set is the parent's plus its block's
+    strings: the mindist ``critical`` CLI run at 1000² peaked at 186–187 MB
+    with 16384-row blocks in the pool, 177–179 MB with 4096, and 181 MB
+    exporting serially.
     """
     global _csv_job
     n = grid.n1 * grid.n2
@@ -312,19 +314,20 @@ def export_grid_csv(path, grid: Grid, header, columns) -> None:
     head = (",".join(["j1", "j2", "x1", "x2", *header]) + "\n").encode("ascii")
     starts = range(0, n, CSV_BLOCK_ROWS)
     processes = min(_cpus(), len(starts))
-    row_by_row = any(d is None for d in distinct)
     with _csv_lock:
         _csv_job = (grid.n1, n, axes, columns, distinct)
         try:
-            if processes < 2 or not hasattr(os, "fork") or not row_by_row:
+            if processes < 2 or not hasattr(os, "fork"):
                 _write_blocks(path, head, map(_csv_block, starts))
             else:
                 # imported here: the CLI's start-up need not pay for it
                 import multiprocessing
                 with multiprocessing.get_context("fork").Pool(processes) as pool:
-                    _write_blocks(path, head, pool.imap(_csv_block, starts))
-                    pool.close()
-                    pool.join()
+                    try:
+                        _write_blocks(path, head, pool.imap(_csv_block, starts))
+                    finally:
+                        pool.close()
+                        pool.join()
         finally:
             _csv_job = None
 

@@ -66,12 +66,10 @@ def dominance_counts(F: np.ndarray) -> np.ndarray:
     if not np.isfinite(F).all():
         raise ValueError("F must be finite: no NaN or infinite objectives")
     N = F.shape[0]
-    if N == 0:
-        return np.zeros(0, dtype=np.int64)
     # dense ranks: key sorts like (f1, f2), and equal keys are equal rows
     r2 = np.unique(F[:, 1], return_inverse=True)[1]
-    key = (np.unique(F[:, 0], return_inverse=True)[1] * (int(r2.max()) + 1)
-           + r2)
+    key = (np.unique(F[:, 0], return_inverse=True)[1]
+           * (int(r2.max(initial=0)) + 1) + r2)
     order = np.argsort(key)
     key = key[order]
     pos = np.arange(N)

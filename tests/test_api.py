@@ -110,7 +110,8 @@ def test_every_class_attribute_is_loaded_outside_the_tests():
 
     The match is by name alone, whatever the object: ``CriticalityMap.counts``
     passes only because ``perfbench/chain.py`` loads the unrelated
-    ``Tracer.counts``.
+    ``Tracer.counts``, and ``CriticalityMap.div_tol`` only because
+    ``paretoscape/cli.py`` loads ``RunConfig.div_tol``.
     """
     loaded = {n.attr for tree in _trees(READERS) for n in ast.walk(tree)
               if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}

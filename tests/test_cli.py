@@ -34,10 +34,13 @@ def test_parse_defaults():
     assert cfg.output_path() == "sgk_plot.ppm"
 
 
-def test_defaults_are_stated_once():
+def test_defaults_are_stated_once(monkeypatch):
     # the parser takes its defaults from RunConfig, and RunConfig and the
     # library take the tolerances from the same module constants
     assert parse_args(["--problem", "sgk"]) == RunConfig(problem="sgk")
+    monkeypatch.setenv("COLUMNS", "200")    # --help on one line per flag
+    text = cli_module.build_parser().format_help()
+    assert "(default 300)" in text and "(default 1e-09)" in text
     params = inspect.signature(analyze).parameters
     assert params["zero_tol_rel"].default == RunConfig.zero_tol
     assert params["div_tol_rel"].default == RunConfig.div_tol
@@ -68,10 +71,26 @@ def test_output_path_sanitizes_parametrized_problem():
     ["--problem", "sgk", "--mode", "volumetric"],
     [],
     ["--problem", "sgk", "--format", "jpg"],
+    ["--problem", "sgk", "--resolution", "5,"],
+    ["--problem", "sgk", "--resolution", "2,3,4"],
+    ["--problem", "sgk", "--resolution", "-5,5"],
+    ["--problem", "sgk", "--lower", "1,2,3"],
+    ["--problem", "sgk", "--upper", "a,b"],
+    ["--problem", "sgk", "--zero-tol", "abc"],
+    ["--problem", "sgk", "--lower"],
 ])
 def test_usage_errors_exit_1(argv, capsys):
     assert main(argv) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_resolution_below_2_exits_1_from_build_grid(tmp_path, capsys):
+    out = tmp_path / "x.ppm"
+    assert main(["--problem", "sgk", "--resolution", "1",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "grid needs at least 2 points per axis, got 1 x 1" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--zero-tol", "--div-tol"])

@@ -172,16 +172,21 @@ def test_export_grid_csv_matches_naive_writer(tmp_path, monkeypatch):
         assert out.read_bytes() == expected
 
 
-def _pool_case(shape):
-    """Columns for a grid of ``shape``: a float column on the row-by-row path
-    with -0.0 and subnormals, and an int column on the distinct-value path."""
+def _pool_case(shape, row_by_row=True):
+    """Columns for a grid of ``shape``: a float column with -0.0 and
+    subnormals, on the row-by-row path if ``row_by_row`` and else on the
+    distinct-value path, and an int column on the distinct-value path."""
     rng = np.random.default_rng(shape[0] * shape[1])
-    floats = rng.normal(size=shape)
-    k = np.arange(floats.size).reshape(shape)
-    floats[k % 7 == 0] = -0.0
-    floats[k % 11 == 3] = 5e-324 * k[k % 11 == 3]      # subnormal multiples
+    if row_by_row:
+        floats = rng.normal(size=shape)
+        k = np.arange(floats.size).reshape(shape)
+        floats[k % 7 == 0] = -0.0
+        floats[k % 11 == 3] = 5e-324 * k[k % 11 == 3]  # subnormal multiples
+    else:
+        floats = _takes_each(rng, [-0.0, 0.0, 5e-324, 3e-323, 0.1, -1e300],
+                             shape)
     ints = _takes_each(rng, np.arange(-3, 4) * 2 ** 40, shape)
-    assert grid_module._distinct_text(floats.T.ravel()) is None
+    assert (grid_module._distinct_text(floats.T.ravel()) is None) == row_by_row
     assert grid_module._distinct_text(ints.T.ravel()) is not None
     return ["f", "k"], [floats, ints]
 
@@ -223,3 +228,21 @@ def test_export_grid_csv_worker_failure_reaches_caller(tmp_path, monkeypatch):
         export_grid_csv(tmp_path / "f.csv", g, header, columns)
     assert multiprocessing.active_children() == []
     assert grid_module._csv_job is None
+
+
+def test_export_grid_csv_pools_columns_on_the_distinct_value_path(tmp_path,
+                                                                  monkeypatch):
+    # every column takes the distinct-value path, and the pool still formats
+    # the blocks: the same bytes, and a failure in a worker reaches the caller
+    n1 = int(3.25 * grid_module.CSV_BLOCK_ROWS) // 64
+    g = build_grid((-1.0, 0.0), (1.0, 2.0), n1, 64)
+    header, columns = _pool_case(g.shape, row_by_row=False)
+    expected = ("\n".join(grid_csv_rows(g, header, columns)) + "\n").encode()
+    monkeypatch.setattr(grid_module, "_cpus", lambda: 2)
+    export_grid_csv(tmp_path / "p2.csv", g, header, columns)
+    assert (tmp_path / "p2.csv").read_bytes() == expected
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(grid_module, "_csv_block", _fails_in_a_worker)
+    with pytest.raises(ValueError, match="block .* failed in a worker"):
+        export_grid_csv(tmp_path / "f.csv", g, header, columns)
+    assert multiprocessing.active_children() == []

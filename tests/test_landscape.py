@@ -237,7 +237,7 @@ def _critmap(grid, labels):
         triangle_efficient=np.zeros(0, dtype=bool),
         pairs=np.zeros((0, 5), dtype=np.int32),
         pair_critical=np.zeros(0, dtype=bool),
-        pair_efficient=np.zeros(0, dtype=bool), div_tol=0.0, zero_tol=0.0)
+        pair_efficient=np.zeros(0, dtype=bool), div_tol=0.0)
 
 
 def test_gfh_heights_cut_cycles_like_descent_walk():
