@@ -140,9 +140,11 @@ def build_parser() -> _Parser:
 
 
 # flags whose values may start with '-' (negative coordinates, or negative
-# tolerances that must reach their range check); argparse would otherwise
-# read "-2,-2" or "-inf" as an option, so glue the value on with '='
-_SIGNED_VALUE_FLAGS = ("--lower", "--upper", "--zero-tol", "--div-tol")
+# resolutions and tolerances that must reach their range check); argparse
+# would otherwise read "-2,-2", "-5,5" or "-inf" as an option, so glue the
+# value on with '='
+_SIGNED_VALUE_FLAGS = ("--lower", "--upper", "--resolution", "--zero-tol",
+                       "--div-tol")
 
 
 def _glue_signed_values(argv):

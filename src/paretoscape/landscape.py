@@ -57,29 +57,43 @@ def dominance_counts(F: np.ndarray) -> np.ndarray:
     The first term is ``_smaller_before`` of the rank of each sorted row by
     (f2, position); the second is row k's place in its run of equal rows.
     About log2(N) passes of O(N) array operations, no Python loop over rows.
+    The work arrays are int32 when N fits it (int64 otherwise); only the
+    dense ranks, the sort keys and the result take 8 bytes per row.  The
+    peak memory is then set, about equally, by the dense rank of f1 (taken
+    while f2's is held), the sort that builds p and the partition passes.
 
     Raises ValueError unless F has shape (N, 2) and every entry is finite.
     """
     F = np.asarray(F, dtype=float)
     if F.ndim != 2 or F.shape[1] != 2:
         raise ValueError(f"F must have shape (N, 2), got {F.shape}")
-    if not np.isfinite(F).all():
+    return _dominance_counts(F[:, 0], F[:, 1])
+
+
+def _dominance_counts(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+    """``dominance_counts`` of the rows (f1[k], f2[k]) of two 1-D columns."""
+    f1 = np.asarray(f1, dtype=float)
+    f2 = np.asarray(f2, dtype=float)
+    if not (np.isfinite(f1).all() and np.isfinite(f2).all()):
         raise ValueError("F must be finite: no NaN or infinite objectives")
-    N = F.shape[0]
+    N = f1.size
+    index = np.int32 if N <= np.iinfo(np.int32).max else np.int64
     # dense ranks: key sorts like (f1, f2), and equal keys are equal rows
-    r2 = np.unique(F[:, 1], return_inverse=True)[1]
-    key = (np.unique(F[:, 0], return_inverse=True)[1]
+    r2 = np.unique(f2, return_inverse=True)[1]
+    key = (np.unique(f1, return_inverse=True)[1]
            * (int(r2.max(initial=0)) + 1) + r2)
-    order = np.argsort(key)
+    order = np.argsort(key).astype(index)
     key = key[order]
-    pos = np.arange(N)
+    pos = np.arange(N, dtype=index)
     run_start = np.ones(N, dtype=bool)
     run_start[1:] = key[1:] != key[:-1]
     copies_before = pos - np.maximum.accumulate(np.where(run_start, pos, 0))
-    # p[m] < p[k] for m < k exactly when f2_m <= f2_k
-    p = np.empty(N, dtype=np.int64)
+    # p[m] < p[k] for m < k exactly when f2_m <= f2_k; the key is int64
+    p = np.empty(N, dtype=index)
     p[np.argsort(r2[order] * N + pos)] = pos
-    del r2, key, run_start      # the partition passes set the peak memory
+    # with int32 work arrays the partition passes peak about as high as the
+    # ranking of f1 and the sort that builds p
+    del r2, key, run_start
     counts = np.empty(N, dtype=np.int64)
     counts[order] = _smaller_before(p) - copies_before
     return counts
@@ -97,20 +111,21 @@ def _smaller_before(p: np.ndarray) -> np.ndarray:
     b clear, so each pair (m, k) is counted once, at the highest bit where
     p[m] and p[k] differ.  The pass then moves the clear half of every
     group in front of its set half, both in order; after bit 0 every value
-    sits at its own position.
+    sits at its own position.  Every work array has p's integer dtype,
+    which must hold N - 1.
     """
     N = p.size
     B = (N - 1).bit_length()
     size = 1 << B
-    v = np.arange(size)
+    v = np.arange(size, dtype=p.dtype)
     v[:N] = p
-    below = np.zeros(size, dtype=np.int64)
+    below = np.zeros(size, dtype=p.dtype)
     for b in reversed(range(B)):
         half = 1 << b
         is_set = (v & half).astype(bool)
         clear = np.flatnonzero(~is_set).reshape(-1, half)
         set_ = np.flatnonzero(is_set).reshape(-1, half)
-        take = np.concatenate([clear, set_], axis=1).ravel()
+        take = np.concatenate([clear, set_], axis=1, dtype=p.dtype).ravel()
         v = v[take]
         below = below[take]
         # the set value in column c of group g sits at g * 2**(b+1) + c + the
@@ -130,10 +145,10 @@ class HeightField:
 
 
 def cost_landscape(f1: np.ndarray, f2: np.ndarray, grid: Grid) -> HeightField:
-    """Dominance-count height for every grid point."""
-    F = np.stack([f1.ravel(), f2.ravel()], axis=1)
-    return HeightField(grid=grid,
-                       values=dominance_counts(F).reshape(grid.shape))
+    """Dominance-count height for every grid point; the two objective grids
+    are counted as flat columns, without an (N, 2) copy."""
+    counts = _dominance_counts(f1.ravel(), f2.ravel())
+    return HeightField(grid=grid, values=counts.reshape(grid.shape))
 
 
 # ---------------------------------------------------------------------------

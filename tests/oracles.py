@@ -115,6 +115,13 @@ def dominance_counts_brute(F: np.ndarray, chunk: int = 512) -> np.ndarray:
     return out
 
 
+def smaller_before_brute(p: np.ndarray) -> np.ndarray:
+    """#{m < k : p[m] < p[k]} for every k, by comparing every pair."""
+    p = np.asarray(p)
+    return np.array([(p[:k] < p[k]).sum() for k in range(p.size)],
+                    dtype=np.int64)
+
+
 def cost_landscape_brute(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     """Per-grid-point strict-dominance counts, shape of ``f1``."""
     F = np.stack([f1.ravel(), f2.ravel()], axis=1)

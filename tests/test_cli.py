@@ -93,6 +93,17 @@ def test_resolution_below_2_exits_1_from_build_grid(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["--resolution", "-5,5"],
+                                  ["--resolution=-5,5"]])
+def test_negative_resolution_names_its_value(argv, tmp_path, capsys):
+    # the space-separated value is glued on like the other signed values,
+    # so it reaches build_grid instead of being read as an option
+    out = tmp_path / "x.ppm"
+    assert main(["--problem", "sgk", "--out", str(out)] + argv) == 1
+    assert "got -5 x 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--zero-tol", "--div-tol"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
 def test_invalid_tolerance_exit_1(flag, value, tmp_path, capsys):

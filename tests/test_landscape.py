@@ -1,19 +1,20 @@
 """Dominance counts, components, descent-path heights, pipeline exports."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import (connected_components_flood, cost_landscape_brute,
-                     dominance_counts_brute, gfh_walk)
+                     dominance_counts_brute, gfh_walk, smaller_before_brute)
 from paretoscape import (BiObjectiveProblem, CriticalityMap, FieldSet,
                          PointClass, analyze, available_problems,
                          connected_components, cost_landscape,
                          decompose_efficient_set, dominance_counts,
                          get_problem, gfh_heights, make_aspar, make_bisphere)
-from paretoscape.grid import build_grid
-from paretoscape.landscape import (export_decomposition_json,
+from paretoscape.grid import build_grid, evaluate_grid
+from paretoscape.landscape import (_smaller_before, export_decomposition_json,
                                    export_heights_csv)
 
 
@@ -102,6 +103,67 @@ def test_cost_landscape_invariant_under_monotone_transforms():
     for t in transforms:
         assert np.array_equal(base, cost_landscape(t(f1), t(f2), g).values)
         assert np.array_equal(base, cost_landscape(t(f1), f2, g).values)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 65])
+def test_smaller_before_int32_and_int64_match_brute(n):
+    # dominance_counts picks int64 work arrays only past 2**31 - 1 points;
+    # the counter's dtype follows p's, so both run here on the same inputs
+    rng = np.random.default_rng(n)
+    for p in (np.arange(n), np.arange(n)[::-1], rng.permutation(n),
+              rng.permutation(n)):
+        expected = smaller_before_brute(p)
+        for dtype in (np.int32, np.int64):
+            counts = _smaller_before(p.astype(dtype))
+            assert counts.dtype == dtype
+            assert np.array_equal(counts, expected), (dtype, p)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "minus_inf"])
+@pytest.mark.parametrize("column", ["f1", "f2"])
+def test_cost_landscape_rejects_non_finite_objectives(bad, column):
+    g = build_grid((0.0, 0.0), (1.0, 1.0), 3, 4)
+    f = {"f1": np.zeros((3, 4)), "f2": np.arange(12.0).reshape(3, 4)}
+    f[column][1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        cost_landscape(f["f1"], f["f2"], g)
+
+
+def test_cost_landscape_of_int_objectives_matches_float_copies():
+    rng = np.random.default_rng(23)
+    g = build_grid((0.0, 0.0), (1.0, 1.0), 9, 7)
+    f1 = rng.integers(-4, 5, size=(9, 7))
+    f2 = rng.integers(-4, 5, size=(9, 7))
+    counts = cost_landscape(f1, f2, g).values
+    assert counts.dtype == np.int64
+    assert np.array_equal(
+        counts, cost_landscape(f1.astype(float), f2.astype(float), g).values)
+    assert np.array_equal(counts, cost_landscape_brute(f1, f2))
+
+
+def _cost_landscape_peak(problem, n1):
+    """Traced peak bytes of cost_landscape on an n1 x 400 grid, above what
+    was live before it."""
+    g = build_grid(problem.lower, problem.upper, n1, 400)
+    f1, f2 = evaluate_grid(problem, g)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cost_landscape(f1, f2, g)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_cost_landscape_memory_per_point():
+    # kursawe on 200x400 and 800x400 grids: the growth of the traced peak per
+    # added point is what the counter holds per point.  Measured with numpy
+    # 2.4: 66.6 B with int32 work arrays and the two columns counted as they
+    # are; 124.8 B with int64 work arrays and a stacked (N, 2) float copy
+    p = get_problem("kursawe")
+    small, large = _cost_landscape_peak(p, 200), _cost_landscape_peak(p, 800)
+    assert (large - small) / (600 * 400) < 75.0
 
 
 def test_connected_components_synthetic():
