@@ -4,17 +4,21 @@ Scalar fields over a grid are plain float arrays of shape (n1, n2) indexed
 ``values[j1, j2]`` (0-based internally; exports use the 1-based convention).
 Vector fields add a trailing axis of length 2.  Per-point CSV exports all go
 through ``export_grid_csv``, which iterates j2 in the outer loop and j1 in
-the inner loop ("j1 fastest").  The per-point stages of the pipeline run
-in blocks of ``BLOCK_ROWS`` grid rows (``row_blocks``, with ``with_halo``
-for stencils) on the calling thread plus helper threads (``map_blocks``),
-with outputs that depend neither on the block size nor on the thread
-count.
+the inner loop ("j1 fastest"); forked workers format all but the first of
+its contiguous runs of rows into temporary files.  The per-point stages of
+the pipeline run in blocks of ``BLOCK_ROWS`` grid rows (``row_blocks``,
+with ``with_halo`` for stencils) on the calling thread plus helper threads
+(``map_blocks``), with outputs that depend neither on the block size nor on
+the thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import operator
 import os
+import shutil
+import tempfile
 import threading
 from dataclasses import dataclass
 
@@ -226,11 +230,18 @@ def check_finite(problem, grid: Grid, named_fields) -> None:
 
 
 # rows per formatted block of a CSV export: bounds the Python strings alive
-# at once, which also bounds a CSV worker's resident set above the parent's
+# at once in the calling process and in each CSV worker.  The mindist
+# critical CLI run at 1000² (2 CPUs, three runs each) peaked at 151.7-152.3,
+# 153.6-153.8 and 159.0-159.7 MB with 1024-, 4096- and 16384-row blocks
 CSV_BLOCK_ROWS = 4096
 
-# the export in progress, read by _csv_block in this process and, inherited
-# by fork, in the CSV workers; the lock keeps concurrent exports apart
+# values per sorted chunk while _distinct_text counts a column's distinct
+# values
+_DISTINCT_CHUNK = 2**16
+
+# the export in progress, read by _csv_block and _write_run in this process
+# and, inherited by fork, in the CSV workers; the lock keeps concurrent
+# exports apart
 _csv_lock = threading.Lock()
 _csv_job = None
 
@@ -242,25 +253,34 @@ def _text(values: np.ndarray) -> list:
     return list(map(fmt, values.tolist()))
 
 
-def _distinct_text(values: np.ndarray):
-    """(strings, inverse) with ``strings[inverse]`` the text of 1-d
-    ``values``, or None if more than a quarter of the values are distinct.
-
-    Floats are told apart by their bit pattern, since ``-0.0 == 0.0`` but
-    the two print differently.  One sort counts the distinct values; only
-    the distinct-value path searches for ``inverse``, stored in the
-    smallest unsigned dtype that holds it."""
-    key = values
+def _bits(values: np.ndarray) -> np.ndarray:
+    """``values``, with floats viewed as unsigned integers of their size:
+    ``-0.0 == 0.0``, but the two print differently."""
     if values.dtype.kind == "f":
-        key = values.view(f"u{values.itemsize}")
-    ordered = np.sort(key)
-    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-    if 4 * np.count_nonzero(first) > values.size:
-        return None
-    distinct = ordered[first]
-    inverse = np.searchsorted(distinct, key)
-    return (np.array(_text(distinct.view(values.dtype)), dtype=object),
-            inverse.astype(np.min_scalar_type(distinct.size - 1)))
+        return values.view(f"u{values.itemsize}")
+    return values
+
+
+def _distinct_text(values: np.ndarray):
+    """(bits, strings): the sorted distinct ``_bits`` of ``values`` and the
+    text of each, or None if more than a quarter of the values are
+    distinct.
+
+    The values are sorted ``_DISTINCT_CHUNK`` at a time along their first
+    axis, and each sorted chunk is merged into the distinct values so far;
+    the count stops once it passes a quarter, so that no temporary holds
+    more than a quarter of the values plus two chunks."""
+    key = _bits(values)
+    limit = values.size // 4
+    step = max(1, _DISTINCT_CHUNK * len(key) // values.size)
+    bits = np.empty(0, key.dtype)
+    for lo in range(0, len(key), step):
+        merged = np.concatenate((bits, np.sort(key[lo:lo + step], axis=None)))
+        merged.sort(kind="stable")      # merges the two sorted runs
+        bits = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
+        if bits.size > limit:
+            return None
+    return bits, np.array(_text(bits.view(values.dtype)), dtype=object)
 
 
 def _csv_block(lo: int) -> bytes:
@@ -271,11 +291,35 @@ def _csv_block(lo: int) -> bytes:
     j, i = np.divmod(np.arange(lo, hi), n1)
     text = [a[k].tolist() for a, k in zip(axes, (i, j, i, j))]
     for c, d in zip(columns, distinct):
+        values = c[i, j]
         if d is None:
-            text.append(_text(c[i, j]))
+            text.append(_text(values))
         else:
-            text.append(d[0][d[1][lo:hi]].tolist())
+            bits, strings = d
+            text.append(strings[np.searchsorted(bits, _bits(values))].tolist())
     return ("\n".join(map(",".join, zip(*text))) + "\n").encode("ascii")
+
+
+def _write_run(fh, run: range) -> int:
+    """Write the blocks numbered in ``run`` of the export in progress to
+    ``fh``; their size in bytes."""
+    return sum(fh.write(_csv_block(b * CSV_BLOCK_ROWS)) for b in run)
+
+
+def _spill_run(fd: int, run: range) -> int:
+    """In a CSV worker: write ``run`` into the inherited spill ``fd``; its
+    size in bytes."""
+    with open(fd, "wb", closefd=False) as fh:
+        return _write_run(fh, run)
+
+
+def _spill(folder: str):
+    """An unnamed temporary file in ``folder``, else in the default
+    temporary directory."""
+    try:
+        return tempfile.TemporaryFile(dir=folder)
+    except OSError:     # e.g. the output is a pipe such as /dev/fd/63
+        return tempfile.TemporaryFile()
 
 
 def export_grid_csv(path, grid: Grid, header, columns) -> None:
@@ -287,44 +331,62 @@ def export_grid_csv(path, grid: Grid, header, columns) -> None:
     integers as ``str``, the text of ``.tolist()``; each distinct value is
     formatted once.  The axes have n1 + n2 distinct values; a column with
     at most a quarter of its values distinct is formatted per distinct
-    value and indexed per row, any other column row by row.
+    value (``_distinct_text``) and looked up per block, any other column
+    row by row.  Besides the distinct-value tables and their count, nothing
+    sized by the grid is allocated: with one row-by-row and one
+    distinct-value column the traced peak grows by 6.0 B per grid point,
+    where a transposed copy, a full sort and a full-length inverse per
+    column would take 26.3 B.
 
-    Rows are formatted ``CSV_BLOCK_ROWS`` at a time and written in order.
-    When there are at least two blocks and this process may run on P >= 2
-    CPUs (its affinity mask, else ``os.cpu_count()``), the blocks are
-    formatted in a pool of min(P, blocks) processes started by ``fork``:
-    they inherit the axis strings, the distinct-value tables and the
-    columns, so that only block starts and block bytes are pickled.  The pool
-    is closed and joined before this returns, also on an exception:
-    terminating it could kill a worker that holds the result queue's lock
-    while it sends a block, and then the pool's own shutdown waits forever
-    for that lock.  The output bytes do not depend on P.  ``CSV_BLOCK_ROWS``
-    is 4096 because a worker's resident set is the parent's plus its block's
-    strings: the mindist ``critical`` CLI run at 1000² peaked at 186–187 MB
-    with 16384-row blocks in the pool, 177–179 MB with 4096, and 181 MB
-    exporting serially.
+    Rows are formatted ``CSV_BLOCK_ROWS`` at a time.  When there are at
+    least two blocks and this process may run on P >= 2 CPUs (its affinity
+    mask, else ``os.cpu_count()``), the blocks are split into
+    R = min(P, blocks) contiguous runs: this process writes the header and
+    run 0 into ``path``, while R - 1 workers started by ``fork`` format one
+    run each into an unnamed temporary file (a spill) in the output's
+    directory, or in the default temporary directory where that refuses,
+    and return only its size; then the spills are appended in order.  The
+    workers inherit the spills, the axis strings, the distinct-value tables
+    and the columns, so nothing but block ranges and sizes is pickled.  The
+    pool is closed and joined before this returns, also on an exception:
+    terminating it could kill a worker that holds the result queue's lock,
+    and then the pool's own shutdown waits forever for that lock.  On any
+    exception ``path``, if it is a regular file, and the spills are
+    removed.  The output bytes do not depend on P.  The mindist
+    ``critical`` CLI run at 1000² (2 CPUs, 11 runs) peaks at a median
+    151.5 MB this way, 145 MB of it live before the export; a pool that
+    pipes every formatted block back to the parent peaks at 177.0 MB.
     """
     global _csv_job
     n = grid.n1 * grid.n2
     axes = [np.array(_text(a), dtype=object)
             for a in (np.arange(1, grid.n1 + 1), np.arange(1, grid.n2 + 1),
                       grid.x1, grid.x2)]
-    # per column: (strings, inverse) on the distinct-value path, else None
-    distinct = [_distinct_text(c.T.ravel()) for c in columns]
+    # per column: (bits, strings) on the distinct-value path, else None
+    distinct = [_distinct_text(c) for c in columns]
     head = (",".join(["j1", "j2", "x1", "x2", *header]) + "\n").encode("ascii")
-    starts = range(0, n, CSV_BLOCK_ROWS)
-    processes = min(_cpus(), len(starts))
-    with _csv_lock:
+    blocks = -(-n // CSV_BLOCK_ROWS)
+    processes = min(_cpus(), blocks) if hasattr(os, "fork") else 1
+    runs = [range(k * blocks // processes, (k + 1) * blocks // processes)
+            for k in range(processes)]
+    folder = os.path.dirname(os.path.abspath(path))
+    with _csv_lock, contextlib.ExitStack() as opened:
+        spills = [opened.enter_context(_spill(folder)) for _ in runs[1:]]
         _csv_job = (grid.n1, n, axes, columns, distinct)
         try:
-            if processes < 2 or not hasattr(os, "fork"):
-                _write_blocks(path, head, map(_csv_block, starts))
+            if not spills:
+                _write_csv(path, head, runs[0], [], None)
             else:
                 # imported here: the CLI's start-up need not pay for it
                 import multiprocessing
-                with multiprocessing.get_context("fork").Pool(processes) as pool:
+                fork = multiprocessing.get_context("fork")
+                with fork.Pool(len(spills)) as pool:
                     try:
-                        _write_blocks(path, head, pool.imap(_csv_block, starts))
+                        tasks = [(spill.fileno(), run)
+                                 for spill, run in zip(spills, runs[1:])]
+                        sizes = pool.starmap_async(_spill_run, tasks,
+                                                   chunksize=1)
+                        _write_csv(path, head, runs[0], spills, sizes)
                     finally:
                         pool.close()
                         pool.join()
@@ -332,8 +394,37 @@ def export_grid_csv(path, grid: Grid, header, columns) -> None:
             _csv_job = None
 
 
-def _write_blocks(path, head: bytes, blocks) -> None:
+def _write_csv(path, head: bytes, run: range, spills, sizes) -> None:
+    """Write ``head`` and ``run`` into ``path``, then append ``spills``
+    with the ``sizes`` their workers return; on any exception remove
+    ``path`` if it is a regular file."""
     # opened only after any fork, so that no worker holds the file
-    with open(path, "wb") as fh:
-        fh.write(head)
-        fh.writelines(blocks)
+    fh = open(path, "wb")
+    try:
+        with fh:
+            fh.write(head)
+            _write_run(fh, run)
+            for spill, size in zip(spills, sizes.get() if spills else []):
+                _append(fh, spill, size)
+    except BaseException:
+        if os.path.isfile(path):
+            os.remove(path)
+        raise
+
+
+def _append(fh, spill, size: int) -> None:
+    """Append the first ``size`` bytes of ``spill`` to ``fh``: inside the
+    kernel where ``os.copy_file_range`` works on the two files, the rest
+    through ``shutil.copyfileobj``."""
+    fh.flush()
+    done = 0
+    if hasattr(os, "copy_file_range"):
+        with contextlib.suppress(OSError):      # not for these two files
+            while done < size:
+                step = os.copy_file_range(spill.fileno(), fh.fileno(),
+                                          size - done, done)
+                if not step:
+                    break
+                done += step
+    spill.seek(done)
+    shutil.copyfileobj(spill, fh)

@@ -482,30 +482,32 @@ def export_decomposition_json(path, decomposition: EfficientSetDecomposition,
     order of ``decomposition.points``: j1 outer, j2 fastest.  The bytes are
     those of ``json.dump(payload, fh, indent=1)`` plus a newline, with
     floats as ``float.__repr__``; the records are formatted from fixed
-    templates instead of the pure-Python encoder that ``indent`` selects.
+    templates instead of the pure-Python encoder that ``indent`` selects,
+    and each component is written as soon as it is formatted.
     """
     d = decomposition
     grid = d.grid
     # a stable sort keeps each component's points in scan order
     order = np.argsort(d.component_of, kind="stable")
     i, j = d.points[order, 0], d.points[order, 1]
-    points = [_POINT_JSON % row for row in zip(
-        (i + 1).tolist(), (j + 1).tolist(), grid.x1[i].tolist(),
-        grid.x2[j].tolist(), f1[i, j].tolist(), f2[i, j].tolist(),
-        d.ranks[order].tolist())]
-    ends = np.cumsum(d.component_sizes).tolist()
-    comps = [
-        _COMPONENT_JSON % (c, size, min_rank, *rep,
-                           ",\n".join(points[end - size:end]))
-        for c, (size, min_rank, rep, end) in enumerate(zip(
-            d.component_sizes.tolist(), d.component_min_rank.tolist(),
-            d.representative_f.tolist(), ends))
-    ]
+    columns = (i + 1, j + 1, grid.x1[i], grid.x2[j], f1[i, j], f2[i, j],
+               d.ranks[order])
     with open(path, "w", encoding="ascii") as fh:
         fh.write('{\n "n_efficient": %d,\n "n_rank0": %d,\n'
                  ' "n_components": %d,\n' % (d.n_efficient, d.n_rank0,
                                               d.n_components))
-        if comps:
-            fh.write(' "components": [\n%s\n ]\n}\n' % ",\n".join(comps))
-        else:
+        if not d.n_components:
             fh.write(' "components": []\n}\n')
+            return
+        fh.write(' "components": [\n')
+        end = 0
+        for c, (size, min_rank, rep) in enumerate(zip(
+                d.component_sizes.tolist(), d.component_min_rank.tolist(),
+                d.representative_f.tolist())):
+            rows = slice(end, end + size)
+            end += size
+            points = ",\n".join(_POINT_JSON % row for row in zip(
+                *(col[rows].tolist() for col in columns)))
+            fh.write((",\n" if c else "")
+                     + _COMPONENT_JSON % (c, size, min_rank, *rep, points))
+        fh.write('\n ]\n}\n')

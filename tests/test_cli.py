@@ -3,6 +3,9 @@
 import inspect
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -248,7 +251,7 @@ def test_critical_mode_exports(tmp_path, capsys):
 
 
 def test_failed_pooled_export_leaves_no_child(tmp_path, capsys, monkeypatch):
-    # the field CSV forks its pool, then fails to open its file: exit 2
+    # the field CSV cannot make its spills in a missing directory: exit 2
     monkeypatch.setattr(grid_module, "_cpus", lambda: 2)
     csv = tmp_path / "missing" / "fields.csv"
     assert main(["--problem", "mindist", "--mode", "critical",
@@ -256,6 +259,30 @@ def test_failed_pooled_export_leaves_no_child(tmp_path, capsys, monkeypatch):
                  "--export-csv", str(csv)]) == 2
     assert "error:" in capsys.readouterr().err
     assert multiprocessing.active_children() == []
+
+
+def test_export_failing_after_the_fork_leaves_no_child_or_spill(
+        tmp_path, capsys, monkeypatch):
+    # the spills are made and the pool forked before the CSV itself is
+    # opened, which fails on a directory: exit 2
+    monkeypatch.setattr(grid_module, "_cpus", lambda: 2)
+    csv = tmp_path / "fields.csv"
+    csv.mkdir()
+    assert main(["--problem", "mindist", "--mode", "critical",
+                 "--resolution", "101", "--out", str(tmp_path / "c.ppm"),
+                 "--export-csv", str(csv)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+    assert sorted(os.listdir(tmp_path)) == ["c.ppm", "fields.csv"]
+    assert os.listdir(csv) == []
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # the CSV export imports it only when it forks, so start-up does not pay
+    code = ("import sys, paretoscape.cli; "
+            "sys.exit('multiprocessing' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], timeout=60)
+    assert proc.returncode == 0
 
 
 def test_critical_csv_matches_naive_writer(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import multiprocessing
 import os
+import subprocess
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,13 +209,79 @@ def test_export_grid_csv_bytes_do_not_depend_on_processes(tmp_path, monkeypatch,
         assert multiprocessing.active_children() == []
 
 
+def test_export_grid_csv_appends_spills_without_copy_file_range(
+        tmp_path, monkeypatch):
+    # where os.copy_file_range is missing, the spills are copied through a
+    # buffer, with the same bytes
+    n1 = 3 * grid_module.CSV_BLOCK_ROWS // 64
+    g = build_grid((-1.0, 0.0), (1.0, 2.0), n1, 64)
+    header, columns = _pool_case(g.shape)
+    expected = ("\n".join(grid_csv_rows(g, header, columns)) + "\n").encode()
+    monkeypatch.delattr(os, "copy_file_range", raising=False)
+    for processes in (2, 3):
+        monkeypatch.setattr(grid_module, "_cpus", lambda: processes)
+        out = tmp_path / f"p{processes}.csv"
+        export_grid_csv(out, g, header, columns)
+        assert out.read_bytes() == expected
+    assert sorted(os.listdir(tmp_path)) == ["p2.csv", "p3.csv"]
+
+
+def test_export_grid_csv_writes_into_a_pipe(tmp_path, monkeypatch):
+    # as through a shell's >(...): no spill can be made in /dev/fd and
+    # os.copy_file_range refuses a pipe, so the spills go to the default
+    # temporary directory and are copied through a buffer
+    n1 = 3 * grid_module.CSV_BLOCK_ROWS // 64
+    g = build_grid((-1.0, 0.0), (1.0, 2.0), n1, 64)
+    header, columns = _pool_case(g.shape)
+    expected = ("\n".join(grid_csv_rows(g, header, columns)) + "\n").encode()
+    monkeypatch.setattr(grid_module, "_cpus", lambda: 2)
+    with open(tmp_path / "out.csv", "wb") as sink:
+        cat = subprocess.Popen(["cat"], stdin=subprocess.PIPE, stdout=sink)
+    try:
+        export_grid_csv(f"/dev/fd/{cat.stdin.fileno()}", g, header, columns)
+    finally:
+        cat.stdin.close()
+        assert cat.wait(timeout=60) == 0
+    assert (tmp_path / "out.csv").read_bytes() == expected
+    assert multiprocessing.active_children() == []
+
+
+def _export_peak(path, n1):
+    """Traced peak bytes of an export of an n1 x 400 grid with one
+    row-by-row and one distinct-value column, above what was live before
+    it."""
+    g = build_grid((-1.0, 0.0), (1.0, 2.0), n1, 400)
+    rng = np.random.default_rng(n1)
+    columns = [rng.normal(size=g.shape), rng.integers(0, 50, size=g.shape)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        export_grid_csv(path, g, ["f", "k"], columns)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_export_grid_csv_memory_per_point(tmp_path, monkeypatch):
+    # on one CPU, 200x400 and 800x400 grids: the growth of the traced peak
+    # per added point is what the export holds per point.  Measured with
+    # numpy 2.4: 6.0 B with chunked distinct counting and per-block lookups;
+    # 26.3 B with a transposed copy, a full sort and a full-length inverse
+    # per column
+    monkeypatch.setattr(grid_module, "_cpus", lambda: 1)
+    small = _export_peak(tmp_path / "small.csv", 200)
+    large = _export_peak(tmp_path / "large.csv", 800)
+    assert (large - small) / (600 * 400) < 12.0
+
+
 _PARENT = os.getpid()
 _csv_block = grid_module._csv_block
 
 
 def _fails_in_a_worker(lo):
-    # raising only outside the test process shows that the pool ran the block
-    if lo == grid_module.CSV_BLOCK_ROWS and os.getpid() != _PARENT:
+    # raising only outside the test process shows that a worker formats the
+    # block: the first block of the second run
+    if os.getpid() != _PARENT:
         raise ValueError(f"block {lo} failed in a worker")
     return _csv_block(lo)
 
@@ -228,6 +296,8 @@ def test_export_grid_csv_worker_failure_reaches_caller(tmp_path, monkeypatch):
         export_grid_csv(tmp_path / "f.csv", g, header, columns)
     assert multiprocessing.active_children() == []
     assert grid_module._csv_job is None
+    # neither a truncated table nor a spill is left behind
+    assert os.listdir(tmp_path) == []
 
 
 def test_export_grid_csv_pools_columns_on_the_distinct_value_path(tmp_path,
@@ -246,3 +316,4 @@ def test_export_grid_csv_pools_columns_on_the_distinct_value_path(tmp_path,
     with pytest.raises(ValueError, match="block .* failed in a worker"):
         export_grid_csv(tmp_path / "f.csv", g, header, columns)
     assert multiprocessing.active_children() == []
+    assert os.listdir(tmp_path) == ["p2.csv"]
