@@ -251,7 +251,8 @@ def test_critical_mode_exports(tmp_path, capsys):
 
 
 def test_failed_pooled_export_leaves_no_child(tmp_path, capsys, monkeypatch):
-    # the field CSV cannot make its spills in a missing directory: exit 2
+    # the spills fall back to the default temporary directory, the pool
+    # forks, and opening the CSV in a missing directory fails: exit 2
     monkeypatch.setattr(grid_module, "_cpus", lambda: 2)
     csv = tmp_path / "missing" / "fields.csv"
     assert main(["--problem", "mindist", "--mode", "critical",

@@ -209,27 +209,9 @@ def test_export_grid_csv_bytes_do_not_depend_on_processes(tmp_path, monkeypatch,
         assert multiprocessing.active_children() == []
 
 
-def test_export_grid_csv_appends_spills_without_copy_file_range(
-        tmp_path, monkeypatch):
-    # where os.copy_file_range is missing, the spills are copied through a
-    # buffer, with the same bytes
-    n1 = 3 * grid_module.CSV_BLOCK_ROWS // 64
-    g = build_grid((-1.0, 0.0), (1.0, 2.0), n1, 64)
-    header, columns = _pool_case(g.shape)
-    expected = ("\n".join(grid_csv_rows(g, header, columns)) + "\n").encode()
-    monkeypatch.delattr(os, "copy_file_range", raising=False)
-    for processes in (2, 3):
-        monkeypatch.setattr(grid_module, "_cpus", lambda: processes)
-        out = tmp_path / f"p{processes}.csv"
-        export_grid_csv(out, g, header, columns)
-        assert out.read_bytes() == expected
-    assert sorted(os.listdir(tmp_path)) == ["p2.csv", "p3.csv"]
-
-
 def test_export_grid_csv_writes_into_a_pipe(tmp_path, monkeypatch):
-    # as through a shell's >(...): no spill can be made in /dev/fd and
-    # os.copy_file_range refuses a pipe, so the spills go to the default
-    # temporary directory and are copied through a buffer
+    # as through a shell's >(...): no spill can be made in /dev/fd, so the
+    # spills go to the default temporary directory
     n1 = 3 * grid_module.CSV_BLOCK_ROWS // 64
     g = build_grid((-1.0, 0.0), (1.0, 2.0), n1, 64)
     header, columns = _pool_case(g.shape)
@@ -298,6 +280,35 @@ def test_export_grid_csv_worker_failure_reaches_caller(tmp_path, monkeypatch):
     assert grid_module._csv_job is None
     # neither a truncated table nor a spill is left behind
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("through", ["link", "fd"])
+def test_failed_export_through_a_link_empties_the_file(tmp_path, monkeypatch,
+                                                       through):
+    # a symlink, or a /dev/fd entry as for --export-csv /dev/stdout, stays;
+    # the regular file it leads to is left empty, and the worker's error is
+    # the one raised
+    n1 = 3 * grid_module.CSV_BLOCK_ROWS // 64
+    g = build_grid((-1.0, 0.0), (1.0, 2.0), n1, 64)
+    header, columns = _pool_case(g.shape)
+    monkeypatch.setattr(grid_module, "_cpus", lambda: 2)
+    monkeypatch.setattr(grid_module, "_csv_block", _fails_in_a_worker)
+    target = tmp_path / "target.csv"
+    target.write_text("an older table\n")
+    with open(target, "ab") as held:
+        if through == "link":
+            path = tmp_path / "link.csv"
+            path.symlink_to(target)
+        else:
+            path = f"/dev/fd/{held.fileno()}"
+        with pytest.raises(ValueError, match="block .* failed in a worker"):
+            export_grid_csv(path, g, header, columns)
+    assert multiprocessing.active_children() == []
+    assert target.read_bytes() == b""
+    if through == "link":
+        assert os.readlink(path) == str(target)
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        ["target.csv"] + (["link.csv"] if through == "link" else []))
 
 
 def test_export_grid_csv_pools_columns_on_the_distinct_value_path(tmp_path,
