@@ -340,7 +340,7 @@ def export_grid_csv(path, grid: Grid, header, columns) -> None:
     value (``_distinct_text``) and looked up per block, any other column
     row by row.  Besides the distinct-value tables and their count, nothing
     sized by the grid is allocated: with one row-by-row and one
-    distinct-value column the traced peak grows by 6.0 B per grid point,
+    distinct-value column the traced peak grows by 3.9 B per grid point,
     where a transposed copy, a full sort and a full-length inverse per
     column would take 26.3 B.
 
@@ -363,7 +363,7 @@ def export_grid_csv(path, grid: Grid, header, columns) -> None:
     The output bytes do not depend on P.  The mindist
     ``critical`` CLI run at 1000² (2 CPUs, 11 runs) peaks at a median
     151.5 MB this way, 145 MB of it live before the export; a pool that
-    pipes every formatted block back to the parent peaks at 177.0 MB.
+    pipes every formatted block back to the parent peaks at 178.1 MB.
     """
     global _csv_job
     n = grid.n1 * grid.n2

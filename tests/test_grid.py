@@ -247,7 +247,7 @@ def _export_peak(path, n1):
 def test_export_grid_csv_memory_per_point(tmp_path, monkeypatch):
     # on one CPU, 200x400 and 800x400 grids: the growth of the traced peak
     # per added point is what the export holds per point.  Measured with
-    # numpy 2.4: 6.0 B with chunked distinct counting and per-block lookups;
+    # numpy 2.4: 3.9 B with chunked distinct counting and per-block lookups;
     # 26.3 B with a transposed copy, a full sort and a full-length inverse
     # per column
     monkeypatch.setattr(grid_module, "_cpus", lambda: 1)
