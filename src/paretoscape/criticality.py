@@ -45,7 +45,7 @@ import numpy as np
 
 from .gradients import (FieldSet, _is_zero, absolute_tolerance,
                         check_tolerance, divergence, gradient_norms)
-from .grid import Grid, map_blocks, row_blocks, with_halo
+from .grid import CSV_BLOCK_ROWS, Grid, map_blocks, row_blocks, with_halo
 
 # default divergence tolerance, relative to the largest divergence
 DIV_TOL_REL = 1e-9
@@ -455,15 +455,20 @@ def export_critical_points_json(path, critmap: CriticalityMap,
     set in ``fields``.  The bytes are those of ``json.dump(records, fh,
     indent=1)`` plus a newline, with floats (all finite) as ``repr``; each
     record is formatted from a fixed template instead of the pure-Python
-    encoder that ``indent`` selects.
+    encoder that ``indent`` selects, and the records are formatted and
+    written ``CSV_BLOCK_ROWS`` at a time, so that the text of only one
+    chunk is held at once.
     """
     grid = critmap.grid
-    j, i = np.nonzero(critmap.labels.T)     # j2 outer, j1 inner
-    records = [_CRITICAL_JSON % row for row in zip(
-        (i + 1).tolist(), (j + 1).tolist(), grid.x1[i].tolist(),
-        grid.x2[j].tolist(),
-        map(CLASS_NAMES.get, critmap.labels[i, j].tolist()),
-        fields.div_descent[i, j].tolist(),
-        fields.f1[i, j].tolist(), fields.f2[i, j].tolist())]
+    J, I = np.nonzero(critmap.labels.T)     # j2 outer, j1 inner
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("[\n%s\n]\n" % ",\n".join(records) if records else "[]\n")
+        for lo in range(0, I.size, CSV_BLOCK_ROWS):
+            i, j = I[lo:lo + CSV_BLOCK_ROWS], J[lo:lo + CSV_BLOCK_ROWS]
+            fh.write((",\n" if lo else "[\n") + ",\n".join(
+                _CRITICAL_JSON % row for row in zip(
+                    (i + 1).tolist(), (j + 1).tolist(), grid.x1[i].tolist(),
+                    grid.x2[j].tolist(),
+                    map(CLASS_NAMES.get, critmap.labels[i, j].tolist()),
+                    fields.div_descent[i, j].tolist(),
+                    fields.f1[i, j].tolist(), fields.f2[i, j].tolist())))
+        fh.write("\n]\n" if I.size else "[]\n")

@@ -4,8 +4,11 @@ Scalar fields over a grid are plain float arrays of shape (n1, n2) indexed
 ``values[j1, j2]`` (0-based internally; exports use the 1-based convention).
 Vector fields add a trailing axis of length 2.  Per-point CSV exports all go
 through ``export_grid_csv``, which iterates j2 in the outer loop and j1 in
-the inner loop ("j1 fastest"); forked workers format all but the first of
-its contiguous runs of rows into temporary files.  The per-point stages of
+the inner loop ("j1 fastest").  It passes its job to the block formatter as
+an argument; forked workers, which take the job from the pool's
+initializer, format all but the first of its contiguous runs of rows into
+temporary files, and one path writes the header, the first run and those
+files into the output for any number of workers.  The per-point stages of
 the pipeline run in blocks of ``BLOCK_ROWS`` grid rows (``row_blocks``,
 with ``with_halo`` for stencils) on the calling thread plus helper threads
 (``map_blocks``), with outputs that depend neither on the block size nor on
@@ -240,12 +243,6 @@ CSV_BLOCK_ROWS = 4096
 # values
 _DISTINCT_CHUNK = 2**16
 
-# the export in progress, read by _csv_block and _write_run in this process
-# and, inherited by fork, in the CSV workers; the lock keeps concurrent
-# exports apart
-_csv_lock = threading.Lock()
-_csv_job = None
-
 
 def _text(values: np.ndarray) -> list:
     """The text of each element of 1-d ``values``: floats as
@@ -289,10 +286,10 @@ def _distinct_text(values: np.ndarray):
     return bits, np.array(_text(bits.view(values.dtype)), dtype=object)
 
 
-def _csv_block(lo: int) -> bytes:
-    """The ASCII rows ``lo`` to ``lo + CSV_BLOCK_ROWS`` of the export in
-    progress."""
-    n1, n, axes, columns, distinct = _csv_job
+def _csv_block(job, lo: int) -> bytes:
+    """The ASCII rows ``lo`` to ``lo + CSV_BLOCK_ROWS`` of the export
+    ``job``."""
+    n1, n, axes, columns, distinct = job
     hi = min(lo + CSV_BLOCK_ROWS, n)
     j, i = np.divmod(np.arange(lo, hi), n1)
     text = [a[k].tolist() for a, k in zip(axes, (i, j, i, j))]
@@ -306,17 +303,25 @@ def _csv_block(lo: int) -> bytes:
     return ("\n".join(map(",".join, zip(*text))) + "\n").encode("ascii")
 
 
-def _write_run(fh, run: range) -> None:
-    """Write the blocks numbered in ``run`` of the export in progress to
+def _write_run(fh, job, run: range) -> None:
+    """Write the blocks numbered in ``run`` of the export ``job`` to
     ``fh``."""
     for b in run:
-        fh.write(_csv_block(b * CSV_BLOCK_ROWS))
+        fh.write(_csv_block(job, b * CSV_BLOCK_ROWS))
 
 
-def _spill_run(fd: int, run: range) -> None:
-    """In a CSV worker: write ``run`` into the inherited spill ``fd``."""
+def _adopt(job) -> None:
+    """The initializer of a CSV worker: take ``job`` as its export."""
+    global _job
+    _job = job
+
+
+def _spill_run(task) -> None:
+    """In a CSV worker: write the run of ``task`` = (fd, run) into the
+    inherited spill ``fd``."""
+    fd, run = task
     with open(fd, "wb", closefd=False) as fh:
-        _write_run(fh, run)
+        _write_run(fh, _job, run)
 
 
 def _spill(folder: str):
@@ -344,82 +349,69 @@ def export_grid_csv(path, grid: Grid, header, columns) -> None:
     where a transposed copy, a full sort and a full-length inverse per
     column would take 26.3 B.
 
-    Rows are formatted ``CSV_BLOCK_ROWS`` at a time.  When there are at
-    least two blocks and this process may run on P >= 2 CPUs (its affinity
-    mask, else ``os.cpu_count()``), the blocks are split into
-    R = min(P, blocks) contiguous runs: this process writes the header and
-    run 0 into ``path``, while R - 1 workers started by ``fork`` format one
-    run each into an unnamed temporary file (a spill) in the output's
-    directory, or in the default temporary directory where that refuses;
-    then the spills are appended in order through a buffer.  The workers
-    inherit the spills, the axis strings, the distinct-value tables and the
-    columns, so nothing but block ranges is pickled.  The pool is closed
-    and joined before this returns, also on an exception: terminating it
-    could kill a worker that holds the result queue's lock, and then the
-    pool's own shutdown waits forever for that lock.  On any exception the
-    spills are closed, which deletes them, and ``path`` is removed if it
-    names a regular file, or emptied if it is a link or a /dev/fd entry
-    that leads to one, so that no shorter table is left that still parses.
-    The output bytes do not depend on P.  The mindist
-    ``critical`` CLI run at 1000² (2 CPUs, 11 runs) peaks at a median
-    151.5 MB this way, 145 MB of it live before the export; a pool that
-    pipes every formatted block back to the parent peaks at 178.1 MB.
+    Rows are formatted ``CSV_BLOCK_ROWS`` at a time, and the blocks are
+    split into R = min(P, blocks) contiguous runs, P being the CPUs this
+    process may run on (its affinity mask, else ``os.cpu_count()``).  The
+    axis strings, the columns and the distinct-value tables form the job,
+    which this process passes to ``_write_run`` and ``_csv_block`` as an
+    argument; no module state holds it.  For R >= 2, R - 1 workers started
+    by ``fork`` take the job from the pool's initializer (``_adopt``),
+    which the fork hands over without pickling, and each formats one run
+    into an unnamed temporary file (a spill) in the output's directory, or
+    in the default temporary directory where that refuses.  Whatever R,
+    this process then writes the header and run 0 into ``path`` and
+    appends each spill in order, through a buffer, once its worker is
+    done.  The mindist ``critical`` CLI run at 1000² (2 CPUs,
+    11 runs) peaks at a median 151.5 MB this way, 145 MB of it live before
+    the export; a pool that pipes every formatted block back to the parent
+    peaks at 178.1 MB.
+
+    One exit stack owns the spills and the pool, which is closed and
+    joined before this returns, also on an exception: terminating it could
+    kill a worker that holds the result queue's lock, and then the pool's
+    own shutdown waits forever for that lock.  On any exception the spills
+    are closed, which deletes them, and ``_discard`` undoes what was
+    written into ``path``, so that no shorter table is left that still
+    parses.  The output bytes do not depend on P.
     """
-    global _csv_job
     n = grid.n1 * grid.n2
     axes = [np.array(_text(a), dtype=object)
             for a in (np.arange(1, grid.n1 + 1), np.arange(1, grid.n2 + 1),
                       grid.x1, grid.x2)]
     # per column: (bits, strings) on the distinct-value path, else None
     distinct = [_distinct_text(c) for c in columns]
-    head = (",".join(["j1", "j2", "x1", "x2", *header]) + "\n").encode("ascii")
+    job = (grid.n1, n, axes, columns, distinct)
     blocks = -(-n // CSV_BLOCK_ROWS)
     processes = min(_cpus(), blocks) if hasattr(os, "fork") else 1
     runs = [range(k * blocks // processes, (k + 1) * blocks // processes)
             for k in range(processes)]
     folder = os.path.dirname(os.path.abspath(path))
-    with _csv_lock, contextlib.ExitStack() as opened:
-        spills = [opened.enter_context(_spill(folder)) for _ in runs[1:]]
-        _csv_job = (grid.n1, n, axes, columns, distinct)
+    with contextlib.ExitStack() as stack:
+        spills = [stack.enter_context(_spill(folder)) for _ in runs[1:]]
+        spilled = ()        # per spill, in order: its worker's result
+        if spills:
+            # imported here: the CLI's start-up need not pay for it
+            import multiprocessing
+            pool = multiprocessing.get_context("fork").Pool(
+                len(spills), _adopt, (job,))
+            stack.callback(pool.join)
+            stack.callback(pool.close)      # runs first: last in, first out
+            spilled = pool.imap(_spill_run, [
+                (spill.fileno(), run) for spill, run in zip(spills, runs[1:])])
+        # opened only after any fork, so that no worker holds the file
+        fh = open(path, "wb")
         try:
-            if not spills:
-                _write_csv(path, head, runs[0], [], None)
-            else:
-                # imported here: the CLI's start-up need not pay for it
-                import multiprocessing
-                fork = multiprocessing.get_context("fork")
-                with fork.Pool(len(spills)) as pool:
-                    try:
-                        tasks = [(spill.fileno(), run)
-                                 for spill, run in zip(spills, runs[1:])]
-                        spilled = pool.starmap_async(_spill_run, tasks,
-                                                     chunksize=1)
-                        _write_csv(path, head, runs[0], spills, spilled)
-                    finally:
-                        pool.close()
-                        pool.join()
-        finally:
-            _csv_job = None
-
-
-def _write_csv(path, head: bytes, run: range, spills, spilled) -> None:
-    """Write ``head`` and ``run`` into ``path``, then append ``spills``
-    once ``spilled``, the workers' result, is ready; on any exception
-    ``_discard`` what was written."""
-    # opened only after any fork, so that no worker holds the file
-    fh = open(path, "wb")
-    try:
-        with fh:
-            fh.write(head)
-            _write_run(fh, run)
-            if spills:
-                spilled.get()       # raises a worker's exception
-            for spill in spills:
-                spill.seek(0)
-                shutil.copyfileobj(spill, fh)
-    except BaseException:
-        _discard(path)
-        raise
+            with fh:
+                fh.write((",".join(["j1", "j2", "x1", "x2", *header])
+                          + "\n").encode("ascii"))
+                _write_run(fh, job, runs[0])
+                # a worker's result raises its exception
+                for spill, _ in zip(spills, spilled):
+                    spill.seek(0)
+                    shutil.copyfileobj(spill, fh)
+        except BaseException:
+            _discard(path)
+            raise
 
 
 def _discard(path) -> None:

@@ -4,8 +4,9 @@ reads.
 The pipeline keeps no surface that only the tests use: every public name and
 every class attribute is read by a module of the package or of the
 benchmark, every function of the package reads each of its parameters, and
-no module imports a name it does not read.  The exceptions are listed here,
-each with its reason.
+no module imports a name it does not read.  The stages keep no module state:
+no function of the package rebinds a module global.  The exceptions are
+listed here, each with its reason.
 """
 
 import ast
@@ -40,6 +41,11 @@ UNREAD_ATTRIBUTES = {
                               "it goes (ROADMAP, basins of attraction)",
     ("BasinMap", "stop_counts"): "the planned run report will read it "
                                  "(ROADMAP, library spans and --report)",
+}
+
+# (module, function) that rebinds a module global (a ``global`` statement)
+GLOBAL_WRITERS = {
+    ("grid", "_adopt"): "runs only in forked CSV workers",
 }
 
 
@@ -141,3 +147,11 @@ def test_no_module_imports_a_name_it_does_not_read():
               for p, tree in zip(paths, _trees(paths))
               for name in _unread_imports(tree)}
     assert unread == set()
+
+
+def test_no_function_rebinds_a_module_global():
+    paths = sorted(PACKAGE.glob("*.py"))
+    writers = {(p.stem, fn.name) for p, tree in zip(paths, _trees(paths))
+               for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               and any(isinstance(n, ast.Global) for n in ast.walk(fn))}
+    assert writers == set(GLOBAL_WRITERS)
