@@ -416,7 +416,7 @@ def classify(fields: FieldSet,
     fields.div_descent = np.negative(div, out=div)
     div_tol = absolute_tolerance(
         "div_tol_rel", div_tol_rel, "largest divergence",
-        float(np.abs(fields.div_descent).max(initial=0.0)))
+        float(np.maximum(div.max(initial=0.0), -div.min(initial=0.0))))
 
     tri_eff = triangle_second_order(triangles, fields.div_descent, div_tol)
 

@@ -88,10 +88,12 @@ class FieldSet:
     multi-objective gradient; ``classify`` rebinds it to a rotated copy
     (normal components removed where descent would leave the box) and sets
     ``div_descent`` = div(-mo), which the exports need, from None.  No step
-    writes either array in place, so ``mo_raw`` always keeps the unrotated
-    field.  ``classify``'s boundary test reads it before the rotation; the
-    rotation keeps every boundary verdict, so after ``classify`` only the
-    probe of ``perfbench/chain.py`` reads ``mo_raw``.
+    writes either array in place, so ``mo_raw`` keeps the unrotated field
+    for as long as it is held.  ``classify``'s boundary test reads it before
+    the rotation; the rotation keeps every boundary verdict, so nothing in
+    the pipeline reads it after ``classify``, and ``analyze`` goes on with a
+    copy of the set whose ``mo_raw`` is None (only the probe of
+    ``perfbench/chain.py``, which builds its own set, reads it later).
     """
 
     grid: Grid
@@ -99,7 +101,7 @@ class FieldSet:
     f2: np.ndarray
     g1: np.ndarray
     g2: np.ndarray
-    mo_raw: np.ndarray
+    mo_raw: Optional[np.ndarray]
     mo: np.ndarray
     zero_tol: float
     div_descent: Optional[np.ndarray] = None

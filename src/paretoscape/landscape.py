@@ -30,7 +30,7 @@ which separates globally from locally efficient structures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -261,6 +261,9 @@ def decompose_efficient_set(critmap: CriticalityMap, f1: np.ndarray,
 # how a descent path can end; codes are positions in this tuple
 STOP_KINDS = ("efficient", "cycle", "dead_end", "pit")
 
+# most points of one peel round that the back-substitution indexes at once
+PEEL_CHUNK = 1 << 16
+
 
 @dataclass
 class BasinMap:
@@ -305,7 +308,10 @@ def gfh_heights(fields: FieldSet, critmap: CriticalityMap,
     decrements the in-degree of its frontier's targets only, so the whole
     peel costs about O(N log N).  Stops then get height 0, and walking the
     rounds backwards, h[v] = cost[v] + h[succ[v]], and each peeled point
-    takes its successor's stop kind with its height.
+    takes its successor's stop kind with its height; a round's points are
+    independent, so they are gathered at most ``PEEL_CHUNK`` at a time as
+    intp indices.  The stop kinds are counted one kind at a time, without
+    widening the int8 codes.
     """
     grid = fields.grid
     n1, n2 = grid.shape
@@ -378,14 +384,16 @@ def gfh_heights(fields: FieldSet, critmap: CriticalityMap,
     heights[cut | ~linked] = 0.0
     del indeg, linked, cut
 
-    # every peeled point ends where its successor does
+    # every peeled point ends where its successor does; the points of one
+    # round are independent, so any slicing of a round gives the same bytes
     for frontier in reversed(rounds):
-        frontier = frontier.astype(np.intp)
-        t = frontier + shift[step[frontier]]
-        heights[frontier] += heights[t]
-        kind[frontier] = kind[t]
-    per_kind = np.bincount(kind, minlength=len(STOP_KINDS))
-    stop_counts = dict(zip(STOP_KINDS, per_kind.tolist()))
+        for lo in range(0, frontier.size, PEEL_CHUNK):
+            v = frontier[lo:lo + PEEL_CHUNK].astype(np.intp)
+            t = v + shift[step[v]]
+            heights[v] += heights[t]
+            kind[v] = kind[t]
+    stop_counts = {name: int(np.count_nonzero(kind == k))
+                   for k, name in enumerate(STOP_KINDS)}
     return (HeightField(grid=grid, values=heights.reshape(grid.shape)),
             BasinMap(n_basins=decomposition.n_components,
                      n_unconverged=N - stop_counts["efficient"],
@@ -436,7 +444,10 @@ def analyze(problem, n1: int, n2: Optional[int] = None, *,
     """Run the full pipeline for a problem at the given grid resolution.
 
     The per-point stages run on all usable CPUs (``grid.map_blocks``), with
-    the same results for any thread count.
+    the same results for any thread count.  Once ``classify`` has rotated
+    the descent field, the run goes on with a copy of the field set whose
+    ``mo_raw`` is None, so the unrotated field is freed before the later
+    stages allocate; ``result.fields.mo_raw`` is therefore None.
     """
     if n2 is None:
         n2 = n1
@@ -445,6 +456,7 @@ def analyze(problem, n1: int, n2: Optional[int] = None, *,
     grid = build_grid(lo, up, n1, n2)
     fields = build_fieldset(problem, grid, zero_tol_rel=zero_tol_rel)
     critmap = classify(fields, div_tol_rel=div_tol_rel)
+    fields = replace(fields, mo_raw=None)
     decomposition = decompose_efficient_set(critmap, fields.f1, fields.f2)
     heights, basins = gfh_heights(fields, critmap, decomposition)
     cost = cost_landscape(fields.f1, fields.f2, grid) if with_cost else None

@@ -4,7 +4,8 @@ Images are built as uint8 RGB arrays of shape (n2, n1, 3): image row 0 is
 the *top* of the decision space (largest x2), so plots read like standard
 mathematical axes.  Two encoders are provided — binary PPM (P6), which is
 trivially deterministic, and PNG via the stdlib zlib, byte-stable for a
-fixed compression level.
+fixed compression level.  The PNG encoder filters and compresses one block
+of image rows at a time, so it holds no full filtered copy of the image.
 
 Height fields use a blue-to-red colormap (low to high) over log-scaled
 values; the combined view draws efficient points coloured by dominance rank
@@ -97,17 +98,27 @@ def _png_chunk(tag: bytes, payload: bytes) -> bytes:
 
 
 def _encode_png(raster: np.ndarray) -> bytes:
-    """Minimal 8-bit truecolour PNG encoder (filter 0, fixed zlib level)."""
+    """Minimal 8-bit truecolour PNG encoder (filter 0, fixed zlib level).
+
+    The filtered rows go to one ``zlib.compressobj(9)`` one ``row_blocks``
+    block at a time, with no flush until the end.  zlib's deflate then emits
+    the bytes of ``zlib.compress(rows, 9)`` over all rows at once (the tests
+    compare the two across block seams), without a full filtered copy of
+    the image.
+    """
     h, w = raster.shape[:2]
     ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
-    # each row behind its filter byte, compressed straight from the buffer
-    rows = np.empty((h, w * 3 + 1), dtype=np.uint8)
-    rows[:, 0] = 0
-    rows[:, 1:] = raster.reshape(h, w * 3)
-    idat = zlib.compress(rows, 9)
+    # each row behind its filter byte
+    z = zlib.compressobj(9)
+    idat = []
+    for rows in row_blocks(h):
+        block = np.zeros((rows.stop - rows.start, w * 3 + 1), dtype=np.uint8)
+        block[:, 1:] = raster[rows].reshape(-1, w * 3)
+        idat.append(z.compress(block))
+    idat.append(z.flush())
     return (b"\x89PNG\r\n\x1a\n"
             + _png_chunk(b"IHDR", ihdr)
-            + _png_chunk(b"IDAT", idat)
+            + _png_chunk(b"IDAT", b"".join(idat))
             + _png_chunk(b"IEND", b""))
 
 

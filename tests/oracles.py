@@ -1,6 +1,8 @@
 """Brute-force reference implementations the production code is checked
 against, and problems that break it."""
 
+import struct
+import zlib
 from fractions import Fraction
 
 import numpy as np
@@ -230,3 +232,20 @@ def grid_csv_rows(grid, header, columns):
             row += [c[j1][j2] for c in lists]
             lines.append(",".join(map(str, row)))
     return lines
+
+
+def png_one_shot(raster: np.ndarray) -> bytes:
+    """The 8-bit truecolour PNG of an (h, w, 3) uint8 raster, framed around
+    one ``zlib.compress(filtered_rows, 9)`` of all rows, each behind its
+    filter byte 0: signature, IHDR, one IDAT, IEND."""
+    h, w = raster.shape[:2]
+    rows = b"".join(b"\x00" + raster[r].tobytes() for r in range(h))
+
+    def chunk(tag: bytes, payload: bytes) -> bytes:
+        return (struct.pack(">I", len(payload)) + tag + payload
+                + struct.pack(">I", zlib.crc32(tag + payload) & 0xFFFFFFFF))
+
+    return (b"\x89PNG\r\n\x1a\n"
+            + chunk(b"IHDR", struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0))
+            + chunk(b"IDAT", zlib.compress(rows, 9))
+            + chunk(b"IEND", b""))

@@ -12,7 +12,7 @@ from paretoscape import criticality as criticality_module
 from paretoscape import (BiObjectiveProblem, PointClass, build_fieldset,
                          build_grid, classify, get_problem, make_aspar,
                          make_bisphere, make_kursawe, make_sgk, origin_in_hull)
-from paretoscape.criticality import (CLASS_NAMES, ORIENTATIONS,
+from paretoscape.criticality import (CLASS_NAMES, DIV_TOL_REL, ORIENTATIONS,
                                      boundary_criticality,
                                      export_critical_points_json,
                                      interior_criticality,
@@ -737,6 +737,23 @@ def test_overflowing_absolute_tolerances_raise():
     with pytest.raises(ValueError, match=r"div_tol_rel 1e\+308 times the "
                                          r"largest divergence 67\.8"):
         classify(fs, div_tol_rel=1e308)
+
+
+def test_div_tol_is_relative_to_the_largest_divergence_magnitude():
+    # bisphere's descent divergence is negative everywhere and sgk's most
+    # negative one beats its most positive one; on mindist at 31^2 the
+    # positive side wins
+    cases = [(make_bisphere(), 20), (make_sgk(), 50),
+             (get_problem("mindist"), 31)]
+    signs = []
+    for p, n in cases:
+        fs = _fieldset(p, n)
+        for rel in (DIV_TOL_REL, 1e-3):
+            cm = classify(fs, div_tol_rel=rel)
+            div = fs.div_descent
+            assert cm.div_tol == rel * np.abs(div).max()
+        signs.append((div.max() < 0.0, -div.min() > div.max()))
+    assert signs == [(True, True), (False, True), (False, False)]
 
 
 @pytest.mark.parametrize("name", ["bisphere", "aspar", "sgk", "mindist",

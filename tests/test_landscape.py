@@ -13,6 +13,9 @@ from paretoscape import (BiObjectiveProblem, CriticalityMap, FieldSet,
                          connected_components, cost_landscape,
                          decompose_efficient_set, dominance_counts,
                          get_problem, gfh_heights, make_aspar, make_bisphere)
+from paretoscape import landscape as landscape_module
+from paretoscape.criticality import classify
+from paretoscape.gradients import build_fieldset
 from paretoscape.grid import build_grid, evaluate_grid
 from paretoscape.landscape import (_smaller_before, export_decomposition_json,
                                    export_heights_csv)
@@ -290,6 +293,37 @@ def test_gfh_heights_match_descent_walk(name):
         r = analyze(get_problem(name), *shape)
         _assert_gfh_matches_walk(r.fields, r.critmap, r.decomposition)
     assert r.grid.s1 != r.grid.s2
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("name", available_problems())
+def test_gfh_heights_match_descent_walk_across_chunk_seams(name, chunk,
+                                                           monkeypatch):
+    # the back-substitution gathers each peel round PEEL_CHUNK points at a
+    # time: seams inside every round must leave the heights' bytes alone
+    monkeypatch.setattr(landscape_module, "PEEL_CHUNK", chunk)
+    for shape in [(25, 25), (31, 17)]:
+        r = analyze(get_problem(name), *shape)
+        basins = _assert_gfh_matches_walk(r.fields, r.critmap,
+                                          r.decomposition)
+        assert sum(basins.stop_counts.values()) == shape[0] * shape[1]
+        assert (r.heights.values > 0).sum() > chunk
+
+
+def test_analyze_drops_the_unrotated_field_and_matches_the_stages():
+    p = get_problem("kursawe")
+    r = analyze(p, 31, 17)
+    assert r.fields.mo_raw is None
+    fs = build_fieldset(p, build_grid(p.lower, p.upper, 31, 17))
+    cm = classify(fs)
+    d = decompose_efficient_set(cm, fs.f1, fs.f2)
+    heights, basins = gfh_heights(fs, cm, d)
+    assert fs.mo_raw is not None
+    assert r.critmap.labels.tobytes() == cm.labels.tobytes()
+    assert r.fields.mo.tobytes() == fs.mo.tobytes()
+    assert r.heights.values.tobytes() == heights.values.tobytes()
+    assert r.basins == basins
+    assert r.decomposition.n_components == d.n_components
 
 
 def _critmap(grid, labels):

@@ -7,13 +7,15 @@ import zlib
 import numpy as np
 import pytest
 
+from oracles import png_one_shot
 from paretoscape import (analyze, colormap_blue_red, compose_plot,
                          make_bisphere, render, render_critical_map,
                          render_height_map)
+from paretoscape import grid as grid_module
 from paretoscape.grid import build_grid
 from paretoscape.landscape import HeightField
 from paretoscape.render import (BLACK_EFFICIENT, GRAY_CRITICAL, WHITE,
-                                PlotArtifact, _normalizer)
+                                PlotArtifact, _encode_png, _normalizer)
 
 
 def _decode_png(data: bytes) -> np.ndarray:
@@ -153,6 +155,26 @@ def test_png_roundtrip():
     decoded = _decode_png(PlotArtifact(raster=raster).to_png_bytes())
     assert decoded.shape == (5, 9, 3)
     assert np.array_equal(decoded, raster)
+
+
+@pytest.mark.parametrize("width", [7, 200])
+@pytest.mark.parametrize("fill", ["random", "constant"])
+@pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1),
+                                           (3, 5)])
+def test_png_matches_one_shot_compression(blocks, extra, fill, width):
+    # heights of one row, one row block - 1, one block, one block + 1 and
+    # several blocks: the streamed IDAT must not change at a block seam.
+    # At 200 pixels the random rows fill several deflate blocks and pass
+    # the 32 KiB window
+    height = blocks * grid_module.BLOCK_ROWS + extra
+    rng = np.random.default_rng(height * width)
+    raster = (rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)
+              if fill == "random"
+              else np.full((height, width, 3), (3, 141, 59), dtype=np.uint8))
+    data = _encode_png(raster)
+    assert data == png_one_shot(raster)
+    # signature, IHDR fields, every chunk's CRC and the pixels, stdlib only
+    assert np.array_equal(_decode_png(data), raster)
 
 
 def test_png_roundtrip_via_pillow():
