@@ -21,11 +21,10 @@ from typing import Optional
 from .criticality import DIV_TOL_REL, export_critical_points_json
 from .gradients import ZERO_TOL_REL, check_tolerance, export_fields_csv
 from .grid import EvaluationError
-from .landscape import analyze, export_decomposition_json, export_heights_csv
+from .landscape import (MODES, analyze, export_decomposition_json,
+                        export_heights_csv)
 from .problems import available_problems, get_problem
 from .render import FORMATS, render
-
-MODES = ("plot", "gfh", "cost", "critical")
 
 
 class UsageError(ValueError):
@@ -187,7 +186,7 @@ def run(config: RunConfig) -> int:
         problem, config.n1, config.n2,
         lower=config.lower, upper=config.upper,
         zero_tol_rel=config.zero_tol, div_tol_rel=config.div_tol,
-        with_cost=(config.mode == "cost"),
+        mode=config.mode,
     )
     heights = result.cost if config.mode == "cost" else result.heights
     artifact = render(config.mode, heights=heights, critmap=result.critmap,

@@ -217,8 +217,8 @@ def interior_criticality(g1: np.ndarray, g2: np.ndarray, grid: Grid,
                                 for found in per_block], axis=0)
 
     crit_mask = np.zeros(grid.shape, dtype=bool)
-    tri_i, tri_j = triangle_corners(triangles)
-    crit_mask[tri_i, tri_j] = True
+    for ci, cj in _corner_columns(triangles):
+        crit_mask[ci, cj] = True
     return triangles, crit_mask
 
 
@@ -255,12 +255,20 @@ def _uncertified_cells(g1: np.ndarray, g2: np.ndarray, cells: slice,
     return ci + cells.start, cj, cell_zero
 
 
+def _corner_columns(triangles: np.ndarray):
+    """The corners (i, j), (i+di, j) and (i, j+dj) of every triangle, one
+    pair of (T,) index arrays per corner, each built only when it is
+    reached, so that no (T, 3) index stack is held."""
+    i, j, di, dj = (triangles[:, k] for k in range(4))
+    yield i, j
+    yield i + di, j
+    yield i, j + dj
+
+
 def triangle_corners(triangles: np.ndarray):
     """Corner index arrays (i, j) of shape (T, 3) each."""
-    i, j, di, dj = (triangles[:, k] for k in range(4))
-    ci = np.stack([i, i + di, i], axis=1)
-    cj = np.stack([j, j, j + dj], axis=1)
-    return ci, cj
+    ci, cj = zip(*_corner_columns(triangles))
+    return np.stack(ci, axis=1), np.stack(cj, axis=1)
 
 
 def triangle_second_order(triangles: np.ndarray, div_descent: np.ndarray,
@@ -269,10 +277,10 @@ def triangle_second_order(triangles: np.ndarray, div_descent: np.ndarray,
 
     A triangle is locally efficient iff div(-mo) <= div_tol at all three
     corners; otherwise the triangle sits on a ridge or repelling structure.
+    The corners are gathered one column at a time.
     """
-    ci, cj = triangle_corners(triangles)
-    ok = div_descent[ci, cj] <= div_tol
-    return ok.all(axis=1)
+    return np.logical_and.reduce([div_descent[ci, cj] <= div_tol
+                                  for ci, cj in _corner_columns(triangles)])
 
 
 # box edges in edge-id order bottom (j2=1), top (j2=n2), left (j1=1), right
@@ -324,22 +332,21 @@ def boundary_criticality(g1: np.ndarray, g2: np.ndarray, mo_raw: np.ndarray,
             np.concatenate(crit), np.concatenate(eff), crit_mask)
 
 
-def rotate_boundary_field(mo_raw: np.ndarray,
-                          skip_mask: np.ndarray) -> np.ndarray:
-    """Project the joint gradient onto box edges where descent would exit.
+def rotate_boundary_field(mo: np.ndarray, skip_mask: np.ndarray) -> None:
+    """Project the joint gradient onto box edges where descent would exit,
+    in place.
 
     At a non-critical boundary point whose descent direction -mo leaves the
     box (mo . n_out < 0), the normal component is removed so descent paths
     slide along the boundary instead of stopping against it.  Corners are
     covered by applying both incident edges.  Points in ``skip_mask``
-    (first-order critical) keep their field.
+    (first-order critical) keep their field.  Only the four edge lines of
+    ``mo`` are written; ``classify`` hands it the array it has just built.
     """
-    mo = mo_raw.copy()
     for _, t, n_sign, line in _EDGES:
         edge = mo[line]
         exits = ~skip_mask[line] & (n_sign * edge[:, 1 - t] < 0.0)
         edge[exits, 1 - t] = 0.0
-    return mo
 
 
 def neighbor_dominated_mask(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
@@ -395,9 +402,11 @@ def classify(fields: FieldSet,
              div_tol_rel: float = DIV_TOL_REL) -> CriticalityMap:
     """Run the full first/second-order classification.
 
-    Mutates ``fields``: ``fields.mo`` becomes the boundary-rotated field and
-    ``fields.div_descent`` the divergence of its negation.  The absolute
-    divergence tolerance is ``div_tol_rel * max|div|``.
+    Sets ``fields.mo`` to the boundary-rotated joint field, built once from
+    ``fields.mo_raw`` and rotated in place on its edge lines, and
+    ``fields.div_descent`` to the divergence of its negation; no other
+    array of ``fields`` is written.  The absolute divergence tolerance is
+    ``div_tol_rel * max|div|``.
 
     Raises:
         ValueError: ``div_tol_rel`` is negative, infinite or NaN, or its
@@ -407,12 +416,14 @@ def classify(fields: FieldSet,
     grid = fields.grid
     triangles, interior_mask = interior_criticality(
         fields.g1, fields.g2, grid, fields.zero_tol)
+    mo = fields.mo_raw
     pairs, pair_crit, pair_eff, boundary_mask = boundary_criticality(
-        fields.g1, fields.g2, fields.mo_raw, grid)
+        fields.g1, fields.g2, mo, grid)
     first_order = interior_mask | boundary_mask
 
-    fields.mo = rotate_boundary_field(fields.mo_raw, first_order)
-    div = divergence(fields.mo, grid)
+    rotate_boundary_field(mo, first_order)
+    fields.mo = mo
+    div = divergence(mo, grid)
     fields.div_descent = np.negative(div, out=div)
     div_tol = absolute_tolerance(
         "div_tol_rel", div_tol_rel, "largest divergence",
@@ -422,8 +433,8 @@ def classify(fields: FieldSet,
 
     labels = np.zeros(grid.shape, dtype=np.uint8)
     labels[first_order] = PointClass.CRITICAL_ONLY
-    ci, cj = triangle_corners(triangles[tri_eff])
-    labels[ci.ravel(), cj.ravel()] = PointClass.EFFICIENT_INTERIOR
+    for ci, cj in _corner_columns(triangles[tri_eff]):
+        labels[ci, cj] = PointClass.EFFICIENT_INTERIOR
     eff_pairs = pairs[pair_eff]
     labels[eff_pairs[:, 0], eff_pairs[:, 1]] = PointClass.EFFICIENT_BOUNDARY
     labels[eff_pairs[:, 2], eff_pairs[:, 3]] = PointClass.EFFICIENT_BOUNDARY

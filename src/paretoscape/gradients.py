@@ -46,15 +46,15 @@ def _is_zero(norms: np.ndarray, zero_tol: float) -> np.ndarray:
     return (norms <= 0.0) | (norms < zero_tol)
 
 
-def _unit_sum(g1, g2, n1, n2, zero_tol: float) -> np.ndarray:
-    """Sum of the normalised single-objective gradients g1 and g2, given
-    their norms n1 and n2.
+def _unit_sum(g1, g2, zero_tol: float) -> np.ndarray:
+    """Sum of the normalised single-objective gradients g1 and g2.
 
     Points where either gradient norm is below ``zero_tol`` (or exactly
     zero) get the zero vector: a vanishing single-objective gradient means
     the point is critical on its own and no direction of joint ascent is
     defined there.
     """
+    n1, n2 = gradient_norms(g1), gradient_norms(g2)
     zero = _is_zero(n1, zero_tol) | _is_zero(n2, zero_tol)
     d1 = np.where(zero, 1.0, n1)[..., None]
     d2 = np.where(zero, 1.0, n2)[..., None]
@@ -84,27 +84,39 @@ def divergence(v: np.ndarray, grid: Grid) -> np.ndarray:
 class FieldSet:
     """All per-grid-point fields the detection pipeline works on.
 
-    ``mo`` starts as the very array ``mo_raw`` holds, the raw ascent
-    multi-objective gradient; ``classify`` rebinds it to a rotated copy
-    (normal components removed where descent would leave the box) and sets
-    ``div_descent`` = div(-mo), which the exports need, from None.  No step
-    writes either array in place, so ``mo_raw`` keeps the unrotated field
-    for as long as it is held.  ``classify``'s boundary test reads it before
-    the rotation; the rotation keeps every boundary verdict, so nothing in
-    the pipeline reads it after ``classify``, and ``analyze`` goes on with a
-    copy of the set whose ``mo_raw`` is None (only the probe of
-    ``perfbench/chain.py``, which builds its own set, reads it later).
+    ``build_fieldset`` sets ``f1``, ``f2``, ``g1``, ``g2`` and ``zero_tol``.
+    ``classify`` sets ``mo``, the joint ascent field with its normal
+    components removed where descent would leave the box, and
+    ``div_descent`` = div(-mo), which the exports need; both start as None.
+    No step writes an array of the set in place.  ``analyze`` goes on after
+    ``classify`` with a copy of the set whose ``g1``, ``g2`` and
+    ``div_descent`` are None unless its mode exports them.
     """
 
     grid: Grid
     f1: np.ndarray
     f2: np.ndarray
-    g1: np.ndarray
-    g2: np.ndarray
-    mo_raw: Optional[np.ndarray]
-    mo: np.ndarray
+    g1: Optional[np.ndarray]
+    g2: Optional[np.ndarray]
     zero_tol: float
+    mo: Optional[np.ndarray] = None
     div_descent: Optional[np.ndarray] = None
+
+    @property
+    def mo_raw(self) -> np.ndarray:
+        """A new array of the unrotated joint ascent field, the unit sum of
+        ``g1`` and ``g2``, built per block of ``row_blocks`` rows through
+        ``map_blocks``; the norms and ``_unit_sum`` are elementwise, so its
+        bytes do not depend on the block size or the thread count.
+        ``classify`` rotates the array it gets in place; only the boundary
+        probe of ``perfbench/chain.py`` and the tests read it besides."""
+        mo = np.empty(self.grid.shape + (2,))
+
+        def unit_sum(rows: slice):
+            mo[rows] = _unit_sum(self.g1[rows], self.g2[rows], self.zero_tol)
+
+        map_blocks(unit_sum, row_blocks(self.grid.n1))
+        return mo
 
 
 def check_tolerance(name: str, value: float) -> None:
@@ -125,12 +137,14 @@ def absolute_tolerance(name: str, rel: float, scale_name: str,
 
 def build_fieldset(problem, grid: Grid, zero_tol_rel: float = ZERO_TOL_REL,
                    workers: int = 1) -> FieldSet:
-    """Evaluate a problem on a grid and derive all first-order fields.
+    """Evaluate a problem on a grid and derive its gradient fields.
 
-    ``zero_tol_rel`` is relative to the gradient scale, the pooled mean
-    norm 0.5 * (mean ||g1|| + mean ||g2||), taken over the whole grid's
-    norm arrays.  The stencils, the norms and ``_unit_sum`` run per block
-    of ``row_blocks`` rows (the stencils with a halo row) through
+    Sets ``f1``, ``f2``, ``g1``, ``g2`` and ``zero_tol``; the joint field
+    ``mo`` is built by ``classify``.  ``zero_tol_rel`` is relative to the
+    gradient scale, the pooled mean norm 0.5 * (mean ||g1|| + mean ||g2||),
+    taken over the whole grid's norm arrays, which are dropped once the
+    scale and the finite checks are done.  The stencils and the norms run
+    per block of ``row_blocks`` rows (the stencils with a halo row) through
     ``map_blocks``, with the same expressions on each element as on the
     whole grid, so the fields do not depend on the block size or the
     thread count.  ``workers`` is ignored: ``perfbench/chain.py`` still
@@ -163,14 +177,7 @@ def build_fieldset(problem, grid: Grid, zero_tol_rel: float = ZERO_TOL_REL,
         raise EvaluationError(f"problem {problem.name!r}: gradient scale overflows")
     zero_tol = absolute_tolerance("zero_tol_rel", zero_tol_rel,
                                   "gradient scale", scale)
-    mo = np.empty(grid.shape + (2,))
-
-    def unit_sum(rows: slice):
-        mo[rows] = _unit_sum(g1[rows], g2[rows], n1[rows], n2[rows], zero_tol)
-
-    map_blocks(unit_sum, row_blocks(grid.n1))
-    return FieldSet(grid=grid, f1=f1, f2=f2, g1=g1, g2=g2,
-                    mo_raw=mo, mo=mo, zero_tol=zero_tol)
+    return FieldSet(grid=grid, f1=f1, f2=f2, g1=g1, g2=g2, zero_tol=zero_tol)
 
 
 def export_fields_csv(path, fields: FieldSet) -> None:

@@ -41,6 +41,10 @@ from .gradients import ZERO_TOL_REL, FieldSet, build_fieldset, gradient_norms
 from .grid import (Grid, build_grid, export_grid_csv, map_blocks,
                    row_blocks)
 
+# the CLI's run modes; each renders its own image, and "critical" alone
+# exports the gradient fields and the divergence
+MODES = ("plot", "gfh", "cost", "critical")
+
 
 # ---------------------------------------------------------------------------
 # dominance counting
@@ -440,15 +444,22 @@ def analyze(problem, n1: int, n2: Optional[int] = None, *,
             lower=None, upper=None,
             zero_tol_rel: float = ZERO_TOL_REL,
             div_tol_rel: float = DIV_TOL_REL,
-            with_cost: bool = False) -> LandscapeResult:
+            mode: str = "plot") -> LandscapeResult:
     """Run the full pipeline for a problem at the given grid resolution.
 
-    The per-point stages run on all usable CPUs (``grid.map_blocks``), with
-    the same results for any thread count.  Once ``classify`` has rotated
-    the descent field, the run goes on with a copy of the field set whose
-    ``mo_raw`` is None, so the unrotated field is freed before the later
-    stages allocate; ``result.fields.mo_raw`` is therefore None.
+    ``mode`` is the CLI's, one of ``MODES``: the cost landscape is computed
+    iff it is ``"cost"``.  The per-point stages run on all usable CPUs
+    (``grid.map_blocks``), with the same results for any thread count.
+    Once ``classify`` has run, the run goes on with a copy of the field set
+    whose ``g1``, ``g2`` and ``div_descent`` are None unless the mode is
+    ``"critical"``, the only one whose exports read them, so they are freed
+    before the later stages allocate.
+
+    Raises:
+        ValueError: ``mode`` is not one of ``MODES``.
     """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     if n2 is None:
         n2 = n1
     lo = problem.lower if lower is None else lower
@@ -456,10 +467,11 @@ def analyze(problem, n1: int, n2: Optional[int] = None, *,
     grid = build_grid(lo, up, n1, n2)
     fields = build_fieldset(problem, grid, zero_tol_rel=zero_tol_rel)
     critmap = classify(fields, div_tol_rel=div_tol_rel)
-    fields = replace(fields, mo_raw=None)
+    if mode != "critical":
+        fields = replace(fields, g1=None, g2=None, div_descent=None)
     decomposition = decompose_efficient_set(critmap, fields.f1, fields.f2)
     heights, basins = gfh_heights(fields, critmap, decomposition)
-    cost = cost_landscape(fields.f1, fields.f2, grid) if with_cost else None
+    cost = cost_landscape(fields.f1, fields.f2, grid) if mode == "cost" else None
     return LandscapeResult(problem=problem, grid=grid, fields=fields,
                            critmap=critmap, decomposition=decomposition,
                            heights=heights, basins=basins, cost=cost)

@@ -74,7 +74,7 @@ def test_criterion_2_sgk_three_components_and_basins():
 
 
 def test_criterion_3_aspar_ridge_filtering():
-    r = analyze(make_aspar(), 201)
+    r = analyze(make_aspar(), 201, mode="critical")
     cm = r.critmap
     counts = cm.counts()
     assert counts["CriticalOnly"] > 0

@@ -14,7 +14,8 @@ from paretoscape import (BiObjectiveProblem, analyze, available_problems,
                          get_problem)
 from paretoscape import grid as grid_module
 from paretoscape.cli import MODES
-from paretoscape.criticality import classify, interior_criticality
+from paretoscape.criticality import (classify, interior_criticality,
+                                     triangle_second_order)
 from paretoscape.gradients import build_fieldset
 from paretoscape.grid import build_grid, evaluate_grid, map_blocks, row_blocks
 from paretoscape.landscape import decompose_efficient_set, gfh_heights
@@ -29,8 +30,9 @@ def test_row_blocks_cover_the_range_in_order(monkeypatch):
 
 
 def _blocked_outputs(problem, n1, n2):
-    r = analyze(problem, n1, n2, with_cost=True)
-    fs = r.fields
+    r = analyze(problem, n1, n2, mode="cost")
+    # cost mode drops g1 and g2 after classify: take them from a set of its own
+    fs = build_fieldset(problem, r.grid)
     triangles, mask = interior_criticality(fs.g1, fs.g2, r.grid, fs.zero_tol)
     rasters = {mode: render(mode, heights=r.cost if mode == "cost" else r.heights,
                             critmap=r.critmap, decomposition=r.decomposition
@@ -38,6 +40,8 @@ def _blocked_outputs(problem, n1, n2):
                for mode in MODES}
     return {"triangles": (triangles.shape, triangles.tobytes()),
             "mask": mask.tobytes(),
+            "mo_raw": fs.mo_raw.tobytes(),
+            "mo": r.fields.mo.tobytes(),
             "heights": r.heights.values.tobytes(),
             "stop_counts": r.basins.stop_counts,
             "n_cycles": r.basins.n_cycles,
@@ -121,7 +125,7 @@ def test_a_failing_block_of_the_evaluation_reaches_the_caller(cpus,
 def test_no_helper_thread_outlives_analyze(monkeypatch):
     monkeypatch.setattr(grid_module, "_cpus", lambda: 3)
     before = set(threading.enumerate())
-    analyze(get_problem("sgk"), 97, 65, with_cost=True)
+    analyze(get_problem("sgk"), 97, 65, mode="cost")
     assert set(threading.enumerate()) == before
 
 
@@ -161,10 +165,11 @@ def _stage_peaks(p, n1):
         _traced_peak(lambda: gfh_heights(fs, cm, d)),
         _traced_peak(lambda: compose_plot(h, d)),
         _traced_peak(lambda: render_height_map(h)),
-        # classify reads mo_raw, which it leaves alone, so a second call
-        # repeats the first
+        # classify builds mo from g1 and g2, which it leaves alone, so a
+        # second call repeats the first
         _traced_peak(lambda: classify(fs)),
-        _traced_peak(art.to_png_bytes)])
+        _traced_peak(art.to_png_bytes),
+        _traced_peak(lambda: build_fieldset(p, g))])
 
 
 def test_stage_memory_grows_with_one_block_not_the_grid(monkeypatch):
@@ -177,15 +182,16 @@ def test_stage_memory_grows_with_one_block_not_the_grid(monkeypatch):
     # codes and int32 peel rounds; 22.2 B while the back-substitution took
     # whole rounds as intp and the stop kinds were counted by bincount),
     # compose_plot and render_height_map 3.0 B (the RGB image), classify
-    # 30.3 B (the rotated mo, the divergence and the labels; 35.2 B with a
-    # full |div| copy) and to_png_bytes 0.67 B (3.27 B with a full filtered
-    # copy of the image); before row blocks the first four were 83.7, 44.1,
-    # 24.0 and 35.0 B
+    # 30.3 B (mo, which it builds and rotates, the divergence and the
+    # labels; 35.2 B with a full |div| copy), to_png_bytes 0.67 B (3.27 B
+    # with a full filtered copy of the image) and build_fieldset 67.4 B (f1,
+    # f2, g1, g2 and the two norm arrays; 80.0 B while it also built mo);
+    # before row blocks the first four were 83.7, 44.1, 24.0 and 35.0 B
     p = get_problem("sgk")
     monkeypatch.setattr(grid_module, "_cpus", lambda: 1)
     small, one_thread = _stage_peaks(p, 200), _stage_peaks(p, 800)
     per_point = (one_thread - small) / (600 * 400)
-    bounds = np.array([2.0, 19.0, 4.0, 4.0, 32.0, 1.5])
+    bounds = np.array([2.0, 19.0, 4.0, 4.0, 32.0, 1.5, 70.0])
     assert (per_point < bounds).all(), per_point
     # each thread adds at most one block's temporaries, and the one-thread
     # peak holds one block's temporaries plus the results
@@ -193,3 +199,29 @@ def test_stage_memory_grows_with_one_block_not_the_grid(monkeypatch):
         monkeypatch.setattr(grid_module, "_cpus", lambda: cpus)
         peaks = _stage_peaks(p, 800)
         assert (peaks <= cpus * one_thread).all(), (cpus, peaks, one_thread)
+
+
+def _triangle_stage_peaks(p, n1):
+    g = build_grid(p.lower, p.upper, n1, 400)
+    fs = build_fieldset(p, g)
+    cm = classify(fs)
+    return np.array([
+        _traced_peak(lambda: interior_criticality(fs.g1, fs.g2, g,
+                                                  fs.zero_tol)),
+        _traced_peak(lambda: triangle_second_order(cm.triangles,
+                                                   fs.div_descent, cm.div_tol)),
+        _traced_peak(lambda: classify(fs))])
+
+
+def test_triangle_stage_memory_on_a_grid_full_of_triangles(monkeypatch):
+    # kursawe on 200x400 and 800x400 grids, one thread: 55,800 and 147,039
+    # critical triangles, so the per-triangle index arrays show, which sgk's
+    # few thousand do not.  Measured growth per added point with numpy 2.4:
+    # interior_criticality 13.4 B, triangle_second_order 5.4 B and classify
+    # 39.9 B, against 23.9, 19.4 and 52.6 B while the corner masks, the
+    # labels and the second-order test went through (T, 3) corner stacks
+    p = get_problem("kursawe")
+    monkeypatch.setattr(grid_module, "_cpus", lambda: 1)
+    per_point = ((_triangle_stage_peaks(p, 800) - _triangle_stage_peaks(p, 200))
+                 / (600 * 400))
+    assert (per_point < np.array([16.0, 8.0, 44.0])).all(), per_point

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, exit codes, artifacts, exports."""
 
+import hashlib
 import inspect
 import json
 import multiprocessing
@@ -13,7 +14,7 @@ import pytest
 from paretoscape import analyze, get_problem
 from paretoscape import cli as cli_module
 from paretoscape import grid as grid_module
-from paretoscape.cli import RunConfig, UsageError, main, parse_args
+from paretoscape.cli import MODES, RunConfig, UsageError, main, parse_args
 from paretoscape.grid import _distinct_text
 from paretoscape.problems import PROBLEM_FACTORIES
 
@@ -292,7 +293,7 @@ def test_critical_csv_matches_naive_writer(tmp_path, capsys):
                  "--resolution", "61", "--out", str(tmp_path / "c.ppm"),
                  "--export-csv", str(csv)]) == 0
     _summary(capsys)
-    fs = analyze(get_problem("mindist"), 61).fields
+    fs = analyze(get_problem("mindist"), 61, mode="critical").fields
     columns = [fs.g1[..., 0], fs.g1[..., 1], fs.g2[..., 0], fs.g2[..., 1],
                fs.mo[..., 0], fs.mo[..., 1], fs.div_descent]
     # at this size the gradient columns take the distinct-value path
@@ -344,6 +345,42 @@ def test_repeated_runs_byte_identical(tmp_path, capsys):
         outs.append((img.read_bytes(), csv.read_bytes(), js.read_bytes(),
                      capsys.readouterr().out))
     assert outs[0] == outs[1]
+
+
+# sha256 of the PNG, the CSV, the JSON and the summary line of kursawe at
+# 41x33 with both exports, one run per mode; each mode keeps a different set
+# of fields alive, so each is pinned
+CLI_GOLDEN = {
+    "plot": ("3b38b61363897f5bb07962d10f617d9965e00dc405dc3473f6874c5aa66f0ebf",
+             "2c6ee2a555e11a7a16504278484d431ee8d1ec17980add952b820cb2cd5402a8",
+             "78a28dd1c8a78a72556adfa90959fa3d574d125b3357060e81ee52be3ba3576f",
+             "6314372723d5062fef075807a05cbd5e1a8c849eb7e0be1f8bcaa20ad678f004"),
+    "gfh": ("76d5b90ad3e4f1aeb74b7bdf7f729c15891ff65f288c426fe316d4b144a510d4",
+            "2c6ee2a555e11a7a16504278484d431ee8d1ec17980add952b820cb2cd5402a8",
+            "78a28dd1c8a78a72556adfa90959fa3d574d125b3357060e81ee52be3ba3576f",
+            "6314372723d5062fef075807a05cbd5e1a8c849eb7e0be1f8bcaa20ad678f004"),
+    "cost": ("096784e233493112569345737149282233e1fcf87221c3a4275e9e80066810a9",
+             "a57badfca6f50d6d35ddac9cd68a897ea9446661a7e4a04ced425e7756a5d533",
+             "78a28dd1c8a78a72556adfa90959fa3d574d125b3357060e81ee52be3ba3576f",
+             "6314372723d5062fef075807a05cbd5e1a8c849eb7e0be1f8bcaa20ad678f004"),
+    "critical": (
+        "48aa62e6408a87999c6c7fea5a996541c99dc7f11eee13d43d9b3bc5e4dee85c",
+        "7c7551b599bde0679acaf1f5dd483eb4d568cfd1cf81849c2ccb95c225984109",
+        "bb3227ac83503224f32302c50aebff2c965a2b1db6c17fab0ef33b31c12a2613",
+        "6314372723d5062fef075807a05cbd5e1a8c849eb7e0be1f8bcaa20ad678f004"),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_every_mode_matches_its_golden_digests(mode, tmp_path, capsys):
+    paths = [tmp_path / f"kursawe.{ext}" for ext in ("png", "csv", "json")]
+    assert main(["--problem", "kursawe", "--mode", mode,
+                 "--resolution", "41,33", "--format", "png",
+                 "--out", str(paths[0]), "--export-csv", str(paths[1]),
+                 "--export-json", str(paths[2])]) == 0
+    out = capsys.readouterr().out.encode()
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths]
+    assert (*digests, hashlib.sha256(out).hexdigest()) == CLI_GOLDEN[mode]
 
 
 def test_log_scale_flag_changes_plot(tmp_path, capsys):

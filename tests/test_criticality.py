@@ -434,6 +434,13 @@ def test_boundary_pairs_noncritical_when_common_descent_exists():
     assert not mask.any()
 
 
+def _rotated(mo, skip):
+    """A rotated copy of ``mo``: ``rotate_boundary_field`` writes in place."""
+    out = mo.copy()
+    assert rotate_boundary_field(out, skip) is None
+    return out
+
+
 def test_rotate_boundary_field_projects_exiting_descent():
     p = BiObjectiveProblem(
         name="slide",
@@ -442,7 +449,7 @@ def test_rotate_boundary_field_projects_exiting_descent():
     )
     fs = _fieldset(p, 9)
     skip = np.zeros(fs.grid.shape, dtype=bool)
-    rotated = rotate_boundary_field(fs.mo_raw, skip)
+    rotated = _rotated(fs.mo_raw, skip)
     # ascent mo has positive x and y components everywhere, so descent
     # exits through bottom and left; those edges lose the normal component
     assert (fs.mo_raw[..., 0] > 0).all() and (fs.mo_raw[..., 1] > 0).all()
@@ -457,7 +464,7 @@ def test_rotate_boundary_field_projects_exiting_descent():
     assert np.array_equal(rotated[0, 0], (0.0, 0.0))
     # skip mask preserves the raw field
     skip[:, 0] = True
-    kept = rotate_boundary_field(fs.mo_raw, skip)
+    kept = _rotated(fs.mo_raw, skip)
     assert np.array_equal(kept[1:, 0], fs.mo_raw[1:, 0])
 
 
@@ -470,7 +477,7 @@ def test_rotation_only_triggers_on_exiting_descent():
     )
     fs = _fieldset(p, 9)
     skip = np.zeros(fs.grid.shape, dtype=bool)
-    rotated = rotate_boundary_field(fs.mo_raw, skip)
+    rotated = _rotated(fs.mo_raw, skip)
     assert (fs.mo_raw[..., 1] < 0).all()
     # the bottom edge keeps its field except the corner shared with the
     # left edge, where ascent mo_x > 0 still zeroes the x-component
@@ -506,14 +513,14 @@ def test_boundary_golden_on_non_square_grid():
     assert ["".join(str(int(v)) for v in row) for row in mask] == [
         "1111", "1001", "1001", "1001", "0001", "1110"]
     # classify skips first-order critical points: one bottom point rotates
-    rotated = rotate_boundary_field(fs.mo_raw, mask)
+    rotated = _rotated(fs.mo_raw, mask)
     assert np.argwhere(rotated != fs.mo_raw).tolist() == [[4, 0, 1]]
 
     # hand-built field with both signs on every edge and a scattered skip
     rng = np.random.default_rng(7)
     mo = rng.integers(-2, 3, size=(6, 4, 2)).astype(float)
     skip = rng.random((6, 4)) < 0.25
-    rotated = rotate_boundary_field(mo, skip)
+    rotated = _rotated(mo, skip)
     assert np.argwhere(rotated != mo).tolist() == [
         [0, 1, 0], [0, 3, 0], [0, 3, 1], [4, 0, 1], [5, 3, 0], [5, 3, 1]]
     assert (rotated[rotated != mo] == 0.0).all()
@@ -592,15 +599,17 @@ def test_classify_is_deterministic():
 
 
 def test_classify_leaves_its_inputs_untouched():
-    # build_fieldset hands out mo and mo_raw as one array: classify must
-    # rebind mo to a rotated copy and write none of g1, g2, mo_raw in place
+    # classify builds mo itself and rotates that array in place: it must
+    # write none of f1, f2, g1, g2, and the unit sum mo_raw recomputes from
+    # them must keep its bytes
     fs = _fieldset(make_kursawe(), 41, 33)
-    assert fs.mo is fs.mo_raw
-    raw = fs.mo_raw
-    before = [a.tobytes() for a in (fs.g1, fs.g2, fs.mo_raw)]
+    assert fs.mo is None and fs.div_descent is None
+    inputs = (fs.f1, fs.f2, fs.g1, fs.g2)
+    before = [a.tobytes() for a in inputs + (fs.mo_raw,)]
     classify(fs)
-    assert fs.mo_raw is raw
-    assert [a.tobytes() for a in (fs.g1, fs.g2, fs.mo_raw)] == before
+    assert all(a is b for a, b in zip((fs.f1, fs.f2, fs.g1, fs.g2), inputs))
+    assert [a.tobytes() for a in inputs + (fs.mo_raw,)] == before
+    assert fs.mo_raw is not fs.mo_raw             # a new array each time
     assert not np.array_equal(fs.mo, fs.mo_raw)   # the rotation took effect
 
 

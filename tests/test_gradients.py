@@ -59,7 +59,7 @@ def test_one_sided_boundary_error_within_curvature_bound():
 
 def _mo(g1, g2, zero_tol=0.0):
     """The multi-objective gradient as ``build_fieldset`` forms it."""
-    return _unit_sum(g1, g2, gradient_norms(g1), gradient_norms(g2), zero_tol)
+    return _unit_sum(g1, g2, zero_tol)
 
 
 def test_mo_gradient_frozen_examples():
@@ -207,8 +207,9 @@ def test_fieldset_matches_componentwise_construction():
     expect_tol = 1e-12 * float(0.5 * (gradient_norms(fs.g1).mean()
                                       + gradient_norms(fs.g2).mean()))
     assert fs.zero_tol == expect_tol
-    assert np.array_equal(fs.mo, _mo(fs.g1, fs.g2, fs.zero_tol))
-    assert np.array_equal(fs.mo, fs.mo_raw)
+    # classify sets mo; the set carries the unit sum as mo_raw
+    assert fs.mo is None and fs.div_descent is None
+    assert np.array_equal(fs.mo_raw, _mo(fs.g1, fs.g2, fs.zero_tol))
 
 
 def test_bisphere_descent_divergence_negative_between_centers():
@@ -217,7 +218,7 @@ def test_bisphere_descent_divergence_negative_between_centers():
     p = make_bisphere()
     g = build_grid(p.lower, p.upper, 201, 201)
     fs = build_fieldset(p, g)
-    div_desc = divergence(-fs.mo, g)
+    div_desc = divergence(-fs.mo_raw, g)
     X1, X2 = g.meshes()
     ra = np.hypot(X1 + 1.0, X2)
     rb = np.hypot(X1 - 1.0, X2)

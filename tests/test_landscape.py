@@ -17,7 +17,8 @@ from paretoscape import landscape as landscape_module
 from paretoscape.criticality import classify
 from paretoscape.gradients import build_fieldset
 from paretoscape.grid import build_grid, evaluate_grid
-from paretoscape.landscape import (_smaller_before, export_decomposition_json,
+from paretoscape.landscape import (MODES, _smaller_before,
+                                   export_decomposition_json,
                                    export_heights_csv)
 
 
@@ -310,20 +311,35 @@ def test_gfh_heights_match_descent_walk_across_chunk_seams(name, chunk,
         assert (r.heights.values > 0).sum() > chunk
 
 
-def test_analyze_drops_the_unrotated_field_and_matches_the_stages():
+@pytest.mark.parametrize("mode", MODES)
+def test_analyze_keeps_what_its_mode_exports_and_matches_the_stages(mode):
+    # g1, g2 and the divergence are read only by the critical mode's
+    # exports; every other mode drops them once classify has run
     p = get_problem("kursawe")
-    r = analyze(p, 31, 17)
-    assert r.fields.mo_raw is None
+    r = analyze(p, 31, 17, mode=mode)
+    assert [getattr(r.fields, k) is None for k in ("g1", "g2", "div_descent")
+            ] == [mode != "critical"] * 3
     fs = build_fieldset(p, build_grid(p.lower, p.upper, 31, 17))
     cm = classify(fs)
     d = decompose_efficient_set(cm, fs.f1, fs.f2)
     heights, basins = gfh_heights(fs, cm, d)
-    assert fs.mo_raw is not None
     assert r.critmap.labels.tobytes() == cm.labels.tobytes()
     assert r.fields.mo.tobytes() == fs.mo.tobytes()
     assert r.heights.values.tobytes() == heights.values.tobytes()
     assert r.basins == basins
     assert r.decomposition.n_components == d.n_components
+    assert (r.cost is None) == (mode != "cost")
+    if mode == "cost":
+        cost = cost_landscape(fs.f1, fs.f2, fs.grid)
+        assert r.cost.values.tobytes() == cost.values.tobytes()
+    if mode == "critical":
+        for k in ("g1", "g2", "div_descent"):
+            assert getattr(r.fields, k).tobytes() == getattr(fs, k).tobytes()
+
+
+def test_analyze_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode 'heights'"):
+        analyze(get_problem("sgk"), 5, mode="heights")
 
 
 def _critmap(grid, labels):
@@ -358,7 +374,7 @@ def test_gfh_heights_cut_cycles_like_descent_walk():
     labels[0, 6] = PointClass.EFFICIENT_INTERIOR
     fields = FieldSet(grid=grid, f1=np.zeros((n, n)), f2=np.zeros((n, n)),
                       g1=np.zeros((n, n, 2)), g2=np.zeros((n, n, 2)),
-                      mo_raw=mo, mo=mo, zero_tol=0.0)
+                      mo=mo, zero_tol=0.0)
     critmap = _critmap(grid, labels)
     decomposition = decompose_efficient_set(critmap, fields.f1, fields.f2)
     basins = _assert_gfh_matches_walk(fields, critmap, decomposition)
@@ -376,7 +392,7 @@ def _vortex_basins(lower, upper, n1, n2, descent):
     mo = -np.stack([dx, dy], axis=-1)
     zero = np.zeros(grid.shape)
     fields = FieldSet(grid=grid, f1=zero, f2=zero, g1=np.zeros_like(mo),
-                      g2=np.zeros_like(mo), mo_raw=mo, mo=mo, zero_tol=0.0)
+                      g2=np.zeros_like(mo), mo=mo, zero_tol=0.0)
     critmap = _critmap(grid, np.zeros(grid.shape, dtype=np.uint8))
     decomposition = decompose_efficient_set(critmap, zero, zero)
     return _assert_gfh_matches_walk(fields, critmap, decomposition)
