@@ -35,7 +35,7 @@ class UsageError(ValueError):
 # export on sgk, kursawe and mindist at 500², 1000² and 2000², stayed below
 # this base plus this many bytes per grid point (README "Memory budget")
 BUDGET_BASE_BYTES = 32 * 2**20
-BUDGET_BYTES_PER_POINT = 190
+BUDGET_BYTES_PER_POINT = 165
 
 
 def _physical_memory() -> float:
