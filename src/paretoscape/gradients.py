@@ -56,9 +56,10 @@ def _unit_sum(g1, g2, zero_tol: float) -> np.ndarray:
     """
     n1, n2 = gradient_norms(g1), gradient_norms(g2)
     zero = _is_zero(n1, zero_tol) | _is_zero(n2, zero_tol)
-    d1 = np.where(zero, 1.0, n1)[..., None]
-    d2 = np.where(zero, 1.0, n2)[..., None]
-    mo = g1 / d1 + g2 / d2
+    n1[zero] = 1.0
+    n2[zero] = 1.0
+    mo = g1 / n1[..., None]
+    mo += g2 / n2[..., None]
     mo[zero] = 0.0
     return mo
 
