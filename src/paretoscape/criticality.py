@@ -43,12 +43,15 @@ from enum import IntEnum
 
 import numpy as np
 
-from .gradients import (FieldSet, _is_zero, absolute_tolerance,
-                        check_tolerance, divergence, gradient_norms)
+from .gradients import (FieldSet, _divergence_rows, _is_zero,
+                        absolute_tolerance, check_tolerance, gradient_norms)
 from .grid import CSV_BLOCK_ROWS, Grid, map_blocks, row_blocks, with_halo
 
 # default divergence tolerance, relative to the largest divergence
 DIV_TOL_REL = 1e-9
+
+# triangles per chunk of the second-order corner lookup
+CORNER_CHUNK = 16384
 
 
 class PointClass(IntEnum):
@@ -271,16 +274,27 @@ def triangle_corners(triangles: np.ndarray):
     return np.stack(ci, axis=1), np.stack(cj, axis=1)
 
 
-def triangle_second_order(triangles: np.ndarray, div_descent: np.ndarray,
+def triangle_second_order(triangles: np.ndarray, critical: np.ndarray,
+                          div_critical: np.ndarray,
                           div_tol: float) -> np.ndarray:
     """Efficiency flags for critical triangles.
 
     A triangle is locally efficient iff div(-mo) <= div_tol at all three
     corners; otherwise the triangle sits on a ridge or repelling structure.
-    The corners are gathered one column at a time.
+    ``div_critical`` holds div(-mo) at the True points of the (n1, n2) mask
+    ``critical``, which covers every corner, in row-major order.  The
+    corners are looked up one column of ``CORNER_CHUNK`` triangles at a
+    time, so that the index temporaries do not grow with the triangles.
     """
-    return np.logical_and.reduce([div_descent[ci, cj] <= div_tol
-                                  for ci, cj in _corner_columns(triangles)])
+    points = np.flatnonzero(critical)
+    efficient = np.ones(triangles.shape[0], dtype=bool)
+    for lo in range(0, triangles.shape[0], CORNER_CHUNK):
+        chunk = efficient[lo:lo + CORNER_CHUNK]
+        for ci, cj in _corner_columns(triangles[lo:lo + CORNER_CHUNK]):
+            at = np.searchsorted(points, np.ravel_multi_index((ci, cj),
+                                                              critical.shape))
+            chunk &= div_critical[at] <= div_tol
+    return efficient
 
 
 # box edges in edge-id order bottom (j2=1), top (j2=n2), left (j1=1), right
@@ -403,10 +417,12 @@ def classify(fields: FieldSet,
     """Run the full first/second-order classification.
 
     Sets ``fields.mo`` to the boundary-rotated joint field, built once from
-    ``fields.mo_raw`` and rotated in place on its edge lines, and
-    ``fields.div_descent`` to the divergence of its negation; no other
-    array of ``fields`` is written.  The absolute divergence tolerance is
-    ``div_tol_rel * max|div|``.
+    ``fields.mo_raw`` and rotated in place on its edge lines; no other
+    array of ``fields`` is written.  The divergence of the descent field
+    -mo is computed per block of ``row_blocks`` rows with a halo row, and
+    only its block extremes and its values at the interior-critical points
+    are kept: the absolute divergence tolerance is ``div_tol_rel *
+    max|div|``, and the second-order test reads the triangle corners.
 
     Raises:
         ValueError: ``div_tol_rel`` is negative, infinite or NaN, or its
@@ -423,13 +439,26 @@ def classify(fields: FieldSet,
 
     rotate_boundary_field(mo, first_order)
     fields.mo = mo
-    div = divergence(mo, grid)
-    fields.div_descent = np.negative(div, out=div)
-    div_tol = absolute_tolerance(
-        "div_tol_rel", div_tol_rel, "largest divergence",
-        float(np.maximum(div.max(initial=0.0), -div.min(initial=0.0))))
+    # div(-mo) at the interior-critical points, row-major, and where each
+    # row's points start
+    div_critical = np.empty(np.count_nonzero(interior_mask))
+    starts = np.concatenate(([0], np.cumsum(np.count_nonzero(interior_mask,
+                                                             axis=1))))
 
-    tri_eff = triangle_second_order(triangles, fields.div_descent, div_tol)
+    def second_order(rows: slice):
+        div = _divergence_rows(mo, grid, rows)
+        np.negative(div, out=div)
+        lo, hi = starts[rows.start], starts[rows.stop]
+        div_critical[lo:hi] = div[interior_mask[rows]]
+        return div.max(initial=0.0), -div.min(initial=0.0)
+
+    extremes = map_blocks(second_order, row_blocks(grid.n1))
+    # numpy's max, not Python's, so that a NaN reaches absolute_tolerance
+    div_tol = absolute_tolerance("div_tol_rel", div_tol_rel,
+                                 "largest divergence", float(np.max(extremes)))
+
+    tri_eff = triangle_second_order(triangles, interior_mask, div_critical,
+                                    div_tol)
 
     labels = np.zeros(grid.shape, dtype=np.uint8)
     labels[first_order] = PointClass.CRITICAL_ONLY
@@ -462,8 +491,8 @@ def export_critical_points_json(path, critmap: CriticalityMap,
     """JSON array of every critical point (j1 fastest ordering).
 
     Each entry: {"j1","j2","x1","x2","class","div","f1","f2"} with 1-based
-    grid indices, the class name and the ``div_descent`` that ``classify``
-    set in ``fields``.  The bytes are those of ``json.dump(records, fh,
+    grid indices, the class name and ``fields.div_descent``, which is read
+    once, before the chunks.  The bytes are those of ``json.dump(records, fh,
     indent=1)`` plus a newline, with floats (all finite) as ``repr``; each
     record is formatted from a fixed template instead of the pure-Python
     encoder that ``indent`` selects, and the records are formatted and
@@ -472,6 +501,7 @@ def export_critical_points_json(path, critmap: CriticalityMap,
     """
     grid = critmap.grid
     J, I = np.nonzero(critmap.labels.T)     # j2 outer, j1 inner
+    div = fields.div_descent
     with open(path, "w", encoding="ascii") as fh:
         for lo in range(0, I.size, CSV_BLOCK_ROWS):
             i, j = I[lo:lo + CSV_BLOCK_ROWS], J[lo:lo + CSV_BLOCK_ROWS]
@@ -480,6 +510,6 @@ def export_critical_points_json(path, critmap: CriticalityMap,
                     (i + 1).tolist(), (j + 1).tolist(), grid.x1[i].tolist(),
                     grid.x2[j].tolist(),
                     map(CLASS_NAMES.get, critmap.labels[i, j].tolist()),
-                    fields.div_descent[i, j].tolist(),
+                    div[i, j].tolist(),
                     fields.f1[i, j].tolist(), fields.f2[i, j].tolist())))
         fh.write("\n]\n" if I.size else "[]\n")

@@ -64,6 +64,15 @@ def _unit_sum(g1, g2, zero_tol: float) -> np.ndarray:
     return mo
 
 
+def _divergence_rows(v: np.ndarray, grid: Grid, rows: slice) -> np.ndarray:
+    """A new array of the divergence of a vector field at grid rows
+    ``rows``, from those rows and a halo row on each side, with the stencil
+    of ``_gradient_rows``."""
+    slab, inner = with_halo(rows, grid.n1)
+    return (np.gradient(v[slab, :, 0], grid.s1, axis=0)[inner]
+            + np.gradient(v[rows, :, 1], grid.s2, axis=1))
+
+
 def divergence(v: np.ndarray, grid: Grid) -> np.ndarray:
     """Divergence of a vector field, same stencils as the gradients,
     computed per block of ``row_blocks`` rows with a halo row by
@@ -73,9 +82,7 @@ def divergence(v: np.ndarray, grid: Grid) -> np.ndarray:
     div = np.empty(grid.shape)
 
     def block(rows: slice):
-        slab, inner = with_halo(rows, grid.n1)
-        div[rows] = (np.gradient(v[slab, :, 0], grid.s1, axis=0)[inner]
-                     + np.gradient(v[rows, :, 1], grid.s2, axis=1))
+        div[rows] = _divergence_rows(v, grid, rows)
 
     map_blocks(block, row_blocks(grid.n1))
     return div
@@ -87,11 +94,12 @@ class FieldSet:
 
     ``build_fieldset`` sets ``f1``, ``f2``, ``g1``, ``g2`` and ``zero_tol``.
     ``classify`` sets ``mo``, the joint ascent field with its normal
-    components removed where descent would leave the box, and
-    ``div_descent`` = div(-mo), which the exports need; both start as None.
-    No step writes an array of the set in place.  ``analyze`` goes on after
-    ``classify`` with a copy of the set whose ``g1``, ``g2`` and
-    ``div_descent`` are None unless its mode exports them.
+    components removed where descent would leave the box, which starts as
+    None.  The divergence of the descent field, ``div_descent``, is not
+    stored: it is computed from ``mo`` on each read.  No step writes an
+    array of the set in place.  ``analyze`` goes on after ``classify`` with
+    a copy of the set whose ``g1`` and ``g2`` are None unless its mode
+    exports them.
     """
 
     grid: Grid
@@ -101,7 +109,16 @@ class FieldSet:
     g2: Optional[np.ndarray]
     zero_tol: float
     mo: Optional[np.ndarray] = None
-    div_descent: Optional[np.ndarray] = None
+
+    @property
+    def div_descent(self) -> Optional[np.ndarray]:
+        """None while ``mo`` is None, else a new array of div(-mo), built per
+        block by ``divergence``: the bytes ``classify`` tests, which only the
+        critical-mode exports need for the whole grid."""
+        if self.mo is None:
+            return None
+        div = divergence(self.mo, self.grid)
+        return np.negative(div, out=div)
 
     @property
     def mo_raw(self) -> np.ndarray:
@@ -185,7 +202,8 @@ def export_fields_csv(path, fields: FieldSet) -> None:
     """CSV dump of the gradient fields: one row per grid point, j1 fastest.
 
     Columns: j1,j2,x1,x2,g1x,g1y,g2x,g2y,mox,moy,div  (mo = rotated field,
-    div = divergence of the descent field -mo: both set by ``classify``).
+    div = divergence of the descent field -mo, read once: both follow
+    from ``classify``).
     """
     export_grid_csv(
         path, fields.grid,

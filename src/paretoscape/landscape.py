@@ -451,9 +451,11 @@ def analyze(problem, n1: int, n2: Optional[int] = None, *,
     iff it is ``"cost"``.  The per-point stages run on all usable CPUs
     (``grid.map_blocks``), with the same results for any thread count.
     Once ``classify`` has run, the run goes on with a copy of the field set
-    whose ``g1``, ``g2`` and ``div_descent`` are None unless the mode is
-    ``"critical"``, the only one whose exports read them, so they are freed
-    before the later stages allocate.
+    whose ``g1`` and ``g2`` are None unless the mode is ``"critical"``, the
+    only one whose exports read them, so they are freed before the later
+    stages allocate.  No mode holds the divergence of the descent field:
+    ``fields.div_descent`` computes it on each read, and only the critical
+    exports read it.
 
     Raises:
         ValueError: ``mode`` is not one of ``MODES``.
@@ -468,7 +470,7 @@ def analyze(problem, n1: int, n2: Optional[int] = None, *,
     fields = build_fieldset(problem, grid, zero_tol_rel=zero_tol_rel)
     critmap = classify(fields, div_tol_rel=div_tol_rel)
     if mode != "critical":
-        fields = replace(fields, g1=None, g2=None, div_descent=None)
+        fields = replace(fields, g1=None, g2=None)
     decomposition = decompose_efficient_set(critmap, fields.f1, fields.f2)
     heights, basins = gfh_heights(fields, critmap, decomposition)
     cost = cost_landscape(fields.f1, fields.f2, grid) if mode == "cost" else None

@@ -2,6 +2,7 @@
 thread count, temporaries that grow with one block per thread rather than
 with the grid, and no thread left behind."""
 
+import struct
 import sys
 import threading
 import time
@@ -12,11 +13,14 @@ import pytest
 
 from paretoscape import (BiObjectiveProblem, analyze, available_problems,
                          get_problem)
+from paretoscape import criticality as criticality_module
 from paretoscape import grid as grid_module
 from paretoscape.cli import MODES
-from paretoscape.criticality import (classify, interior_criticality,
+from paretoscape.criticality import (DIV_TOL_REL, PointClass, classify,
+                                     interior_criticality,
+                                     neighbor_dominated_mask, triangle_corners,
                                      triangle_second_order)
-from paretoscape.gradients import build_fieldset
+from paretoscape.gradients import build_fieldset, divergence
 from paretoscape.grid import build_grid, evaluate_grid, map_blocks, row_blocks
 from paretoscape.landscape import decompose_efficient_set, gfh_heights
 from paretoscape.render import compose_plot, render, render_height_map
@@ -62,6 +66,80 @@ def test_outputs_do_not_depend_on_block_rows(name, shape, monkeypatch):
             blocked = _blocked_outputs(problem, *shape)
             for key, value in whole.items():
                 assert blocked[key] == value, (name, shape, cpus, rows, key)
+
+
+def _whole_grid_second_order(fs):
+    """div(-mo) on the whole grid as one array, and the default absolute
+    tolerance taken from it."""
+    div = -divergence(fs.mo, fs.grid)
+    div_tol = DIV_TOL_REL * float(np.maximum(div.max(initial=0.0),
+                                             -div.min(initial=0.0)))
+    return div, div_tol
+
+
+def _reference_labels(fs, cm, ci, cj):
+    """classify's labels, with the interior-efficient points taken from the
+    corners (ci, cj) of the triangles that the reference rule keeps."""
+    labels = np.where(cm.labels > 0, PointClass.CRITICAL_ONLY,
+                      PointClass.NON_CRITICAL).astype(np.uint8)
+    labels[ci, cj] = PointClass.EFFICIENT_INTERIOR
+    pairs = cm.pairs[cm.pair_efficient]
+    for i, j in ((0, 1), (2, 3)):
+        labels[pairs[:, i], pairs[:, j]] = PointClass.EFFICIENT_BOUNDARY
+    demote = ((labels >= PointClass.EFFICIENT_INTERIOR)
+              & neighbor_dominated_mask(fs.f1, fs.f2))
+    labels[demote] = PointClass.CRITICAL_ONLY
+    return labels
+
+
+def _splits_a_triangle(triangles, rows):
+    # some triangle has its anchor in one block and its vertical neighbour
+    # in the next
+    i = triangles[:, 0].astype(np.int64)
+    return bool((i // rows != (i + triangles[:, 2]) // rows).any())
+
+
+def test_second_order_test_streams_across_block_seams(monkeypatch):
+    # classify computes div(-mo) per block and keeps only the block extremes
+    # and the values at the interior-critical points, and looks the corners
+    # up CORNER_CHUNK triangles at a time: the tolerance, the triangle flags
+    # and the labels must be those of the whole grid
+    cases = [(name, shape) for name in available_problems()
+             for shape in [(2, 9), (9, 2), (31, 17)]] + [("kursawe", (60, 60))]
+    split = 0
+    for name, shape in cases:
+        p = get_problem(name)
+        g = build_grid(p.lower, p.upper, *shape)
+        monkeypatch.setattr(grid_module, "_cpus", lambda: 1)
+        monkeypatch.setattr(grid_module, "BLOCK_ROWS", shape[0] + 5)
+        whole = build_fieldset(p, g)
+        assert whole.div_descent is None          # no mo before classify
+        whole_cm = classify(whole)
+        div, div_tol = _whole_grid_second_order(whole)
+        ci, cj = triangle_corners(whole_cm.triangles)
+        efficient = (div[ci, cj] <= div_tol).all(axis=1)
+        labels = _reference_labels(whole, whole_cm, ci[efficient],
+                                   cj[efficient])
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(grid_module, "_cpus", lambda: cpus)
+            for rows in (1, 2, 3, 32):
+                monkeypatch.setattr(grid_module, "BLOCK_ROWS", rows)
+                monkeypatch.setattr(criticality_module, "CORNER_CHUNK", rows)
+                fs = build_fieldset(p, g)
+                cm = classify(fs)
+                key = (name, shape, cpus, rows)
+                assert (struct.pack("<d", cm.div_tol)
+                        == struct.pack("<d", div_tol)), key
+                assert cm.triangle_efficient.tolist() == efficient.tolist(), key
+                assert cm.labels.tobytes() == labels.tobytes(), key
+                # a new array on each read, with the whole grid's bytes
+                first, second = fs.div_descent, fs.div_descent
+                assert first is not second, key
+                assert first.tobytes() == div.tobytes(), key
+                assert second.tobytes() == div.tobytes(), key
+                split += rows < shape[0] and _splits_a_triangle(
+                    cm.triangles[cm.triangle_efficient], rows)
+    assert split > 0
 
 
 def test_map_blocks_runs_each_block_once_in_block_order(monkeypatch):
@@ -182,16 +260,17 @@ def test_stage_memory_grows_with_one_block_not_the_grid(monkeypatch):
     # codes and int32 peel rounds; 22.2 B while the back-substitution took
     # whole rounds as intp and the stop kinds were counted by bincount),
     # compose_plot and render_height_map 3.0 B (the RGB image), classify
-    # 30.3 B (mo, which it builds and rotates, the divergence and the
-    # labels; 35.2 B with a full |div| copy), to_png_bytes 0.67 B (3.27 B
-    # with a full filtered copy of the image) and build_fieldset 67.4 B (f1,
-    # f2, g1, g2 and the two norm arrays; 80.0 B while it also built mo);
-    # before row blocks the first four were 83.7, 44.1, 24.0 and 35.0 B
+    # 22.1 B (mo, which it builds and rotates, and the labels; 30.3 B while
+    # it kept the whole divergence, 35.2 B with a full |div| copy on top),
+    # to_png_bytes 0.67 B (3.27 B with a full filtered copy of the image)
+    # and build_fieldset 67.4 B (f1, f2, g1, g2 and the two norm arrays;
+    # 80.0 B while it also built mo); before row blocks the first four were
+    # 83.7, 44.1, 24.0 and 35.0 B
     p = get_problem("sgk")
     monkeypatch.setattr(grid_module, "_cpus", lambda: 1)
     small, one_thread = _stage_peaks(p, 200), _stage_peaks(p, 800)
     per_point = (one_thread - small) / (600 * 400)
-    bounds = np.array([2.0, 19.0, 4.0, 4.0, 32.0, 1.5, 70.0])
+    bounds = np.array([2.0, 19.0, 4.0, 4.0, 24.0, 1.5, 70.0])
     assert (per_point < bounds).all(), per_point
     # each thread adds at most one block's temporaries, and the one-thread
     # peak holds one block's temporaries plus the results
@@ -205,11 +284,14 @@ def _triangle_stage_peaks(p, n1):
     g = build_grid(p.lower, p.upper, n1, 400)
     fs = build_fieldset(p, g)
     cm = classify(fs)
+    # div_descent is built on each read: read it once, outside the traces
+    _, mask = interior_criticality(fs.g1, fs.g2, g, fs.zero_tol)
+    div_critical = fs.div_descent[mask]
     return np.array([
         _traced_peak(lambda: interior_criticality(fs.g1, fs.g2, g,
                                                   fs.zero_tol)),
-        _traced_peak(lambda: triangle_second_order(cm.triangles,
-                                                   fs.div_descent, cm.div_tol)),
+        _traced_peak(lambda: triangle_second_order(cm.triangles, mask,
+                                                   div_critical, cm.div_tol)),
         _traced_peak(lambda: classify(fs))])
 
 
@@ -217,11 +299,14 @@ def test_triangle_stage_memory_on_a_grid_full_of_triangles(monkeypatch):
     # kursawe on 200x400 and 800x400 grids, one thread: 55,800 and 147,039
     # critical triangles, so the per-triangle index arrays show, which sgk's
     # few thousand do not.  Measured growth per added point with numpy 2.4:
-    # interior_criticality 13.4 B, triangle_second_order 5.4 B and classify
-    # 39.9 B, against 23.9, 19.4 and 52.6 B while the corner masks, the
-    # labels and the second-order test went through (T, 3) corner stacks
+    # interior_criticality 13.4 B, triangle_second_order 2.1 B (the sorted
+    # interior-critical indices; its corner lookups go CORNER_CHUNK
+    # triangles at a time) and classify 33.6 B; 5.4 and 39.9 B while the
+    # whole divergence was kept and indexed, and 23.9, 19.4 and 52.6 B while
+    # the corner masks, the labels and the second-order test went through
+    # (T, 3) corner stacks.  The classify bound leaves 7 % over its figure
     p = get_problem("kursawe")
     monkeypatch.setattr(grid_module, "_cpus", lambda: 1)
     per_point = ((_triangle_stage_peaks(p, 800) - _triangle_stage_peaks(p, 200))
                  / (600 * 400))
-    assert (per_point < np.array([16.0, 8.0, 44.0])).all(), per_point
+    assert (per_point < np.array([16.0, 4.0, 36.0])).all(), per_point

@@ -9,9 +9,11 @@ import pytest
 
 from oracles import hull_contains_origin
 from paretoscape import criticality as criticality_module
-from paretoscape import (BiObjectiveProblem, PointClass, build_fieldset,
-                         build_grid, classify, get_problem, make_aspar,
-                         make_bisphere, make_kursawe, make_sgk, origin_in_hull)
+from paretoscape import grid as grid_module
+from paretoscape import (BiObjectiveProblem, FieldSet, PointClass,
+                         build_fieldset, build_grid, classify, divergence,
+                         get_problem, make_aspar, make_bisphere,
+                         make_kursawe, make_sgk, origin_in_hull)
 from paretoscape.criticality import (CLASS_NAMES, DIV_TOL_REL, ORIENTATIONS,
                                      boundary_criticality,
                                      export_critical_points_json,
@@ -366,15 +368,26 @@ def test_fritz_john_point_forces_criticality():
 
 
 def test_triangle_second_order_thresholds():
+    # the divergence is passed at the critical points only, row-major; the
+    # critical point (0, 0) is no corner, and its value is never read
     triangles = np.array([[1, 1, 1, 1]], dtype=np.int32)
-    div = np.zeros((3, 3))
+    critical = np.zeros((3, 3), dtype=bool)
+    critical[1, 1] = critical[2, 1] = critical[1, 2] = critical[0, 0] = True
+    div = np.full((3, 3), 7.0)
     div[1, 1], div[2, 1], div[1, 2] = -0.5, -0.2, 0.3
-    assert triangle_second_order(triangles, div, 1e-9).tolist() == [False]
+
+    def second_order(tol):
+        return triangle_second_order(triangles, critical, div[critical],
+                                     tol).tolist()
+
+    assert second_order(1e-9) == [False]
     div[1, 2] = -0.3
-    assert triangle_second_order(triangles, div, 1e-9).tolist() == [True]
+    assert second_order(1e-9) == [True]
     div[1, 2] = 1e-9  # exactly at the tolerance still counts
-    assert triangle_second_order(triangles, div, 1e-9).tolist() == [True]
-    assert triangle_second_order(np.empty((0, 4), np.int32), div, 0.0).size == 0
+    assert second_order(1e-9) == [True]
+    assert second_order(0.0) == [False]
+    assert triangle_second_order(np.empty((0, 4), np.int32), critical,
+                                 div[critical], 0.0).size == 0
 
 
 # ---------------------------------------------------------------------------
@@ -746,6 +759,28 @@ def test_overflowing_absolute_tolerances_raise():
     with pytest.raises(ValueError, match=r"div_tol_rel 1e\+308 times the "
                                          r"largest divergence 67\.8"):
         classify(fs, div_tol_rel=1e308)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 50])
+def test_a_nan_divergence_reaches_the_tolerance_check(rows, monkeypatch):
+    # on a 40x40 grid of subnormal spacing the descent divergence of a
+    # random field overflows, and opposite infinities meet in NaN; the first
+    # 20 rows hold a constant field, whose divergence is 0.  classify takes
+    # the largest magnitude from its per-block extremes, and a NaN in a
+    # later block must still stop it
+    monkeypatch.setattr(grid_module, "_cpus", lambda: 1)
+    monkeypatch.setattr(grid_module, "BLOCK_ROWS", rows)
+    g = build_grid((0.0, 0.0), (1e-308, 1e-308), 40, 40)
+    rng = np.random.default_rng(0)
+    g1, g2 = np.ones(g.shape + (2,)), np.ones(g.shape + (2,))
+    g1[20:], g2[20:] = rng.normal(size=(2, 20, 40, 2))
+    fs = FieldSet(grid=g, f1=np.zeros(g.shape), f2=np.zeros(g.shape),
+                  g1=g1, g2=g2, zero_tol=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        div = -divergence(fs.mo_raw, g)
+        assert not np.isnan(div[:18]).any() and np.isnan(div).any()
+        with pytest.raises(ValueError, match="largest divergence nan"):
+            classify(fs)
 
 
 def test_div_tol_is_relative_to_the_largest_divergence_magnitude():

@@ -1,5 +1,6 @@
 """Dominance counts, components, descent-path heights, pipeline exports."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -15,7 +16,7 @@ from paretoscape import (BiObjectiveProblem, CriticalityMap, FieldSet,
                          get_problem, gfh_heights, make_aspar, make_bisphere)
 from paretoscape import landscape as landscape_module
 from paretoscape.criticality import classify
-from paretoscape.gradients import build_fieldset
+from paretoscape.gradients import build_fieldset, divergence
 from paretoscape.grid import build_grid, evaluate_grid
 from paretoscape.landscape import (MODES, _smaller_before,
                                    export_decomposition_json,
@@ -313,12 +314,14 @@ def test_gfh_heights_match_descent_walk_across_chunk_seams(name, chunk,
 
 @pytest.mark.parametrize("mode", MODES)
 def test_analyze_keeps_what_its_mode_exports_and_matches_the_stages(mode):
-    # g1, g2 and the divergence are read only by the critical mode's
-    # exports; every other mode drops them once classify has run
+    # g1 and g2 are read only by the critical mode's exports; every other
+    # mode drops them once classify has run.  No mode stores the
+    # divergence: div_descent is computed from mo on each read
     p = get_problem("kursawe")
     r = analyze(p, 31, 17, mode=mode)
-    assert [getattr(r.fields, k) is None for k in ("g1", "g2", "div_descent")
-            ] == [mode != "critical"] * 3
+    assert [getattr(r.fields, k) is None for k in ("g1", "g2")
+            ] == [mode != "critical"] * 2
+    assert "div_descent" not in {f.name for f in dataclasses.fields(FieldSet)}
     fs = build_fieldset(p, build_grid(p.lower, p.upper, 31, 17))
     cm = classify(fs)
     d = decompose_efficient_set(cm, fs.f1, fs.f2)
@@ -332,8 +335,10 @@ def test_analyze_keeps_what_its_mode_exports_and_matches_the_stages(mode):
     if mode == "cost":
         cost = cost_landscape(fs.f1, fs.f2, fs.grid)
         assert r.cost.values.tobytes() == cost.values.tobytes()
+    div = -divergence(fs.mo, fs.grid)
+    assert r.fields.div_descent.tobytes() == div.tobytes()
     if mode == "critical":
-        for k in ("g1", "g2", "div_descent"):
+        for k in ("g1", "g2"):
             assert getattr(r.fields, k).tobytes() == getattr(fs, k).tobytes()
 
 
