@@ -45,13 +45,11 @@ import numpy as np
 
 from .gradients import (FieldSet, _divergence_rows, _is_zero,
                         absolute_tolerance, check_tolerance, gradient_norms)
-from .grid import CSV_BLOCK_ROWS, Grid, map_blocks, row_blocks, with_halo
+from .grid import (CSV_BLOCK_ROWS, EvaluationError, Grid, map_blocks,
+                   row_blocks, with_halo)
 
 # default divergence tolerance, relative to the largest divergence
 DIV_TOL_REL = 1e-9
-
-# triangles per chunk of the second-order corner lookup
-CORNER_CHUNK = 16384
 
 
 class PointClass(IntEnum):
@@ -274,26 +272,17 @@ def triangle_corners(triangles: np.ndarray):
     return np.stack(ci, axis=1), np.stack(cj, axis=1)
 
 
-def triangle_second_order(triangles: np.ndarray, critical: np.ndarray,
-                          div_critical: np.ndarray,
-                          div_tol: float) -> np.ndarray:
+def triangle_second_order(triangles: np.ndarray, attracting: np.ndarray):
     """Efficiency flags for critical triangles.
 
     A triangle is locally efficient iff div(-mo) <= div_tol at all three
     corners; otherwise the triangle sits on a ridge or repelling structure.
-    ``div_critical`` holds div(-mo) at the True points of the (n1, n2) mask
-    ``critical``, which covers every corner, in row-major order.  The
-    corners are looked up one column of ``CORNER_CHUNK`` triangles at a
-    time, so that the index temporaries do not grow with the triangles.
+    ``attracting`` is the (n1, n2) bool mask of that condition, read only at
+    the corners, one gather per corner.
     """
-    points = np.flatnonzero(critical)
     efficient = np.ones(triangles.shape[0], dtype=bool)
-    for lo in range(0, triangles.shape[0], CORNER_CHUNK):
-        chunk = efficient[lo:lo + CORNER_CHUNK]
-        for ci, cj in _corner_columns(triangles[lo:lo + CORNER_CHUNK]):
-            at = np.searchsorted(points, np.ravel_multi_index((ci, cj),
-                                                              critical.shape))
-            chunk &= div_critical[at] <= div_tol
+    for corner in _corner_columns(triangles):
+        efficient &= attracting[corner]
     return efficient
 
 
@@ -422,11 +411,13 @@ def classify(fields: FieldSet,
     -mo is computed per block of ``row_blocks`` rows with a halo row, and
     only its block extremes and its values at the interior-critical points
     are kept: the absolute divergence tolerance is ``div_tol_rel *
-    max|div|``, and the second-order test reads the triangle corners.
+    max|div|``, and the second-order test reads the mask of the
+    interior-critical points whose value is at most that tolerance.
 
     Raises:
         ValueError: ``div_tol_rel`` is negative, infinite or NaN, or its
             product with max|div| overflows.
+        EvaluationError: max|div| is NaN or infinite.
     """
     check_tolerance("div_tol_rel", div_tol_rel)
     grid = fields.grid
@@ -439,26 +430,26 @@ def classify(fields: FieldSet,
 
     rotate_boundary_field(mo, first_order)
     fields.mo = mo
-    # div(-mo) at the interior-critical points, row-major, and where each
-    # row's points start
-    div_critical = np.empty(np.count_nonzero(interior_mask))
-    starts = np.concatenate(([0], np.cumsum(np.count_nonzero(interior_mask,
-                                                             axis=1))))
 
     def second_order(rows: slice):
         div = _divergence_rows(mo, grid, rows)
         np.negative(div, out=div)
-        lo, hi = starts[rows.start], starts[rows.stop]
-        div_critical[lo:hi] = div[interior_mask[rows]]
-        return div.max(initial=0.0), -div.min(initial=0.0)
+        return (div.max(initial=0.0), -div.min(initial=0.0),
+                div[interior_mask[rows]])
 
-    extremes = map_blocks(second_order, row_blocks(grid.n1))
-    # numpy's max, not Python's, so that a NaN reaches absolute_tolerance
+    per_block = map_blocks(second_order, row_blocks(grid.n1))
+    # numpy's max, not Python's, so that a NaN is caught
+    largest = float(np.max([block[:2] for block in per_block]))
+    if not np.isfinite(largest):
+        raise EvaluationError(f"the largest descent divergence is {largest!r}")
     div_tol = absolute_tolerance("div_tol_rel", div_tol_rel,
-                                 "largest divergence", float(np.max(extremes)))
-
-    tri_eff = triangle_second_order(triangles, interior_mask, div_critical,
-                                    div_tol)
+                                 "largest divergence", largest)
+    # nothing reads interior_mask after first_order: its storage becomes the
+    # mask of the points where div(-mo) <= div_tol, set at its True points
+    # from the values that map_blocks returned in block order, so row-major
+    interior_mask[interior_mask] = np.concatenate(
+        [values <= div_tol for *_, values in per_block])
+    tri_eff = triangle_second_order(triangles, interior_mask)
 
     labels = np.zeros(grid.shape, dtype=np.uint8)
     labels[first_order] = PointClass.CRITICAL_ONLY

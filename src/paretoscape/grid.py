@@ -32,7 +32,8 @@ from .problems import BiObjectiveProblem, DomainError
 
 
 class EvaluationError(RuntimeError):
-    """A problem produced a non-finite objective or gradient on the grid."""
+    """A problem produced a non-finite objective, gradient, gradient norm,
+    gradient scale or largest descent divergence on the grid."""
 
 
 @dataclass

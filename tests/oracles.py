@@ -101,6 +101,49 @@ def hull_contains_origin(vectors) -> bool:
     return False
 
 
+# closed-form efficient sets, as lists of segments (a, b): bisphere's
+# segment between its centres; mindist's four stretches of the lines
+# between f1's and f2's nearest centres over which neither nearest centre
+# changes
+EFFICIENT_SEGMENTS = {
+    "bisphere": [((-1.0, 0.0), (1.0, 0.0))],
+    "mindist": [((-2.0, -1.0), (-2.0, 1.0)), ((2.0, -1.0), (2.0, 1.0)),
+                ((-0.5, -1.0), (0.5, -1.0)), ((-0.5, 1.0), (0.5, 1.0))],
+}
+
+
+def segment_distances(points: np.ndarray, segments) -> np.ndarray:
+    """Euclidean distance from each row of the (N, 2) ``points`` to the
+    nearest of the ``segments``."""
+    best = np.full(points.shape[0], np.inf)
+    for a, b in segments:
+        a, ab = np.asarray(a), np.subtract(b, a)
+        t = np.clip((points - a) @ ab / (ab @ ab), 0.0, 1.0)
+        off = points - a - t[:, None] * ab
+        best = np.minimum(best, np.hypot(off[:, 0], off[:, 1]))
+    return best
+
+
+def segment_samples(segments, step: float) -> np.ndarray:
+    """(M, 2) points along the segments, both ends included, at most
+    ``step`` apart."""
+    return np.concatenate([
+        np.linspace(a, b, int(np.ceil(np.hypot(*np.subtract(b, a)) / step)) + 1)
+        for a, b in segments])
+
+
+def nearest_distances(queries: np.ndarray, points: np.ndarray,
+                      chunk: int = 512) -> np.ndarray:
+    """Distance from each row of ``queries`` to the nearest row of
+    ``points``, both (., 2), by brute force over ``chunk`` queries at a
+    time."""
+    out = np.empty(queries.shape[0])
+    for lo in range(0, queries.shape[0], chunk):
+        off = queries[lo:lo + chunk, None, :] - points[None, :, :]
+        out[lo:lo + chunk] = np.hypot(off[..., 0], off[..., 1]).min(axis=1)
+    return out
+
+
 def dominance_counts_brute(F: np.ndarray, chunk: int = 512) -> np.ndarray:
     """O(N^2) reference counter: for each row, how many rows dominate it."""
     F = np.asarray(F, dtype=float)

@@ -13,7 +13,6 @@ import pytest
 
 from paretoscape import (BiObjectiveProblem, analyze, available_problems,
                          get_problem)
-from paretoscape import criticality as criticality_module
 from paretoscape import grid as grid_module
 from paretoscape.cli import MODES
 from paretoscape.criticality import (DIV_TOL_REL, PointClass, classify,
@@ -101,8 +100,8 @@ def _splits_a_triangle(triangles, rows):
 
 def test_second_order_test_streams_across_block_seams(monkeypatch):
     # classify computes div(-mo) per block and keeps only the block extremes
-    # and the values at the interior-critical points, and looks the corners
-    # up CORNER_CHUNK triangles at a time: the tolerance, the triangle flags
+    # and the values at the interior-critical points, which it turns into a
+    # mask once the tolerance is known: the tolerance, the triangle flags
     # and the labels must be those of the whole grid
     cases = [(name, shape) for name in available_problems()
              for shape in [(2, 9), (9, 2), (31, 17)]] + [("kursawe", (60, 60))]
@@ -124,7 +123,6 @@ def test_second_order_test_streams_across_block_seams(monkeypatch):
             monkeypatch.setattr(grid_module, "_cpus", lambda: cpus)
             for rows in (1, 2, 3, 32):
                 monkeypatch.setattr(grid_module, "BLOCK_ROWS", rows)
-                monkeypatch.setattr(criticality_module, "CORNER_CHUNK", rows)
                 fs = build_fieldset(p, g)
                 cm = classify(fs)
                 key = (name, shape, cpus, rows)
@@ -286,12 +284,11 @@ def _triangle_stage_peaks(p, n1):
     cm = classify(fs)
     # div_descent is built on each read: read it once, outside the traces
     _, mask = interior_criticality(fs.g1, fs.g2, g, fs.zero_tol)
-    div_critical = fs.div_descent[mask]
+    attracting = mask & (fs.div_descent <= cm.div_tol)
     return np.array([
         _traced_peak(lambda: interior_criticality(fs.g1, fs.g2, g,
                                                   fs.zero_tol)),
-        _traced_peak(lambda: triangle_second_order(cm.triangles, mask,
-                                                   div_critical, cm.div_tol)),
+        _traced_peak(lambda: triangle_second_order(cm.triangles, attracting)),
         _traced_peak(lambda: classify(fs))])
 
 
@@ -299,12 +296,14 @@ def test_triangle_stage_memory_on_a_grid_full_of_triangles(monkeypatch):
     # kursawe on 200x400 and 800x400 grids, one thread: 55,800 and 147,039
     # critical triangles, so the per-triangle index arrays show, which sgk's
     # few thousand do not.  Measured growth per added point with numpy 2.4:
-    # interior_criticality 13.4 B, triangle_second_order 2.1 B (the sorted
-    # interior-critical indices; its corner lookups go CORNER_CHUNK
-    # triangles at a time) and classify 33.6 B; 5.4 and 39.9 B while the
-    # whole divergence was kept and indexed, and 23.9, 19.4 and 52.6 B while
-    # the corner masks, the labels and the second-order test went through
-    # (T, 3) corner stacks.  The classify bound leaves 7 % over its figure
+    # interior_criticality 13.4 B, triangle_second_order 3.4 B (one gather
+    # per corner from the mask, with its corner index arrays) and classify
+    # 33.6 B; 2.1 and 33.6 B while the corners were looked up by binary
+    # search in a compressed table of the interior-critical values, a chunk
+    # of triangles at a time, 5.4 and 39.9 B while the whole divergence was
+    # kept and indexed, and 23.9, 19.4 and 52.6 B while the corner masks,
+    # the labels and the second-order test went through (T, 3) corner
+    # stacks.  The classify bound leaves 7 % over its figure
     p = get_problem("kursawe")
     monkeypatch.setattr(grid_module, "_cpus", lambda: 1)
     per_point = ((_triangle_stage_peaks(p, 800) - _triangle_stage_peaks(p, 200))

@@ -10,9 +10,9 @@ import pytest
 from oracles import hull_contains_origin
 from paretoscape import criticality as criticality_module
 from paretoscape import grid as grid_module
-from paretoscape import (BiObjectiveProblem, FieldSet, PointClass,
-                         build_fieldset, build_grid, classify, divergence,
-                         get_problem, make_aspar, make_bisphere,
+from paretoscape import (BiObjectiveProblem, EvaluationError, FieldSet,
+                         PointClass, build_fieldset, build_grid, classify,
+                         divergence, get_problem, make_aspar, make_bisphere,
                          make_kursawe, make_sgk, origin_in_hull)
 from paretoscape.criticality import (CLASS_NAMES, DIV_TOL_REL, ORIENTATIONS,
                                      boundary_criticality,
@@ -368,26 +368,40 @@ def test_fritz_john_point_forces_criticality():
 
 
 def test_triangle_second_order_thresholds():
-    # the divergence is passed at the critical points only, row-major; the
-    # critical point (0, 0) is no corner, and its value is never read
-    triangles = np.array([[1, 1, 1, 1]], dtype=np.int32)
-    critical = np.zeros((3, 3), dtype=bool)
-    critical[1, 1] = critical[2, 1] = critical[1, 2] = critical[0, 0] = True
-    div = np.full((3, 3), 7.0)
-    div[1, 1], div[2, 1], div[1, 2] = -0.5, -0.2, 0.3
+    # the mask holds div(-mo) <= div_tol; a triangle is efficient iff it
+    # is True at all three corners, and no other point is read
+    triangles = np.array([[1, 1, 1, 1], [1, 1, -1, -1]], dtype=np.int32)
+    corners = [[(1, 1), (2, 1), (1, 2)], [(1, 1), (0, 1), (1, 0)]]
+    for t, own in enumerate(corners):
+        attracting = np.ones((3, 3), dtype=bool)
+        for point in np.ndindex(3, 3):
+            attracting[point] = False
+            efficient = triangle_second_order(triangles, attracting).tolist()
+            assert efficient[t] == (point not in own), (t, point)
+            attracting[point] = True
+    attracting = np.zeros((3, 3), dtype=bool)
+    for i, j in corners[0]:
+        attracting[i, j] = True
+    assert triangle_second_order(triangles, attracting).tolist() == [True,
+                                                                     False]
+    assert triangle_second_order(np.empty((0, 4), np.int32),
+                                 attracting).size == 0
 
-    def second_order(tol):
-        return triangle_second_order(triangles, critical, div[critical],
-                                     tol).tolist()
 
-    assert second_order(1e-9) == [False]
-    div[1, 2] = -0.3
-    assert second_order(1e-9) == [True]
-    div[1, 2] = 1e-9  # exactly at the tolerance still counts
-    assert second_order(1e-9) == [True]
-    assert second_order(0.0) == [False]
-    assert triangle_second_order(np.empty((0, 4), np.int32), critical,
-                                 div[critical], 0.0).size == 0
+def test_second_order_threshold_is_inclusive():
+    # exactly opposed gradients make every triangle critical, and their
+    # unit sum mo is 0, so div(-mo) is 0 everywhere and so is div_tol: a
+    # divergence equal to the tolerance passes
+    g = build_grid((0.0, 0.0), (1.0, 1.0), 7, 5)
+    g1, g2 = np.zeros(g.shape + (2,)), np.zeros(g.shape + (2,))
+    g1[..., 0], g2[..., 0] = 1.0, -1.0
+    fs = FieldSet(grid=g, f1=np.zeros(g.shape), f2=np.zeros(g.shape),
+                  g1=g1, g2=g2, zero_tol=0.0)
+    cm = classify(fs)
+    assert cm.div_tol == 0.0
+    assert cm.triangles.shape[0] == 6 * 4 * len(ORIENTATIONS) == 96
+    assert cm.triangle_efficient.all()
+    assert (cm.labels >= PointClass.EFFICIENT_INTERIOR).all()
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +781,8 @@ def test_a_nan_divergence_reaches_the_tolerance_check(rows, monkeypatch):
     # random field overflows, and opposite infinities meet in NaN; the first
     # 20 rows hold a constant field, whose divergence is 0.  classify takes
     # the largest magnitude from its per-block extremes, and a NaN in a
-    # later block must still stop it
+    # later block must still stop it, as a failed evaluation rather than a
+    # bad tolerance
     monkeypatch.setattr(grid_module, "_cpus", lambda: 1)
     monkeypatch.setattr(grid_module, "BLOCK_ROWS", rows)
     g = build_grid((0.0, 0.0), (1e-308, 1e-308), 40, 40)
@@ -779,7 +794,27 @@ def test_a_nan_divergence_reaches_the_tolerance_check(rows, monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"):
         div = -divergence(fs.mo_raw, g)
         assert not np.isnan(div[:18]).any() and np.isnan(div).any()
-        with pytest.raises(ValueError, match="largest divergence nan"):
+        with pytest.raises(EvaluationError,
+                           match="largest descent divergence is nan"):
+            classify(fs)
+
+
+def test_an_infinite_divergence_is_an_evaluation_error(monkeypatch):
+    # mo = (2, 0) but (-2, 0) on row 30 of a subnormal grid: the x1
+    # differences across that row overflow to -inf and +inf at separate
+    # points, with no NaN (one thread, which the errstate covers)
+    monkeypatch.setattr(grid_module, "_cpus", lambda: 1)
+    g = build_grid((0.0, 0.0), (1e-308, 1e-308), 40, 40)
+    g1 = np.zeros(g.shape + (2,))
+    g1[..., 0] = 1.0
+    g1[30] = (-1.0, 0.0)
+    fs = FieldSet(grid=g, f1=np.zeros(g.shape), f2=np.zeros(g.shape),
+                  g1=g1, g2=g1.copy(), zero_tol=0.0)
+    with np.errstate(over="ignore"):
+        div = -divergence(fs.mo_raw, g)
+        assert np.isinf(div).any() and not np.isnan(div).any()
+        with pytest.raises(EvaluationError,
+                           match="largest descent divergence is inf"):
             classify(fs)
 
 
