@@ -171,7 +171,7 @@ def parse_args(argv) -> Optional[RunConfig]:
     n1, n2 = options.pop("resolution")
     estimate = BUDGET_BASE_BYTES + BUDGET_BYTES_PER_POINT * n1 * n2
     physical = _physical_memory()
-    if estimate > physical:
+    if min(n1, n2) >= 2 and estimate > physical:
         raise UsageError(
             f"resolution {n1},{n2} needs an estimated {estimate / 2**20:.0f} MB "
             f"({BUDGET_BASE_BYTES // 2**20} MB + {BUDGET_BYTES_PER_POINT} B per "

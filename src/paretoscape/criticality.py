@@ -432,7 +432,10 @@ def classify(fields: FieldSet,
     fields.mo = mo
 
     def second_order(rows: slice):
-        div = _divergence_rows(mo, grid, rows)
+        # each thread sets its own errstate; an overflow or a NaN here is
+        # reported by the check on the largest magnitude below
+        with np.errstate(over="ignore", invalid="ignore"):
+            div = _divergence_rows(mo, grid, rows)
         np.negative(div, out=div)
         return (div.max(initial=0.0), -div.min(initial=0.0),
                 div[interior_mask[rows]])

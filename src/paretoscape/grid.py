@@ -42,7 +42,8 @@ class Grid:
 
     Coordinates include both box corners exactly: the last entry of each
     coordinate array is set to the upper bound rather than accumulated, so
-    boundary logic can test for exact membership.
+    boundary logic can test for exact membership.  The grid keeps only the
+    two axes: the point (j1, j2) lies at ``(x1[j1], x2[j2])``.
     """
 
     lower: np.ndarray          # (2,)
@@ -53,10 +54,6 @@ class Grid:
     s2: float                  # spacing along x2
     x1: np.ndarray             # (n1,) coordinates along axis 1
     x2: np.ndarray             # (n2,) coordinates along axis 2
-
-    def meshes(self):
-        """Coordinate meshes X1, X2 of shape (n1, n2)."""
-        return np.meshgrid(self.x1, self.x2, indexing="ij")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -193,9 +190,13 @@ def evaluate_grid(problem: BiObjectiveProblem, grid: Grid, workers: int = 1):
 
     Returns two (n1, n2) arrays (f1, f2).  The grid box must lie inside the
     problem's box.  Blocks of ``row_blocks`` grid rows are evaluated by
-    ``map_blocks`` into preallocated arrays; the objectives are elementwise,
-    so the output does not depend on the block size or the thread count.
-    ``workers`` is ignored: ``perfbench/chain.py`` still passes it.
+    ``map_blocks`` into preallocated arrays, each from coordinate meshes of
+    its own rows that it builds from the axes ``x1`` and ``x2``, so no
+    whole-grid coordinate array is allocated.  The objectives are
+    elementwise and every block gets the coordinate values a whole-grid
+    mesh would hold, so the output does not depend on the block size or
+    the thread count.  ``workers`` is ignored: ``perfbench/chain.py``
+    still passes it.
 
     Raises:
         DomainError: grid box not contained in the problem box.
@@ -209,12 +210,12 @@ def evaluate_grid(problem: BiObjectiveProblem, grid: Grid, workers: int = 1):
                 f"contained in the domain [{problem.lower[i]}, {problem.upper[i]}] "
                 f"of problem {problem.name!r}"
             )
-    X1, X2 = grid.meshes()
     f1 = np.empty(grid.shape, dtype=float)
     f2 = np.empty(grid.shape, dtype=float)
 
     def eval_block(rows: slice):
-        f1[rows], f2[rows] = problem.evaluate_arrays(X1[rows], X2[rows])
+        f1[rows], f2[rows] = problem.fn(
+            *np.meshgrid(grid.x1[rows], grid.x2, indexing="ij"))
 
     map_blocks(eval_block, row_blocks(grid.n1))
     check_finite(problem, grid, (("f1", f1), ("f2", f2)))

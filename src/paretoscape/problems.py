@@ -4,8 +4,8 @@ Every problem maps a point x = (x1, x2) inside its box to two objective
 values (f1, f2), both to be minimised.  Evaluation is vectorised and
 elementwise: the callables accept equally shaped coordinate arrays and
 return objective arrays of the same shape, each element depending only on
-its own coordinates.  ``evaluate_grid`` calls them on blocks of grid rows,
-from several threads at once.
+its own coordinates.  ``evaluate_grid`` calls them on the float coordinate
+meshes of one block of grid rows at a time, from several threads at once.
 """
 
 from __future__ import annotations
@@ -34,8 +34,11 @@ class BiObjectiveProblem:
     Attributes:
         name: registry name (parametrised instances keep the base name).
         lower, upper: box corners, each a float array of shape (2,).
-        fn: vectorised elementwise evaluator (X1, X2) -> (F1, F2), called
-            concurrently on blocks of grid rows.
+        fn: vectorised elementwise evaluator (X1, X2) -> (F1, F2).
+            ``evaluate_grid`` calls it, concurrently from several threads,
+            with two equally shaped float arrays: the coordinates of one
+            block of grid rows, after checking the grid box against
+            ``lower`` and ``upper``.
         note: free-form provenance/usage remark shown by --list-problems.
     """
 
@@ -55,10 +58,6 @@ class BiObjectiveProblem:
                 f"problem {self.name!r}: lower bounds {self.lower.tolist()} must be "
                 f"strictly below upper bounds {self.upper.tolist()}"
             )
-
-    def evaluate_arrays(self, x1: np.ndarray, x2: np.ndarray):
-        """Vectorised evaluation without bounds checking (grids are pre-checked)."""
-        return self.fn(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
 
 
 # ---------------------------------------------------------------------------

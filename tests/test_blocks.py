@@ -41,7 +41,8 @@ def _blocked_outputs(problem, n1, n2):
                             critmap=r.critmap, decomposition=r.decomposition
                             ).raster.tobytes()
                for mode in MODES}
-    return {"triangles": (triangles.shape, triangles.tobytes()),
+    return {"f": (r.fields.f1.tobytes(), r.fields.f2.tobytes()),
+            "triangles": (triangles.shape, triangles.tobytes()),
             "mask": mask.tobytes(),
             "mo_raw": fs.mo_raw.tobytes(),
             "mo": r.fields.mo.tobytes(),
@@ -245,7 +246,8 @@ def _stage_peaks(p, n1):
         # second call repeats the first
         _traced_peak(lambda: classify(fs)),
         _traced_peak(art.to_png_bytes),
-        _traced_peak(lambda: build_fieldset(p, g))])
+        _traced_peak(lambda: build_fieldset(p, g)),
+        _traced_peak(lambda: evaluate_grid(p, g))])
 
 
 def test_stage_memory_grows_with_one_block_not_the_grid(monkeypatch):
@@ -260,15 +262,16 @@ def test_stage_memory_grows_with_one_block_not_the_grid(monkeypatch):
     # compose_plot and render_height_map 3.0 B (the RGB image), classify
     # 22.1 B (mo, which it builds and rotates, and the labels; 30.3 B while
     # it kept the whole divergence, 35.2 B with a full |div| copy on top),
-    # to_png_bytes 0.67 B (3.27 B with a full filtered copy of the image)
-    # and build_fieldset 67.4 B (f1, f2, g1, g2 and the two norm arrays;
-    # 80.0 B while it also built mo); before row blocks the first four were
-    # 83.7, 44.1, 24.0 and 35.0 B
+    # to_png_bytes 0.67 B (3.27 B with a full filtered copy of the image),
+    # build_fieldset 67.4 B (f1, f2, g1, g2 and the two norm arrays;
+    # 80.0 B while it also built mo) and evaluate_grid 16.0 B (f1 and f2;
+    # 32.1 B while it sliced whole-grid coordinate meshes); before row
+    # blocks the first four were 83.7, 44.1, 24.0 and 35.0 B
     p = get_problem("sgk")
     monkeypatch.setattr(grid_module, "_cpus", lambda: 1)
     small, one_thread = _stage_peaks(p, 200), _stage_peaks(p, 800)
     per_point = (one_thread - small) / (600 * 400)
-    bounds = np.array([2.0, 19.0, 4.0, 4.0, 24.0, 1.5, 70.0])
+    bounds = np.array([2.0, 19.0, 4.0, 4.0, 24.0, 1.5, 70.0, 18.0])
     assert (per_point < bounds).all(), per_point
     # each thread adds at most one block's temporaries, and the one-thread
     # peak holds one block's temporaries plus the results

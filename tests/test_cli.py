@@ -89,12 +89,16 @@ def test_usage_errors_exit_1(argv, capsys):
 
 
 def test_resolution_below_2_exits_1_from_build_grid(tmp_path, capsys):
+    # the memory estimate is checked only for sizes build_grid accepts, so
+    # a size below 2 is named as such even where its product is huge
     out = tmp_path / "x.ppm"
-    assert main(["--problem", "sgk", "--resolution", "1",
-                 "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "grid needs at least 2 points per axis, got 1 x 1" in err
-    assert not out.exists()
+    for value, sizes in [("1", "1 x 1"), ("-100000", "-100000 x -100000"),
+                         ("1,100000000", "1 x 100000000")]:
+        assert main(["--problem", "sgk", "--resolution", value,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"grid needs at least 2 points per axis, got {sizes}" in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [["--resolution", "-5,5"],

@@ -342,7 +342,7 @@ def test_bisphere_recall(spec, farthest):
     for n in (101, 201, 401):
         g = build_grid(p.lower, p.upper, n, n)
         efficient = classify(build_fieldset(p, g)).efficient_mask
-        X = np.stack(g.meshes(), axis=-1)
+        X = np.stack(np.meshgrid(g.x1, g.x2, indexing="ij"), axis=-1)
         t = np.clip((X - a) @ (b - a) / ((b - a) @ (b - a)), 0.0, 1.0)
         foot = a + t[..., None] * (b - a)
         dist = np.hypot(*np.moveaxis(X - foot, -1, 0))
@@ -782,7 +782,7 @@ def test_a_nan_divergence_reaches_the_tolerance_check(rows, monkeypatch):
     # 20 rows hold a constant field, whose divergence is 0.  classify takes
     # the largest magnitude from its per-block extremes, and a NaN in a
     # later block must still stop it, as a failed evaluation rather than a
-    # bad tolerance
+    # bad tolerance and with no RuntimeWarning from any thread
     monkeypatch.setattr(grid_module, "_cpus", lambda: 1)
     monkeypatch.setattr(grid_module, "BLOCK_ROWS", rows)
     g = build_grid((0.0, 0.0), (1e-308, 1e-308), 40, 40)
@@ -793,7 +793,9 @@ def test_a_nan_divergence_reaches_the_tolerance_check(rows, monkeypatch):
                   g1=g1, g2=g2, zero_tol=0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         div = -divergence(fs.mo_raw, g)
-        assert not np.isnan(div[:18]).any() and np.isnan(div).any()
+    assert not np.isnan(div[:18]).any() and np.isnan(div).any()
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(grid_module, "_cpus", lambda: cpus)
         with pytest.raises(EvaluationError,
                            match="largest descent divergence is nan"):
             classify(fs)
@@ -802,7 +804,9 @@ def test_a_nan_divergence_reaches_the_tolerance_check(rows, monkeypatch):
 def test_an_infinite_divergence_is_an_evaluation_error(monkeypatch):
     # mo = (2, 0) but (-2, 0) on row 30 of a subnormal grid: the x1
     # differences across that row overflow to -inf and +inf at separate
-    # points, with no NaN (one thread, which the errstate covers)
+    # points, with no NaN.  The reference divergence is taken on one
+    # thread, which the errstate covers; classify sets its own in every
+    # thread of its divergence pass
     monkeypatch.setattr(grid_module, "_cpus", lambda: 1)
     g = build_grid((0.0, 0.0), (1e-308, 1e-308), 40, 40)
     g1 = np.zeros(g.shape + (2,))
@@ -812,7 +816,9 @@ def test_an_infinite_divergence_is_an_evaluation_error(monkeypatch):
                   g1=g1, g2=g1.copy(), zero_tol=0.0)
     with np.errstate(over="ignore"):
         div = -divergence(fs.mo_raw, g)
-        assert np.isinf(div).any() and not np.isnan(div).any()
+    assert np.isinf(div).any() and not np.isnan(div).any()
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(grid_module, "_cpus", lambda: cpus)
         with pytest.raises(EvaluationError,
                            match="largest descent divergence is inf"):
             classify(fs)

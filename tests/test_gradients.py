@@ -33,7 +33,7 @@ def test_central_differences_exact_for_quadratics_in_interior():
         fn=lambda x1, x2: (x1**2 - 3.0 * x1 * x2 + 0.5 * x2**2, x1 * x1 + x2))
     g = build_grid(p.lower, p.upper, 21, 21)
     grad = build_fieldset(p, g).g1
-    X1, X2 = g.meshes()
+    X1, X2 = np.meshgrid(g.x1, g.x2, indexing="ij")
     d1 = 2.0 * X1 - 3.0 * X2
     d2 = -3.0 * X1 + X2
     assert np.allclose(grad[1:-1, 1:-1, 0], d1[1:-1, 1:-1], atol=1e-11)
@@ -46,7 +46,7 @@ def test_one_sided_boundary_error_within_curvature_bound():
     p = make_aspar()  # box [-2,2] x [-1,3]
     g = build_grid(p.lower, p.upper, 1001, 11)
     assert g.s1 == 0.004
-    X1, _ = g.meshes()
+    X1, _ = np.meshgrid(g.x1, g.x2, indexing="ij")
     grad = build_fieldset(p, g).g1
     analytic = 4.0 * X1**3 - 4.0 * X1
     err = np.abs(grad[..., 0] - analytic)
@@ -119,7 +119,7 @@ def test_gradient_scale_is_pooled_mean_norm():
 
 def test_divergence_exact_for_linear_fields():
     g = _grid(9, 13, (-1.0, -1.0), (1.0, 1.0))
-    X1, X2 = g.meshes()
+    X1, X2 = np.meshgrid(g.x1, g.x2, indexing="ij")
     radial = np.stack([X1, X2], axis=-1)
     assert np.allclose(divergence(radial, g), 2.0, atol=1e-12)
     rotational = np.stack([-X2, X1], axis=-1)
@@ -190,7 +190,7 @@ def test_finite_difference_error_shrinks_at_second_order():
     for n in (101, 201, 401):
         g = build_grid(p.lower, p.upper, n, n)
         fs = build_fieldset(p, g)
-        a1, a2 = aspar_gradients(*g.meshes())
+        a1, a2 = aspar_gradients(*np.meshgrid(g.x1, g.x2, indexing="ij"))
         e1 = np.abs(fs.g1 - a1)[1:-1, 1:-1].max()
         e2 = np.abs(fs.g2 - a2)[1:-1, 1:-1].max()
         errs.append(max(e1, e2))
@@ -219,7 +219,7 @@ def test_bisphere_descent_divergence_negative_between_centers():
     g = build_grid(p.lower, p.upper, 201, 201)
     fs = build_fieldset(p, g)
     div_desc = divergence(-fs.mo_raw, g)
-    X1, X2 = g.meshes()
+    X1, X2 = np.meshgrid(g.x1, g.x2, indexing="ij")
     ra = np.hypot(X1 + 1.0, X2)
     rb = np.hypot(X1 - 1.0, X2)
     away = (ra > 3 * g.s1) & (rb > 3 * g.s1)

@@ -43,7 +43,7 @@ def test_rectangular_grid_axes_independent():
     g = build_grid((0.0, -1.0), (2.0, 1.0), 5, 11)
     assert g.shape == (5, 11)
     assert g.s1 == 0.5 and g.s2 == 0.2
-    X1, X2 = g.meshes()
+    X1, X2 = np.meshgrid(g.x1, g.x2, indexing="ij")
     assert X1.shape == (5, 11) and X2.shape == (5, 11)
     assert X1[3, 0] == g.x1[3] and X2[0, 7] == g.x2[7]
 
@@ -77,7 +77,7 @@ def test_evaluate_grid_matches_pointwise():
     f1, f2 = evaluate_grid(p, g)
     for i in (0, 5, 12):
         for j in (0, 4, 8):
-            e1, e2 = p.evaluate_arrays(g.x1[i], g.x2[j])
+            e1, e2 = p.fn(g.x1[i], g.x2[j])
             assert f1[i, j] == e1 and f2[i, j] == e2
 
 

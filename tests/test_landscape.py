@@ -393,7 +393,7 @@ def _vortex_basins(lower, upper, n1, n2, descent):
     """gfh of the joint field -descent(X1, X2), with no efficient point,
     checked against the descent walk."""
     grid = build_grid(lower, upper, n1, n2)
-    dx, dy = descent(*grid.meshes())
+    dx, dy = descent(*np.meshgrid(grid.x1, grid.x2, indexing="ij"))
     mo = -np.stack([dx, dy], axis=-1)
     zero = np.zeros(grid.shape)
     fields = FieldSet(grid=grid, f1=zero, f2=zero, g1=np.zeros_like(mo),
