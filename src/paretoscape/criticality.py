@@ -43,10 +43,10 @@ from enum import IntEnum
 
 import numpy as np
 
-from .gradients import (FieldSet, _divergence_rows, _is_zero,
+from .gradients import (FieldSet, _divergence_rows, _is_zero, _unit_sum,
                         absolute_tolerance, check_tolerance, gradient_norms)
-from .grid import (CSV_BLOCK_ROWS, EvaluationError, Grid, map_blocks,
-                   row_blocks, with_halo)
+from .grid import (CSV_BLOCK_ROWS, EvaluationError, Grid, fill_blocks,
+                   map_blocks, row_blocks, with_halo)
 
 # default divergence tolerance, relative to the largest divergence
 DIV_TOL_REL = 1e-9
@@ -168,21 +168,24 @@ _CELL_CORNERS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
 def interior_criticality(g1: np.ndarray, g2: np.ndarray, grid: Grid,
-                         zero_tol: float = 0.0):
+                         zero_tol: float = 0.0, mo: np.ndarray | None = None):
     """First-order test over all triangle neighbourhoods.
 
     Each grid cell holds one triangle per orientation.  A cell whose eight
     gradients all have a provably positive dot product with its anchor's
-    d = g1/|g1| + g2/|g2| (and no zero-rule corner) lies in an open
+    unit sum d = g1/|g1| + g2/|g2| (and no zero-rule corner) lies in an open
     half-plane, so none of its triangles is critical.  The other cells get
     the exact orientation test of ``origin_in_hull``, on their eight
     gradients gathered from ``g1`` and ``g2``.
 
-    Both run per block of ``row_blocks`` cell rows, on that block's norms,
-    zero rule and strided component views, through ``map_blocks``, so that
-    the temporaries grow with one block per thread; each element gets the
-    same expressions as on the whole grid, so the result does not depend on
-    the block size or the thread count.
+    Both run per block of ``row_blocks`` point rows through ``map_blocks``;
+    a block reads its rows plus the next one and tests the cells anchored
+    in its rows.  Its one ``_unit_sum`` call gives the zero rule and the
+    certificate's d, and, if ``mo`` is given, the block writes its rows of
+    that unit sum into ``mo``, an (n1, n2, 2) float array, with the bytes
+    of ``FieldSet.mo_raw``.  The temporaries grow with one block per thread;
+    each element gets the same expressions as on the whole grid, so the
+    result does not depend on the block size or the thread count.
 
     Returns:
         triangles: int32 array (T, 4), rows (i, j, di, dj) meaning corners
@@ -190,10 +193,15 @@ def interior_criticality(g1: np.ndarray, g2: np.ndarray, grid: Grid,
             orientation by orientation in ``ORIENTATIONS`` order, row-major.
         crit_mask: (n1, n2) bool, True at every corner of a critical triangle.
     """
-    def block(cells: slice) -> list:
-        # the critical triangles of cell rows ``cells``, per orientation
-        ci, cj, cell_zero = _uncertified_cells(g1, g2, cells, zero_tol)
-        corner_g = [g[ci + oi, cj + oj] for g in (g1, g2)
+    def block(rows: slice) -> list:
+        # the critical triangles of the cells anchored in point rows ``rows``
+        points = slice(rows.start, rows.stop + 1)     # clipped at n1
+        g1_rows, g2_rows = g1[points], g2[points]
+        d, zero = _unit_sum(g1_rows, g2_rows, zero_tol)
+        if mo is not None:
+            mo[rows] = d[:rows.stop - rows.start]
+        ci, cj, cell_zero = _uncertified_cells(g1_rows, g2_rows, d, zero)
+        corner_g = [g[ci + oi, cj + oj] for g in (g1_rows, g2_rows)
                     for oi, oj in _CELL_CORNERS]
         ahead = _ahead(  # vectors 0-3: g1 at corners 0-3, then g2
             np.stack([g[:, 0] for g in corner_g]),
@@ -205,15 +213,15 @@ def interior_criticality(g1: np.ndarray, g2: np.ndarray, grid: Grid,
             six = corners + [c + 4 for c in corners]
             crit = _encloses(ahead[np.ix_(six, six)],
                              cell_zero[corners].any(axis=0))
-            rows = np.empty((int(crit.sum()), 4), dtype=np.int32)
-            rows[:, 0] = ci[crit] + ai
-            rows[:, 1] = cj[crit] + aj
-            rows[:, 2] = di
-            rows[:, 3] = dj
-            found.append(rows)
+            rows_found = np.empty((int(crit.sum()), 4), dtype=np.int32)
+            rows_found[:, 0] = ci[crit] + (rows.start + ai)
+            rows_found[:, 1] = cj[crit] + aj
+            rows_found[:, 2] = di
+            rows_found[:, 3] = dj
+            found.append(rows_found)
         return found
 
-    per_block = map_blocks(block, row_blocks(grid.n1 - 1))
+    per_block = map_blocks(block, row_blocks(grid.n1))
     triangles = np.concatenate([found[k] for k in range(len(ORIENTATIONS))
                                 for found in per_block], axis=0)
 
@@ -223,25 +231,26 @@ def interior_criticality(g1: np.ndarray, g2: np.ndarray, grid: Grid,
     return triangles, crit_mask
 
 
-def _uncertified_cells(g1: np.ndarray, g2: np.ndarray, cells: slice,
-                       zero_tol: float):
-    """Grid indices (ci, cj) of the cells in rows ``cells`` that the
-    half-plane certificate does not clear, and the (4, len(ci)) zero-rule
-    flags of their corners."""
-    points = slice(cells.start, cells.stop + 1)
-    norm1, norm2 = gradient_norms(g1[points]), gradient_norms(g2[points])
-    zero = _is_zero(norm1, zero_tol) | _is_zero(norm2, zero_tol)
-    g1x, g1y, g2x, g2y = (g[points, :, c] for g in (g1, g2) for c in (0, 1))
+def _uncertified_cells(g1: np.ndarray, g2: np.ndarray, d: np.ndarray,
+                       zero: np.ndarray):
+    """Indices (ci, cj), within the slab, of the cells of the point rows
+    ``g1`` and ``g2`` that the half-plane certificate does not clear, and
+    the (4, len(ci)) zero-rule flags of their corners.
+
+    ``d`` and ``zero`` are the slab's ``_unit_sum``, so no norm is taken
+    here.  A cell is certified when its anchor's d has a positive dot
+    product with all eight gradients and no corner is a zero-rule point.
+    Off the zero rule, d is g1/|g1| + g2/|g2| to the bit; a zero-rule
+    anchor, whose d is the zero vector, is never certified.
+    """
+    g1x, g1y, g2x, g2y = (g[..., c] for g in (g1, g2) for c in (0, 1))
     m, n2 = zero.shape
 
     # the certificate: fl(fl(a) + fl(b)) > 0 iff fl(a) > -fl(b), and as
-    # rounding is monotone that proves a + b > 0 exactly; a zero norm makes
-    # d NaN, which proves nothing
-    anchor = np.s_[:-1, :-1]
+    # rounding is monotone that proves a + b > 0 exactly
+    dx, dy = d[:-1, :-1, 0], d[:-1, :-1, 1]
     certified = np.ones((m - 1, n2 - 1), dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        dx = g1x[anchor] / norm1[anchor] + g2x[anchor] / norm2[anchor]
-        dy = g1y[anchor] / norm1[anchor] + g2y[anchor] / norm2[anchor]
+    with np.errstate(over="ignore", invalid="ignore"):
         dot, part = np.empty_like(dx), np.empty_like(dx)
         for oi, oj in _CELL_CORNERS:
             corner = np.s_[oi:m - 1 + oi, oj:n2 - 1 + oj]
@@ -253,7 +262,7 @@ def _uncertified_cells(g1: np.ndarray, g2: np.ndarray, cells: slice,
 
     ci, cj = np.divmod(np.flatnonzero(~certified), n2 - 1)
     cell_zero = np.stack([zero[ci + oi, cj + oj] for oi, oj in _CELL_CORNERS])
-    return ci + cells.start, cj, cell_zero
+    return ci, cj, cell_zero
 
 
 def _corner_columns(triangles: np.ndarray):
@@ -354,16 +363,12 @@ def rotate_boundary_field(mo: np.ndarray, skip_mask: np.ndarray) -> None:
 
 def neighbor_dominated_mask(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     """True where some 8-neighbour strictly dominates the point; per block
-    of ``row_blocks`` rows with a halo row, through ``map_blocks``."""
-    n1 = f1.shape[0]
-    dom = np.empty(f1.shape, dtype=bool)
+    of ``row_blocks`` rows with a halo row, through ``fill_blocks``."""
+    def block(rows: slice) -> np.ndarray:
+        slab, inner = with_halo(rows, f1.shape[0])
+        return _dominated(f1[slab], f2[slab])[inner]
 
-    def block(rows: slice):
-        slab, inner = with_halo(rows, n1)
-        dom[rows] = _dominated(f1[slab], f2[slab])[inner]
-
-    map_blocks(block, row_blocks(n1))
-    return dom
+    return fill_blocks(f1.shape, block, dtype=bool)
 
 
 def _dominated(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
@@ -405,14 +410,17 @@ def classify(fields: FieldSet,
              div_tol_rel: float = DIV_TOL_REL) -> CriticalityMap:
     """Run the full first/second-order classification.
 
-    Sets ``fields.mo`` to the boundary-rotated joint field, built once from
-    ``fields.mo_raw`` and rotated in place on its edge lines; no other
-    array of ``fields`` is written.  The divergence of the descent field
-    -mo is computed per block of ``row_blocks`` rows with a halo row, and
-    only its block extremes and its values at the interior-critical points
-    are kept: the absolute divergence tolerance is ``div_tol_rel *
-    max|div|``, and the second-order test reads the mask of the
-    interior-critical points whose value is at most that tolerance.
+    Sets ``fields.mo`` to the boundary-rotated joint field: the blocks of
+    ``interior_criticality`` write the unit sum of ``g1`` and ``g2`` into a
+    new array as they test their cells, one ``_unit_sum`` call per block
+    giving each point's zero rule, certificate direction and field, and
+    that array is rotated in place on its edge lines; ``fields.mo_raw`` is
+    not read, and no other array of ``fields`` is written.  The divergence
+    of the descent field -mo is computed per block of ``row_blocks`` rows
+    with a halo row, and only its block extremes and its values at the
+    interior-critical points are kept: the absolute divergence tolerance is
+    ``div_tol_rel * max|div|``, and the second-order test reads the mask of
+    the interior-critical points whose value is at most that tolerance.
 
     Raises:
         ValueError: ``div_tol_rel`` is negative, infinite or NaN, or its
@@ -421,9 +429,9 @@ def classify(fields: FieldSet,
     """
     check_tolerance("div_tol_rel", div_tol_rel)
     grid = fields.grid
+    mo = np.empty(grid.shape + (2,))
     triangles, interior_mask = interior_criticality(
-        fields.g1, fields.g2, grid, fields.zero_tol)
-    mo = fields.mo_raw
+        fields.g1, fields.g2, grid, fields.zero_tol, mo=mo)
     pairs, pair_crit, pair_eff, boundary_mask = boundary_criticality(
         fields.g1, fields.g2, mo, grid)
     first_order = interior_mask | boundary_mask

@@ -17,7 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .grid import (EvaluationError, Grid, check_finite, evaluate_grid,
-                   export_grid_csv, map_blocks, row_blocks, with_halo)
+                   export_grid_csv, fill_blocks, map_blocks, row_blocks,
+                   with_halo)
 
 # default zero-gradient tolerance, relative to the gradient scale
 ZERO_TOL_REL = 1e-12
@@ -46,13 +47,14 @@ def _is_zero(norms: np.ndarray, zero_tol: float) -> np.ndarray:
     return (norms <= 0.0) | (norms < zero_tol)
 
 
-def _unit_sum(g1, g2, zero_tol: float) -> np.ndarray:
-    """Sum of the normalised single-objective gradients g1 and g2.
+def _unit_sum(g1, g2, zero_tol: float):
+    """(mo, zero): the sum of the normalised single-objective gradients g1
+    and g2, and the mask of the zero rule.
 
     Points where either gradient norm is below ``zero_tol`` (or exactly
-    zero) get the zero vector: a vanishing single-objective gradient means
-    the point is critical on its own and no direction of joint ascent is
-    defined there.
+    zero) are set in ``zero`` and get the zero vector: a vanishing
+    single-objective gradient means the point is critical on its own and no
+    direction of joint ascent is defined there.
     """
     n1, n2 = gradient_norms(g1), gradient_norms(g2)
     zero = _is_zero(n1, zero_tol) | _is_zero(n2, zero_tol)
@@ -61,7 +63,7 @@ def _unit_sum(g1, g2, zero_tol: float) -> np.ndarray:
     mo = g1 / n1[..., None]
     mo += g2 / n2[..., None]
     mo[zero] = 0.0
-    return mo
+    return mo, zero
 
 
 def _divergence_rows(v: np.ndarray, grid: Grid, rows: slice) -> np.ndarray:
@@ -76,16 +78,10 @@ def _divergence_rows(v: np.ndarray, grid: Grid, rows: slice) -> np.ndarray:
 def divergence(v: np.ndarray, grid: Grid) -> np.ndarray:
     """Divergence of a vector field, same stencils as the gradients,
     computed per block of ``row_blocks`` rows with a halo row by
-    ``map_blocks``."""
+    ``fill_blocks``."""
     if v.shape != grid.shape + (2,):
         raise ValueError(f"vector field shape {v.shape} does not match grid {grid.shape}")
-    div = np.empty(grid.shape)
-
-    def block(rows: slice):
-        div[rows] = _divergence_rows(v, grid, rows)
-
-    map_blocks(block, row_blocks(grid.n1))
-    return div
+    return fill_blocks(grid.shape, lambda rows: _divergence_rows(v, grid, rows))
 
 
 @dataclass
@@ -124,17 +120,13 @@ class FieldSet:
     def mo_raw(self) -> np.ndarray:
         """A new array of the unrotated joint ascent field, the unit sum of
         ``g1`` and ``g2``, built per block of ``row_blocks`` rows through
-        ``map_blocks``; the norms and ``_unit_sum`` are elementwise, so its
-        bytes do not depend on the block size or the thread count.
-        ``classify`` rotates the array it gets in place; only the boundary
-        probe of ``perfbench/chain.py`` and the tests read it besides."""
-        mo = np.empty(self.grid.shape + (2,))
-
-        def unit_sum(rows: slice):
-            mo[rows] = _unit_sum(self.g1[rows], self.g2[rows], self.zero_tol)
-
-        map_blocks(unit_sum, row_blocks(self.grid.n1))
-        return mo
+        ``fill_blocks``; the norms and ``_unit_sum`` are elementwise, so its
+        bytes do not depend on the block size or the thread count.  These
+        are the bytes that ``classify``'s first-order blocks write into the
+        ``mo`` it starts from; only the boundary probe of
+        ``perfbench/chain.py`` and the tests read this property."""
+        return fill_blocks(self.grid.shape + (2,), lambda rows: _unit_sum(
+            self.g1[rows], self.g2[rows], self.zero_tol)[0])
 
 
 def check_tolerance(name: str, value: float) -> None:

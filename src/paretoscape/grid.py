@@ -11,8 +11,9 @@ temporary files, and one path writes the header, the first run and those
 files into the output for any number of workers.  The per-point stages of
 the pipeline run in blocks of ``BLOCK_ROWS`` grid rows (``row_blocks``,
 with ``with_halo`` for stencils) on the calling thread plus helper threads
-(``map_blocks``), with outputs that depend neither on the block size nor on
-the thread count.
+(``map_blocks``; ``fill_blocks`` when each block writes its rows of one new
+array), with outputs that depend neither on the block size nor on the
+thread count.
 """
 
 from __future__ import annotations
@@ -183,6 +184,19 @@ def map_blocks(fn, blocks) -> list:
     if errors:
         raise errors[min(errors)]
     return results
+
+
+def fill_blocks(shape, rows_of, dtype=float) -> np.ndarray:
+    """A new array of ``shape`` and ``dtype`` whose rows ``rows`` hold
+    ``rows_of(rows)``, for each slice of ``row_blocks(shape[0])``, filled
+    by ``map_blocks``."""
+    out = np.empty(shape, dtype=dtype)
+
+    def fill(rows: slice):
+        out[rows] = rows_of(rows)
+
+    map_blocks(fill, row_blocks(shape[0]))
+    return out
 
 
 def evaluate_grid(problem: BiObjectiveProblem, grid: Grid, workers: int = 1):

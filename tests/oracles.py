@@ -101,23 +101,32 @@ def hull_contains_origin(vectors) -> bool:
     return False
 
 
-# closed-form efficient sets, as lists of segments (a, b): bisphere's
-# segment between its centres; mindist's four stretches of the lines
-# between f1's and f2's nearest centres over which neither nearest centre
-# changes
+# closed-form efficient sets, as lists of segments (a, b) of non-zero
+# length: bisphere's segment between its centres; mindist's four stretches
+# of the lines between f1's and f2's nearest centres over which neither
+# nearest centre changes; and the sets of bisphere with centres outside its
+# box [-2, 2]^2 as the box constrains it: the part of the segment between
+# the centres inside the box, then the stretch of box edge nearest to the
+# rest of it
 EFFICIENT_SEGMENTS = {
     "bisphere": [((-1.0, 0.0), (1.0, 0.0))],
     "mindist": [((-2.0, -1.0), (-2.0, 1.0)), ((2.0, -1.0), (2.0, 1.0)),
                 ((-0.5, -1.0), (0.5, -1.0)), ((-0.5, 1.0), (0.5, 1.0))],
+    "bisphere:-1,3,1,3": [((-1.0, 2.0), (1.0, 2.0))],
+    "bisphere:1,3,3,1": [((1.0, 2.0), (2.0, 2.0)), ((2.0, 1.0), (2.0, 2.0))],
+    "bisphere:-1,0,1,3": [((-1.0, 0.0), (1.0 / 3.0, 2.0)),
+                          ((1.0 / 3.0, 2.0), (1.0, 2.0))],
 }
 
 
 def segment_distances(points: np.ndarray, segments) -> np.ndarray:
     """Euclidean distance from each row of the (N, 2) ``points`` to the
-    nearest of the ``segments``."""
+    nearest of the ``segments``, each of non-zero length."""
     best = np.full(points.shape[0], np.inf)
     for a, b in segments:
         a, ab = np.asarray(a), np.subtract(b, a)
+        if not ab @ ab > 0.0:
+            raise ValueError(f"segment {a.tolist()}-{list(b)} has length 0")
         t = np.clip((points - a) @ ab / (ab @ ab), 0.0, 1.0)
         off = points - a - t[:, None] * ab
         best = np.minimum(best, np.hypot(off[:, 0], off[:, 1]))

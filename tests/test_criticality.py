@@ -351,6 +351,40 @@ def test_bisphere_recall(spec, farthest):
         assert dist[efficient].max() <= farthest * h + 1e-12, (spec, n)
 
 
+def test_first_order_pass_at_an_opposed_and_a_zero_rule_anchor(monkeypatch):
+    # every cell of an aligned field has a half-plane certificate, except
+    # around two anchors whose unit sum is the zero vector: at (1, 1)
+    # g2 = -g1, where the sum is exactly 0 without the zero rule, and at
+    # (3, 2) g1 = 0, the zero rule; the fused pass must flag the oracle's
+    # triangles, as the call without ``mo`` does, and write mo_raw's bytes
+    g1 = np.zeros((5, 4, 2))
+    g2 = np.zeros((5, 4, 2))
+    g1[...] = (1.0, 0.0)
+    g2[...] = (1.0, 0.25)
+    g1[1, 1], g2[1, 1] = (0.6, 0.8), (-0.6, -0.8)
+    g1[3, 2] = (0.0, 0.0)
+    grid = build_grid((0.0, 0.0), (1.0, 1.0), 5, 4)
+    fs = FieldSet(grid=grid, f1=np.zeros(grid.shape), f2=np.zeros(grid.shape),
+                  g1=g1, g2=g2, zero_tol=0.0)
+    mo_raw = fs.mo_raw
+    assert mo_raw[1, 1].tolist() == [0.0, 0.0]
+    assert mo_raw[3, 2].tolist() == [0.0, 0.0]
+    expected = _oracle_triangles(g1, g2)
+    assert expected
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(grid_module, "_cpus", lambda: cpus)
+        for rows in (1, 2, 3, 32):
+            monkeypatch.setattr(grid_module, "BLOCK_ROWS", rows)
+            mo = np.full(grid.shape + (2,), np.nan)
+            fused = interior_criticality(g1, g2, grid, mo=mo)
+            plain = interior_criticality(g1, g2, grid)
+            _assert_triangle_contract(*fused, grid.shape)
+            assert {tuple(r) for r in fused[0].tolist()} == expected
+            assert fused[0].tobytes() == plain[0].tobytes()
+            assert np.array_equal(fused[1], plain[1])
+            assert mo.tobytes() == mo_raw.tobytes(), (cpus, rows)
+
+
 def test_fritz_john_point_forces_criticality():
     # a vanishing single-objective gradient at any corner makes all four
     # triangles touching it critical regardless of the other directions

@@ -58,8 +58,8 @@ def test_one_sided_boundary_error_within_curvature_bound():
 
 
 def _mo(g1, g2, zero_tol=0.0):
-    """The multi-objective gradient as ``build_fieldset`` forms it."""
-    return _unit_sum(g1, g2, zero_tol)
+    """The multi-objective gradient as ``classify`` forms it."""
+    return _unit_sum(g1, g2, zero_tol)[0]
 
 
 def test_mo_gradient_frozen_examples():
@@ -80,6 +80,11 @@ def test_mo_gradient_zero_tolerance_and_exact_zero():
     # exact zero gradient suppresses the sum even with zero_tol=0
     out0 = _mo(np.zeros((1, 1, 2)), big, zero_tol=0.0)
     assert np.array_equal(out0, np.zeros((1, 1, 2)))
+    # the zero-rule mask comes with the sum, and g2 = -g1 is no zero point
+    # though its sum is the zero vector
+    _, zero = _unit_sum(np.stack([tiny, big, big]).reshape(1, 3, 2),
+                        np.stack([big, big, -big]).reshape(1, 3, 2), 1e-12)
+    assert zero.tolist() == [[True, False, False]]
 
 
 def test_mo_gradient_invariant_under_gradient_scaling():
