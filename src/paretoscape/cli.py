@@ -206,8 +206,7 @@ def run(config: RunConfig) -> int:
             export_critical_points_json(config.export_json, result.critmap,
                                         result.fields)
         else:
-            export_decomposition_json(config.export_json, result.decomposition,
-                                      result.fields.f1, result.fields.f2)
+            export_decomposition_json(config.export_json, result.decomposition)
 
     print(json.dumps(result.summary()))
     return 0

@@ -44,7 +44,8 @@ from enum import IntEnum
 import numpy as np
 
 from .gradients import (FieldSet, _divergence_rows, _is_zero, _unit_sum,
-                        absolute_tolerance, check_tolerance, gradient_norms)
+                        absolute_tolerance, check_tolerance, gradient_norms,
+                        gradient_rows)
 from .grid import (CSV_BLOCK_ROWS, EvaluationError, Grid, fill_blocks,
                    map_blocks, row_blocks, with_halo)
 
@@ -168,7 +169,14 @@ _CELL_CORNERS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
 def interior_criticality(g1: np.ndarray, g2: np.ndarray, grid: Grid,
-                         zero_tol: float = 0.0, mo: np.ndarray | None = None):
+                         zero_tol: float = 0.0):
+    """First-order test over all triangle neighbourhoods of the gradient
+    fields ``g1`` and ``g2``, (n1, n2, 2) arrays: ``_interior`` on their
+    rows, writing no ``mo``."""
+    return _interior(lambda p: (g1[p], g2[p]), grid, zero_tol, None)
+
+
+def _interior(gradients, grid: Grid, zero_tol: float, mo):
     """First-order test over all triangle neighbourhoods.
 
     Each grid cell holds one triangle per orientation.  A cell whose eight
@@ -176,16 +184,18 @@ def interior_criticality(g1: np.ndarray, g2: np.ndarray, grid: Grid,
     unit sum d = g1/|g1| + g2/|g2| (and no zero-rule corner) lies in an open
     half-plane, so none of its triangles is critical.  The other cells get
     the exact orientation test of ``origin_in_hull``, on their eight
-    gradients gathered from ``g1`` and ``g2``.
+    gradients.
 
     Both run per block of ``row_blocks`` point rows through ``map_blocks``;
-    a block reads its rows plus the next one and tests the cells anchored
-    in its rows.  Its one ``_unit_sum`` call gives the zero rule and the
-    certificate's d, and, if ``mo`` is given, the block writes its rows of
-    that unit sum into ``mo``, an (n1, n2, 2) float array, with the bytes
-    of ``FieldSet.mo_raw``.  The temporaries grow with one block per thread;
-    each element gets the same expressions as on the whole grid, so the
-    result does not depend on the block size or the thread count.
+    a block takes the gradients of its rows plus the next one (clipped at
+    n1) from ``gradients(points)``, two (len(points), n2, 2) arrays, and
+    tests the cells anchored in its rows.  Its one ``_unit_sum`` call gives
+    the zero rule and the certificate's d, and, if ``mo`` is given, the
+    block writes its rows of that unit sum into ``mo``, an (n1, n2, 2)
+    float array, with the bytes of ``FieldSet.mo_raw``.  The temporaries
+    grow with one block per thread; each element gets the same expressions
+    as on the whole grid, so the result does not depend on the block size
+    or the thread count.
 
     Returns:
         triangles: int32 array (T, 4), rows (i, j, di, dj) meaning corners
@@ -195,8 +205,7 @@ def interior_criticality(g1: np.ndarray, g2: np.ndarray, grid: Grid,
     """
     def block(rows: slice) -> list:
         # the critical triangles of the cells anchored in point rows ``rows``
-        points = slice(rows.start, rows.stop + 1)     # clipped at n1
-        g1_rows, g2_rows = g1[points], g2[points]
+        g1_rows, g2_rows = gradients(slice(rows.start, rows.stop + 1))
         d, zero = _unit_sum(g1_rows, g2_rows, zero_tol)
         if mo is not None:
             mo[rows] = d[:rows.stop - rows.start]
@@ -304,13 +313,20 @@ _EDGES = ((0, 0, -1.0, np.s_[:, 0]), (-1, 0, 1.0, np.s_[:, -1]),
 
 def boundary_criticality(g1: np.ndarray, g2: np.ndarray, mo_raw: np.ndarray,
                          grid: Grid):
+    """``_boundary`` of the gradient fields ``g1`` and ``g2``, (n1, n2, 2)
+    arrays, read along the edge lines."""
+    return _boundary(lambda e, t: (g1[e][:, t], g2[e][:, t]), mo_raw, grid)
+
+
+def _boundary(tangents, mo_raw: np.ndarray, grid: Grid):
     """First- and second-order tests for adjacent point pairs on box edges.
 
     A pair is *critical* iff no tangential direction is a strict common
     descent direction for both objectives at both points.  A critical pair
     is *efficient* iff the joint descent direction -mo points outward or
     along the boundary (mo . n_out <= 0) at both points, i.e. descent cannot
-    re-enter the box.
+    re-enter the box.  ``tangents(line, t)`` gives the derivatives of f1
+    and f2 along axis ``t`` at the points of the edge's grid ``line``.
 
     Returns:
         pairs: int32 (M, 5) rows (i_p, j_p, i_q, j_q, edge_id)
@@ -321,8 +337,7 @@ def boundary_criticality(g1: np.ndarray, g2: np.ndarray, mo_raw: np.ndarray,
     pairs, crit, eff = [], [], []
     crit_mask = np.zeros(grid.shape, dtype=bool)
     for edge_id, (fixed, t, n_sign, line) in enumerate(_EDGES):
-        d1 = g1[line][:, t]
-        d2 = g2[line][:, t]
+        d1, d2 = tangents(line, t)
         mo_out = n_sign * mo_raw[line][:, 1 - t]
         plus = (d1[:-1] < 0) & (d2[:-1] < 0) & (d1[1:] < 0) & (d2[1:] < 0)
         minus = (d1[:-1] > 0) & (d2[:-1] > 0) & (d1[1:] > 0) & (d2[1:] > 0)
@@ -410,17 +425,22 @@ def classify(fields: FieldSet,
              div_tol_rel: float = DIV_TOL_REL) -> CriticalityMap:
     """Run the full first/second-order classification.
 
-    Sets ``fields.mo`` to the boundary-rotated joint field: the blocks of
-    ``interior_criticality`` write the unit sum of ``g1`` and ``g2`` into a
-    new array as they test their cells, one ``_unit_sum`` call per block
-    giving each point's zero rule, certificate direction and field, and
-    that array is rotated in place on its edge lines; ``fields.mo_raw`` is
-    not read, and no other array of ``fields`` is written.  The divergence
-    of the descent field -mo is computed per block of ``row_blocks`` rows
-    with a halo row, and only its block extremes and its values at the
-    interior-critical points are kept: the absolute divergence tolerance is
-    ``div_tol_rel * max|div|``, and the second-order test reads the mask of
-    the interior-critical points whose value is at most that tolerance.
+    Sets ``fields.mo`` to the boundary-rotated joint field.  No gradient
+    field is read or built: each block of the interior test computes the
+    gradients of its point rows plus the next one from ``f1`` and ``f2``
+    (``gradient_rows``, with its halo row), and writes the unit sum of
+    those gradients into a new array as it tests its cells, one
+    ``_unit_sum`` call per block giving each point's zero rule, certificate
+    direction and field.  The boundary test takes the tangential
+    derivatives of each edge from that edge's line of ``f1`` and ``f2``,
+    with the same stencil, and reads the unrotated field from that array,
+    which is then rotated in place on its edge lines; no array of
+    ``fields`` is written.  The divergence of the descent field -mo is
+    computed per block of ``row_blocks`` rows with a halo row, and only its
+    block extremes and its values at the interior-critical points are
+    kept: the absolute divergence tolerance is ``div_tol_rel * max|div|``,
+    and the second-order test reads the mask of the interior-critical
+    points whose value is at most that tolerance.
 
     Raises:
         ValueError: ``div_tol_rel`` is negative, infinite or NaN, or its
@@ -428,12 +448,14 @@ def classify(fields: FieldSet,
         EvaluationError: max|div| is NaN or infinite.
     """
     check_tolerance("div_tol_rel", div_tol_rel)
-    grid = fields.grid
+    grid, f1, f2 = fields.grid, fields.f1, fields.f2
     mo = np.empty(grid.shape + (2,))
-    triangles, interior_mask = interior_criticality(
-        fields.g1, fields.g2, grid, fields.zero_tol, mo=mo)
-    pairs, pair_crit, pair_eff, boundary_mask = boundary_criticality(
-        fields.g1, fields.g2, mo, grid)
+    triangles, interior_mask = _interior(
+        lambda points: gradient_rows(grid, points, f1, f2), grid,
+        fields.zero_tol, mo)
+    pairs, pair_crit, pair_eff, boundary_mask = _boundary(
+        lambda line, t: [np.gradient(f[line], (grid.s1, grid.s2)[t])
+                         for f in (f1, f2)], mo, grid)
     first_order = interior_mask | boundary_mask
 
     rotate_boundary_field(mo, first_order)
@@ -471,7 +493,7 @@ def classify(fields: FieldSet,
     labels[eff_pairs[:, 2], eff_pairs[:, 3]] = PointClass.EFFICIENT_BOUNDARY
 
     eff = labels >= PointClass.EFFICIENT_INTERIOR
-    demote = eff & neighbor_dominated_mask(fields.f1, fields.f2)
+    demote = eff & neighbor_dominated_mask(f1, f2)
     labels[demote] = PointClass.CRITICAL_ONLY
 
     return CriticalityMap(

@@ -24,18 +24,20 @@ from .grid import (EvaluationError, Grid, check_finite, evaluate_grid,
 ZERO_TOL_REL = 1e-12
 
 
-def _gradient_rows(values: np.ndarray, grid: Grid, rows: slice,
-                   out: np.ndarray) -> None:
-    """Gradient field of a scalar grid field at grid rows ``rows``, into
-    ``out`` of shape (len(rows), n2, 2), from those rows and a halo row on
-    each side.
+def gradient_rows(grid: Grid, rows: slice, *values) -> list:
+    """The gradient field of each scalar grid field of ``values`` at grid
+    rows ``rows`` (clipped at n1), a new (len(rows), n2, 2) array each,
+    computed from those rows and a halo row on each side.
 
     numpy's stencil, which ``divergence`` uses too: (f[i+1] - f[i-1]) / 2s
-    inside, (f[1] - f[0]) / s and (f[-1] - f[-2]) / s on the boundary.
+    inside, (f[1] - f[0]) / s and (f[-1] - f[-2]) / s on the boundary, so
+    every element gets the expression it gets on the whole grid.  No stage
+    stores a gradient field: each computes the rows it reads here.
     """
     slab, inner = with_halo(rows, grid.n1)
-    out[..., 0] = np.gradient(values[slab], grid.s1, axis=0)[inner]
-    out[..., 1] = np.gradient(values[rows], grid.s2, axis=1)
+    return [np.stack([np.gradient(f[slab], grid.s1, axis=0)[inner],
+                      np.gradient(f[rows], grid.s2, axis=1)], axis=-1)
+            for f in values]
 
 
 def gradient_norms(g: np.ndarray) -> np.ndarray:
@@ -69,7 +71,7 @@ def _unit_sum(g1, g2, zero_tol: float):
 def _divergence_rows(v: np.ndarray, grid: Grid, rows: slice) -> np.ndarray:
     """A new array of the divergence of a vector field at grid rows
     ``rows``, from those rows and a halo row on each side, with the stencil
-    of ``_gradient_rows``."""
+    of ``gradient_rows``."""
     slab, inner = with_halo(rows, grid.n1)
     return (np.gradient(v[slab, :, 0], grid.s1, axis=0)[inner]
             + np.gradient(v[rows, :, 1], grid.s2, axis=1))
@@ -88,23 +90,42 @@ def divergence(v: np.ndarray, grid: Grid) -> np.ndarray:
 class FieldSet:
     """All per-grid-point fields the detection pipeline works on.
 
-    ``build_fieldset`` sets ``f1``, ``f2``, ``g1``, ``g2`` and ``zero_tol``.
-    ``classify`` sets ``mo``, the joint ascent field with its normal
-    components removed where descent would leave the box, which starts as
-    None.  The divergence of the descent field, ``div_descent``, is not
-    stored: it is computed from ``mo`` on each read.  No step writes an
-    array of the set in place.  ``analyze`` goes on after ``classify`` with
-    a copy of the set whose ``g1`` and ``g2`` are None unless its mode
-    exports them.
+    ``build_fieldset`` sets ``f1``, ``f2`` and ``zero_tol``.  No gradient
+    field is stored: the stages that read gradients compute the rows they
+    need from ``f1`` and ``f2`` with ``gradient_rows``.  ``classify`` sets
+    ``mo``, the joint ascent field with its normal components removed where
+    descent would leave the box, which starts as None.  The divergence of
+    the descent field, ``div_descent``, is not stored either: it is
+    computed from ``mo`` on each read.  No step writes an array of the set
+    in place.  ``analyze`` goes on after ``decompose_efficient_set`` with a
+    copy of the set whose ``f1`` and ``f2`` are None unless its mode reads
+    them again.
+
+    ``g1``, ``g2`` and ``mo_raw`` build a new whole-grid array on each read,
+    per block of ``row_blocks`` rows through ``fill_blocks``; every
+    expression is the one the stages evaluate per block, so the bytes do not
+    depend on the block size or the thread count.  The critical-mode field
+    export reads ``g1`` and ``g2`` once each; otherwise only the probes of
+    ``perfbench/chain.py`` and the tests read these properties.
     """
 
     grid: Grid
-    f1: np.ndarray
-    f2: np.ndarray
-    g1: Optional[np.ndarray]
-    g2: Optional[np.ndarray]
+    f1: Optional[np.ndarray]
+    f2: Optional[np.ndarray]
     zero_tol: float
     mo: Optional[np.ndarray] = None
+
+    @property
+    def g1(self) -> np.ndarray:
+        """A new array of the gradient field of ``f1``."""
+        return fill_blocks(self.grid.shape + (2,), lambda rows: gradient_rows(
+            self.grid, rows, self.f1)[0])
+
+    @property
+    def g2(self) -> np.ndarray:
+        """A new array of the gradient field of ``f2``."""
+        return fill_blocks(self.grid.shape + (2,), lambda rows: gradient_rows(
+            self.grid, rows, self.f2)[0])
 
     @property
     def div_descent(self) -> Optional[np.ndarray]:
@@ -119,14 +140,11 @@ class FieldSet:
     @property
     def mo_raw(self) -> np.ndarray:
         """A new array of the unrotated joint ascent field, the unit sum of
-        ``g1`` and ``g2``, built per block of ``row_blocks`` rows through
-        ``fill_blocks``; the norms and ``_unit_sum`` are elementwise, so its
-        bytes do not depend on the block size or the thread count.  These
-        are the bytes that ``classify``'s first-order blocks write into the
-        ``mo`` it starts from; only the boundary probe of
-        ``perfbench/chain.py`` and the tests read this property."""
+        the gradients of ``f1`` and ``f2``: the bytes that ``classify``'s
+        first-order blocks write into the ``mo`` it starts from."""
         return fill_blocks(self.grid.shape + (2,), lambda rows: _unit_sum(
-            self.g1[rows], self.g2[rows], self.zero_tol)[0])
+            *gradient_rows(self.grid, rows, self.f1, self.f2),
+            self.zero_tol)[0])
 
 
 def check_tolerance(name: str, value: float) -> None:
@@ -147,59 +165,67 @@ def absolute_tolerance(name: str, rel: float, scale_name: str,
 
 def build_fieldset(problem, grid: Grid, zero_tol_rel: float = ZERO_TOL_REL,
                    workers: int = 1) -> FieldSet:
-    """Evaluate a problem on a grid and derive its gradient fields.
+    """Evaluate a problem on a grid and derive its zero-gradient tolerance.
 
-    Sets ``f1``, ``f2``, ``g1``, ``g2`` and ``zero_tol``; the joint field
-    ``mo`` is built by ``classify``.  ``zero_tol_rel`` is relative to the
-    gradient scale, the pooled mean norm 0.5 * (mean ||g1|| + mean ||g2||),
-    taken over the whole grid's norm arrays, which are dropped once the
-    scale and the finite checks are done.  The stencils and the norms run
-    per block of ``row_blocks`` rows (the stencils with a halo row) through
-    ``map_blocks``, with the same expressions on each element as on the
-    whole grid, so the fields do not depend on the block size or the
-    thread count.  ``workers`` is ignored: ``perfbench/chain.py`` still
-    passes it.
+    Sets ``f1``, ``f2`` and ``zero_tol``; the joint field ``mo`` is built by
+    ``classify``.  ``zero_tol_rel`` is relative to the gradient scale, the
+    pooled mean norm 0.5 * (mean ||g1|| + mean ||g2||), taken over the
+    whole grid's norm arrays.  Each block of ``row_blocks`` rows computes
+    its gradients with ``gradient_rows`` only to write its rows of the two
+    norm arrays, through ``map_blocks``, and keeps its gradients and norms
+    for the finite checks only if one of them is not finite.  The norm
+    arrays are dropped once the scale is taken, so no gradient field and
+    no norm field outlives this call.  The elementwise expressions are
+    those of the whole grid, so ``zero_tol`` does not depend on the block
+    size or the thread count.  ``workers`` is ignored:
+    ``perfbench/chain.py`` still passes it.
 
     Raises:
         ValueError: ``zero_tol_rel`` is negative, infinite or NaN, or its
             product with the gradient scale overflows.
         EvaluationError: an objective, a finite-difference gradient or its
-            norm is NaN or infinite, or the gradient scale overflows.
+            norm is NaN or infinite, or the gradient scale overflows.  The
+            error names the first such point in the order of the checks:
+            the gradient of f1, of f2, the norm of the gradient of f1, of
+            f2, each in scan order, by its index in the whole grid.
     """
     check_tolerance("zero_tol_rel", zero_tol_rel)
     f1, f2 = evaluate_grid(problem, grid)
-    g1, g2 = np.empty(grid.shape + (2,)), np.empty(grid.shape + (2,))
     n1, n2 = np.empty(grid.shape), np.empty(grid.shape)
 
     def first_order(rows: slice):
         with np.errstate(over="ignore"):
-            for f, g, n in ((f1, g1, n1), (f2, g2, n2)):
-                _gradient_rows(f, grid, rows, g[rows])
-                n[rows] = gradient_norms(g[rows])
+            g = gradient_rows(grid, rows, f1, f2)
+            n1[rows], n2[rows] = map(gradient_norms, g)
+        checked = (*g, n1[rows], n2[rows])
+        return None if all(np.isfinite(a).all() for a in checked) else checked
 
-    map_blocks(first_order, row_blocks(grid.n1))
+    blocks = row_blocks(grid.n1)
+    per_block = map_blocks(first_order, blocks)
+    for k, name in enumerate(("gradient of f1", "gradient of f2",
+                              "gradient norm of f1", "gradient norm of f2")):
+        for rows, checked in zip(blocks, per_block):
+            if checked is not None:
+                check_finite(problem, grid, ((name, checked[k]),), rows.start)
     with np.errstate(over="ignore"):
         scale = float(0.5 * (n1.mean() + n2.mean()))
-    check_finite(problem, grid, (("gradient of f1", g1), ("gradient of f2", g2),
-                                 ("gradient norm of f1", n1),
-                                 ("gradient norm of f2", n2)))
     if not math.isfinite(scale):
         raise EvaluationError(f"problem {problem.name!r}: gradient scale overflows")
     zero_tol = absolute_tolerance("zero_tol_rel", zero_tol_rel,
                                   "gradient scale", scale)
-    return FieldSet(grid=grid, f1=f1, f2=f2, g1=g1, g2=g2, zero_tol=zero_tol)
+    return FieldSet(grid=grid, f1=f1, f2=f2, zero_tol=zero_tol)
 
 
 def export_fields_csv(path, fields: FieldSet) -> None:
     """CSV dump of the gradient fields: one row per grid point, j1 fastest.
 
     Columns: j1,j2,x1,x2,g1x,g1y,g2x,g2y,mox,moy,div  (mo = rotated field,
-    div = divergence of the descent field -mo, read once: both follow
-    from ``classify``).
+    div = divergence of the descent field -mo: both follow from
+    ``classify``).  ``g1``, ``g2`` and the divergence are built once each,
+    before the export starts.
     """
     export_grid_csv(
         path, fields.grid,
         ["g1x", "g1y", "g2x", "g2y", "mox", "moy", "div"],
-        [fields.g1[..., 0], fields.g1[..., 1],
-         fields.g2[..., 0], fields.g2[..., 1],
-         fields.mo[..., 0], fields.mo[..., 1], fields.div_descent])
+        [g[..., c] for g in (fields.g1, fields.g2, fields.mo) for c in (0, 1)]
+        + [fields.div_descent])

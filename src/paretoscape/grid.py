@@ -236,16 +236,19 @@ def evaluate_grid(problem: BiObjectiveProblem, grid: Grid, workers: int = 1):
     return f1, f2
 
 
-def check_finite(problem, grid: Grid, named_fields) -> None:
+def check_finite(problem, grid: Grid, named_fields, start: int = 0) -> None:
     """Raise EvaluationError at the first grid point, in scan order, where
-    a (name, field) pair's scalar or vector field is NaN or infinite."""
+    a (name, field) pair's scalar or vector field is NaN or infinite.  The
+    fields hold the grid rows from ``start`` on, and the error names the
+    point by its index in the whole grid."""
     for name, f in named_fields:
         bad = ~np.isfinite(f)
         if bad.any():
             i, j = np.argwhere(bad)[0][:2]
             raise EvaluationError(
                 f"problem {problem.name!r} produced non-finite {name} = {f[i, j]} "
-                f"at grid point (j1={i + 1}, j2={j + 1}), x = ({grid.x1[i]}, {grid.x2[j]})"
+                f"at grid point (j1={start + i + 1}, j2={j + 1}), "
+                f"x = ({grid.x1[start + i]}, {grid.x2[j]})"
             )
 
 

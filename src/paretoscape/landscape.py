@@ -223,6 +223,7 @@ class EfficientSetDecomposition:
     component_sizes: np.ndarray   # (C,)
     component_min_rank: np.ndarray  # (C,)
     representative_f: np.ndarray    # (C, 2) objectives of a min-rank member
+    F: np.ndarray                   # (E, 2) objectives (f1, f2) per point
 
     @property
     def n_efficient(self) -> int:
@@ -238,7 +239,9 @@ def decompose_efficient_set(critmap: CriticalityMap, f1: np.ndarray,
     """Rank efficient points by dominance and split them into components.
 
     Ranks are strict-dominance counts computed among the efficient points
-    only; rank 0 marks the (approximate) globally efficient subset.
+    only; rank 0 marks the (approximate) globally efficient subset.  The
+    decomposition keeps the objectives of its points as ``F``, so no later
+    stage needs the whole-grid ``f1`` and ``f2`` for them.
     """
     mask = critmap.efficient_mask
     pts = np.argwhere(mask).astype(np.int32)
@@ -255,7 +258,7 @@ def decompose_efficient_set(critmap: CriticalityMap, f1: np.ndarray,
         grid=critmap.grid, points=pts, ranks=ranks, component_of=comp_of,
         component_labels=comp_labels, n_components=n_comp,
         component_sizes=sizes, component_min_rank=ranks[best],
-        representative_f=F[best])
+        representative_f=F[best], F=F)
 
 
 # ---------------------------------------------------------------------------
@@ -450,12 +453,17 @@ def analyze(problem, n1: int, n2: Optional[int] = None, *,
     ``mode`` is the CLI's, one of ``MODES``: the cost landscape is computed
     iff it is ``"cost"``.  The per-point stages run on all usable CPUs
     (``grid.map_blocks``), with the same results for any thread count.
-    Once ``classify`` has run, the run goes on with a copy of the field set
-    whose ``g1`` and ``g2`` are None unless the mode is ``"critical"``, the
-    only one whose exports read them, so they are freed before the later
-    stages allocate.  No mode holds the divergence of the descent field:
-    ``fields.div_descent`` computes it on each read, and only the critical
-    exports read it.
+    No mode holds a gradient field: ``build_fieldset`` and ``classify``
+    compute gradients per row block, and only the critical-mode field
+    export builds ``g1`` and ``g2``, once each.  The cost landscape, the
+    last reader of ``f1`` and ``f2`` outside ``"critical"`` mode, runs
+    right after ``decompose_efficient_set``, which keeps the objectives of
+    the efficient points as ``decomposition.F``; then, unless the mode is
+    ``"critical"``, whose exports read them, the run goes on with a copy of
+    the field set whose ``f1`` and ``f2`` are None, so they are freed
+    before ``gfh_heights`` allocates.  No mode holds the divergence of the
+    descent field: ``fields.div_descent`` computes it on each read, and
+    only the critical exports read it.
 
     Raises:
         ValueError: ``mode`` is not one of ``MODES``.
@@ -469,11 +477,11 @@ def analyze(problem, n1: int, n2: Optional[int] = None, *,
     grid = build_grid(lo, up, n1, n2)
     fields = build_fieldset(problem, grid, zero_tol_rel=zero_tol_rel)
     critmap = classify(fields, div_tol_rel=div_tol_rel)
-    if mode != "critical":
-        fields = replace(fields, g1=None, g2=None)
     decomposition = decompose_efficient_set(critmap, fields.f1, fields.f2)
-    heights, basins = gfh_heights(fields, critmap, decomposition)
     cost = cost_landscape(fields.f1, fields.f2, grid) if mode == "cost" else None
+    if mode != "critical":
+        fields = replace(fields, f1=None, f2=None)
+    heights, basins = gfh_heights(fields, critmap, decomposition)
     return LandscapeResult(problem=problem, grid=grid, fields=fields,
                            critmap=critmap, decomposition=decomposition,
                            heights=heights, basins=basins, cost=cost)
@@ -499,7 +507,7 @@ _COMPONENT_JSON = ('  {\n   "id": %d,\n   "size": %d,\n   "min_rank": %d,\n'
 
 
 def export_decomposition_json(path, decomposition: EfficientSetDecomposition,
-                              f1: np.ndarray, f2: np.ndarray) -> None:
+                              f1=None, f2=None) -> None:
     """JSON of the efficient-set decomposition.
 
     Top level: {"n_efficient", "n_rank0", "n_components", "components"}.
@@ -509,15 +517,17 @@ def export_decomposition_json(path, decomposition: EfficientSetDecomposition,
     those of ``json.dump(payload, fh, indent=1)`` plus a newline, with
     floats as ``float.__repr__``; the records are formatted from fixed
     templates instead of the pure-Python encoder that ``indent`` selects,
-    and each component is written as soon as it is formatted.
+    and each component is written as soon as it is formatted.  The
+    objectives come from ``decomposition.F``; ``f1`` and ``f2`` are
+    ignored: ``perfbench/chain.py`` still passes them.
     """
     d = decomposition
     grid = d.grid
     # a stable sort keeps each component's points in scan order
     order = np.argsort(d.component_of, kind="stable")
     i, j = d.points[order, 0], d.points[order, 1]
-    columns = (i + 1, j + 1, grid.x1[i], grid.x2[j], f1[i, j], f2[i, j],
-               d.ranks[order])
+    columns = (i + 1, j + 1, grid.x1[i], grid.x2[j], d.F[order, 0],
+               d.F[order, 1], d.ranks[order])
     with open(path, "w", encoding="ascii") as fh:
         fh.write('{\n "n_efficient": %d,\n "n_rank0": %d,\n'
                  ' "n_components": %d,\n' % (d.n_efficient, d.n_rank0,

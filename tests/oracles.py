@@ -59,12 +59,17 @@ def make_overflow():
                            (x1 - 0.3) ** 2 + x2 ** 2))
 
 
-def make_norm_overflow():
-    """f1 = 1.5e308 (x1 + x2) on [0, 0.5]^2: finite objectives and finite
-    gradients (1.5e308, 1.5e308), whose norm overflows at every point."""
+def make_norm_overflow(start: float = 0.0):
+    """f1 = 1.5e308 (max(x1 - start, 0) + x2) on [0, 0.5]^2: finite
+    objectives and finite gradients, (1.5e308, 1.5e308) where x1 > start,
+    whose norm overflows there.  With ``start`` 0 that is every point; on a
+    grid with a point at x1 = start, the central difference there is
+    (0.75e308, 1.5e308), whose norm is finite, so the first overflowing
+    norm lies one grid row further on."""
     return BiObjectiveProblem(
         name="norm-overflow", lower=(0.0, 0.0), upper=(0.5, 0.5),
-        fn=lambda x1, x2: (1.5e308 * (x1 + x2), (x1 - 0.3) ** 2 + x2 ** 2))
+        fn=lambda x1, x2: (1.5e308 * (np.maximum(x1 - start, 0.0) + x2),
+                           (x1 - 0.3) ** 2 + x2 ** 2))
 
 
 def make_scale_overflow():
@@ -102,7 +107,8 @@ def hull_contains_origin(vectors) -> bool:
 
 
 # closed-form efficient sets, as lists of segments (a, b) of non-zero
-# length: bisphere's segment between its centres; mindist's four stretches
+# length (aspar's polylines are added below): bisphere's segment between
+# its centres; mindist's four stretches
 # of the lines between f1's and f2's nearest centres over which neither
 # nearest centre changes; and the sets of bisphere with centres outside its
 # box [-2, 2]^2 as the box constrains it: the part of the segment between
@@ -117,6 +123,50 @@ EFFICIENT_SEGMENTS = {
     "bisphere:-1,0,1,3": [((-1.0, 0.0), (1.0 / 3.0, 2.0)),
                           ((1.0 / 3.0, 2.0), (1.0, 2.0))],
 }
+
+
+def aspar_efficient_segments(samples: int = 500) -> list:
+    """The closed-form locally efficient set of ``make_aspar()`` as two
+    polylines, a list of segments (a, b) of non-zero length.
+
+    A point is efficient where l grad f1 + (1 - l) grad f2 = 0 for some
+    weight l in [0, 1], which gives x2 = 2 (1 - l) / (1 + l) and the cubic
+    4 l x1^3 + (2 - 6 l) x1 + (1 - l) = 0, solved by ``np.roots``.  A root
+    is kept where the weighted Hessian l H1 + (1 - l) H2 is positive along
+    the tangent of the set, perpendicular to grad f1 - grad f2 (which is
+    not 0: the two gradients are opposed and do not vanish together), so
+    f1's saddle branch through the origin is dropped.  The roots with
+    x1 < 0 form the branch from f2's minimum (-0.5, 2) to f1's minimum
+    (-1, 0); those with x1 > 0 the branch from the fold, where two roots
+    meet, to f1's minimum (1, 0).  The weights are ``samples`` even steps of
+    [0, 1] and as many steps that start at the fold weight, where the
+    discriminant -16 l (2 - 6 l)^3 - 432 l^2 (1 - l)^2 vanishes, and
+    widen quadratically, so that the polyline reaches the fold.
+    """
+    fold = [r.real for r in np.roots([189.0, -162.0, 45.0, -8.0])
+            if abs(r.imag) < 1e-9 and 1.0 / 3.0 < r.real < 1.0][0]
+    steps = np.linspace(0.0, 1.0, samples)
+    branches = {False: [], True: []}
+    for lam in np.unique(np.concatenate([steps,
+                                         fold + (1.0 - fold) * steps ** 2])):
+        x2 = 2.0 * (1.0 - lam) / (1.0 + lam)
+        for x1 in np.roots([4.0 * lam, 0.0, 2.0 - 6.0 * lam, 1.0 - lam]):
+            if abs(x1.imag) > 1e-6:
+                continue
+            x1 = x1.real
+            g1, g2 = aspar_gradients(x1, x2)
+            tx, ty = g2[1] - g1[1], g1[0] - g2[0]
+            hxx = lam * (12.0 * x1 ** 2 - 4.0) + 2.0 * (1.0 - lam)
+            hyy = 4.0 * lam + 2.0 * (1.0 - lam)
+            if hxx * tx * tx + hyy * ty * ty > 0.0:
+                branches[x1 > 0.0].append((float(x1), float(x2)))
+    # each branch is the graph of its weight over x1: order it by x1
+    return [(a, b) for points in map(sorted, branches.values())
+            for a, b in zip(points, points[1:])]
+
+
+# aspar's two branches, which no formula of a few segments gives
+EFFICIENT_SEGMENTS["aspar"] = aspar_efficient_segments()
 
 
 def segment_distances(points: np.ndarray, segments) -> np.ndarray:

@@ -32,6 +32,10 @@ UNREAD_NAMES = {
 UNREAD_PARAMETERS = {
     ("gradients", "build_fieldset", "workers"): "perfbench/chain.py passes it",
     ("grid", "evaluate_grid", "workers"): "perfbench/chain.py passes it",
+    ("landscape", "export_decomposition_json", "f1"):
+        "perfbench/chain.py passes them",
+    ("landscape", "export_decomposition_json", "f2"):
+        "perfbench/chain.py passes them",
 }
 
 # (class, attribute) that no module of the package or the benchmark loads

@@ -15,11 +15,11 @@ from paretoscape import (BiObjectiveProblem, analyze, available_problems,
                          get_problem)
 from paretoscape import grid as grid_module
 from paretoscape.cli import MODES
-from paretoscape.criticality import (DIV_TOL_REL, PointClass, classify,
-                                     interior_criticality,
+from paretoscape.criticality import (DIV_TOL_REL, PointClass, _interior,
+                                     classify, interior_criticality,
                                      neighbor_dominated_mask, triangle_corners,
                                      triangle_second_order)
-from paretoscape.gradients import build_fieldset, divergence
+from paretoscape.gradients import build_fieldset, divergence, gradient_rows
 from paretoscape.grid import build_grid, evaluate_grid, map_blocks, row_blocks
 from paretoscape.landscape import decompose_efficient_set, gfh_heights
 from paretoscape.render import compose_plot, render, render_height_map
@@ -34,14 +34,18 @@ def test_row_blocks_cover_the_range_in_order(monkeypatch):
 
 def _blocked_outputs(problem, n1, n2):
     r = analyze(problem, n1, n2, mode="cost")
-    # cost mode drops g1 and g2 after classify: take them from a set of its own
+    # no mode keeps g1 and g2: take them from a set of its own
     fs = build_fieldset(problem, r.grid)
     triangles, mask = interior_criticality(fs.g1, fs.g2, r.grid, fs.zero_tol)
     rasters = {mode: render(mode, heights=r.cost if mode == "cost" else r.heights,
                             critmap=r.critmap, decomposition=r.decomposition
                             ).raster.tobytes()
                for mode in MODES}
-    return {"f": (r.fields.f1.tobytes(), r.fields.f2.tobytes()),
+    # analyze frees f1 and f2 once the cost landscape is built: their bytes
+    # come from the set built under the same block size and thread count,
+    # and analyze's own at the efficient points from the decomposition
+    return {"f": (fs.f1.tobytes(), fs.f2.tobytes()),
+            "F": r.decomposition.F.tobytes(),
             "triangles": (triangles.shape, triangles.tobytes()),
             "mask": mask.tobytes(),
             "mo_raw": fs.mo_raw.tobytes(),
@@ -145,11 +149,12 @@ def test_second_order_test_streams_across_block_seams(monkeypatch):
 
 
 def test_first_order_pass_writes_mo_across_block_seams(monkeypatch):
-    # each block of interior_criticality reads its point rows plus the next
-    # one, takes the unit sum once for the zero rule and the certificate,
-    # and writes its own rows of it into ``mo``: the triangles and the mask
-    # must be those of the call without ``mo``, and every row of ``mo``
-    # must get the bytes of mo_raw.  That the call without ``mo`` and
+    # each block of classify's first-order pass computes the gradients of
+    # its point rows plus the next one from f1 and f2, takes the unit sum
+    # once for the zero rule and the certificate, and writes its own rows
+    # of it into ``mo``: the triangles and the mask must be those of
+    # interior_criticality on whole gradient fields, and every row of
+    # ``mo`` must get the bytes of mo_raw.  That interior_criticality and
     # mo_raw keep their bytes across block sizes and thread counts is
     # test_outputs_do_not_depend_on_block_rows's part
     for name in available_problems():
@@ -168,8 +173,9 @@ def test_first_order_pass_writes_mo_across_block_seams(monkeypatch):
                     monkeypatch.setattr(grid_module, "BLOCK_ROWS", rows)
                     key = (name, shape, cpus, rows)
                     mo = np.full(g.shape + (2,), np.nan)
-                    got, got_mask = interior_criticality(
-                        fs.g1, fs.g2, g, fs.zero_tol, mo=mo)
+                    got, got_mask = _interior(
+                        lambda points: gradient_rows(g, points, fs.f1, fs.f2),
+                        g, fs.zero_tol, mo)
                     assert got.shape == triangles.shape, key
                     assert got.tobytes() == triangles.tobytes(), key
                     assert got_mask.tobytes() == mask.tobytes(), key
@@ -271,13 +277,14 @@ def _stage_peaks(p, n1):
     d = decompose_efficient_set(cm, fs.f1, fs.f2)
     h, _ = gfh_heights(fs, cm, d)
     art = compose_plot(h, d)
+    # each read builds a gradient field: read them outside the traces
+    g1, g2 = fs.g1, fs.g2
     return np.array([
-        _traced_peak(lambda: interior_criticality(fs.g1, fs.g2, g,
-                                                  fs.zero_tol)),
+        _traced_peak(lambda: interior_criticality(g1, g2, g, fs.zero_tol)),
         _traced_peak(lambda: gfh_heights(fs, cm, d)),
         _traced_peak(lambda: compose_plot(h, d)),
         _traced_peak(lambda: render_height_map(h)),
-        # classify builds mo from g1 and g2, which it leaves alone, so a
+        # classify builds mo from f1 and f2, which it leaves alone, so a
         # second call repeats the first
         _traced_peak(lambda: classify(fs)),
         _traced_peak(art.to_png_bytes),
@@ -295,19 +302,21 @@ def test_stage_memory_grows_with_one_block_not_the_grid(monkeypatch):
     # codes and int32 peel rounds; 22.2 B while the back-substitution took
     # whole rounds as intp and the stop kinds were counted by bincount),
     # compose_plot and render_height_map 3.0 B (the RGB image), classify
-    # 22.3 B (mo, which its first-order blocks write and which it rotates,
-    # and the labels; 22.1 B while mo took a pass of its own, 30.3 B while
-    # it kept the whole divergence, 35.2 B with a full |div| copy on top),
-    # to_png_bytes 0.67 B (3.27 B with a full filtered copy of the image),
-    # build_fieldset 67.4 B (f1, f2, g1, g2 and the two norm arrays;
-    # 80.0 B while it also built mo) and evaluate_grid 16.0 B (f1 and f2;
-    # 32.1 B while it sliced whole-grid coordinate meshes); before row
-    # blocks the first four were 83.7, 44.1, 24.0 and 35.0 B
+    # 20.6 B (mo, which its first-order blocks write and which it rotates,
+    # and the labels; 22.3 B while it read stored g1 and g2, 22.1 B while
+    # mo took a pass of its own, 30.3 B while it kept the whole divergence,
+    # 35.2 B with a full |div| copy on top), to_png_bytes 0.67 B (3.27 B
+    # with a full filtered copy of the image), build_fieldset 32.0 B (f1,
+    # f2 and the two norm arrays, which it drops; 67.4 B while it also
+    # stored g1 and g2, 80.0 B while it also built mo) and evaluate_grid
+    # 16.0 B (f1 and f2; 32.1 B while it sliced whole-grid coordinate
+    # meshes); before row blocks the first four were 83.7, 44.1, 24.0 and
+    # 35.0 B
     p = get_problem("sgk")
     monkeypatch.setattr(grid_module, "_cpus", lambda: 1)
     small, one_thread = _stage_peaks(p, 200), _stage_peaks(p, 800)
     per_point = (one_thread - small) / (600 * 400)
-    bounds = np.array([2.0, 19.0, 4.0, 4.0, 24.0, 1.5, 70.0, 18.0])
+    bounds = np.array([2.0, 19.0, 4.0, 4.0, 22.0, 1.5, 34.0, 18.0])
     assert (per_point < bounds).all(), per_point
     # each thread adds at most one block's temporaries, and the one-thread
     # peak holds one block's temporaries plus the results
@@ -321,12 +330,13 @@ def _triangle_stage_peaks(p, n1):
     g = build_grid(p.lower, p.upper, n1, 400)
     fs = build_fieldset(p, g)
     cm = classify(fs)
-    # div_descent is built on each read: read it once, outside the traces
-    _, mask = interior_criticality(fs.g1, fs.g2, g, fs.zero_tol)
+    # g1, g2 and div_descent are built on each read: read them once,
+    # outside the traces
+    g1, g2 = fs.g1, fs.g2
+    _, mask = interior_criticality(g1, g2, g, fs.zero_tol)
     attracting = mask & (fs.div_descent <= cm.div_tol)
     return np.array([
-        _traced_peak(lambda: interior_criticality(fs.g1, fs.g2, g,
-                                                  fs.zero_tol)),
+        _traced_peak(lambda: interior_criticality(g1, g2, g, fs.zero_tol)),
         _traced_peak(lambda: triangle_second_order(cm.triangles, attracting)),
         _traced_peak(lambda: classify(fs))])
 
@@ -337,16 +347,17 @@ def test_triangle_stage_memory_on_a_grid_full_of_triangles(monkeypatch):
     # few thousand do not.  Measured growth per added point with numpy 2.4:
     # interior_criticality 12.5 B, triangle_second_order 3.4 B (one gather
     # per corner from the mask, with its corner index arrays) and classify
-    # 29.9 B; 13.4 and 33.6 B while the certificate took its own norms and
+    # 28.2 B; 29.9 B while classify read stored g1 and g2, 13.4 and 33.6 B
+    # while the certificate took its own norms and
     # classify built mo in a pass of its own, 2.1 and 33.6 B while the
     # corners were looked up by binary search in a compressed table of the
     # interior-critical values, a chunk of triangles at a time, 5.4 and
     # 39.9 B while the whole divergence was kept and indexed, and 23.9, 19.4
     # and 52.6 B while the corner masks, the labels and the second-order
     # test went through (T, 3) corner stacks.  The interior_criticality and
-    # classify bounds leave 12 % and 7 % over their figures
+    # classify bounds leave 12 % and 6 % over their figures
     p = get_problem("kursawe")
     monkeypatch.setattr(grid_module, "_cpus", lambda: 1)
     per_point = ((_triangle_stage_peaks(p, 800) - _triangle_stage_peaks(p, 200))
                  / (600 * 400))
-    assert (per_point < np.array([14.0, 4.0, 32.0])).all(), per_point
+    assert (per_point < np.array([14.0, 4.0, 30.0])).all(), per_point

@@ -15,12 +15,13 @@ from paretoscape import (BiObjectiveProblem, EvaluationError, FieldSet,
                          divergence, get_problem, make_aspar, make_bisphere,
                          make_kursawe, make_sgk, origin_in_hull)
 from paretoscape.criticality import (CLASS_NAMES, DIV_TOL_REL, ORIENTATIONS,
-                                     boundary_criticality,
+                                     _interior, boundary_criticality,
                                      export_critical_points_json,
                                      interior_criticality,
                                      neighbor_dominated_mask,
                                      rotate_boundary_field, triangle_corners,
                                      triangle_second_order)
+from paretoscape.gradients import _unit_sum
 
 def test_origin_in_hull_frozen_cases():
     assert origin_in_hull([(1.0, 0.0), (-1.0, 0.0)]) is True
@@ -356,7 +357,8 @@ def test_first_order_pass_at_an_opposed_and_a_zero_rule_anchor(monkeypatch):
     # around two anchors whose unit sum is the zero vector: at (1, 1)
     # g2 = -g1, where the sum is exactly 0 without the zero rule, and at
     # (3, 2) g1 = 0, the zero rule; the fused pass must flag the oracle's
-    # triangles, as the call without ``mo`` does, and write mo_raw's bytes
+    # triangles, as the call without ``mo`` does, and write the bytes of
+    # the unit sum that FieldSet.mo_raw takes of the same gradients
     g1 = np.zeros((5, 4, 2))
     g2 = np.zeros((5, 4, 2))
     g1[...] = (1.0, 0.0)
@@ -364,9 +366,7 @@ def test_first_order_pass_at_an_opposed_and_a_zero_rule_anchor(monkeypatch):
     g1[1, 1], g2[1, 1] = (0.6, 0.8), (-0.6, -0.8)
     g1[3, 2] = (0.0, 0.0)
     grid = build_grid((0.0, 0.0), (1.0, 1.0), 5, 4)
-    fs = FieldSet(grid=grid, f1=np.zeros(grid.shape), f2=np.zeros(grid.shape),
-                  g1=g1, g2=g2, zero_tol=0.0)
-    mo_raw = fs.mo_raw
+    mo_raw = _unit_sum(g1, g2, 0.0)[0]
     assert mo_raw[1, 1].tolist() == [0.0, 0.0]
     assert mo_raw[3, 2].tolist() == [0.0, 0.0]
     expected = _oracle_triangles(g1, g2)
@@ -376,7 +376,7 @@ def test_first_order_pass_at_an_opposed_and_a_zero_rule_anchor(monkeypatch):
         for rows in (1, 2, 3, 32):
             monkeypatch.setattr(grid_module, "BLOCK_ROWS", rows)
             mo = np.full(grid.shape + (2,), np.nan)
-            fused = interior_criticality(g1, g2, grid, mo=mo)
+            fused = _interior(lambda p: (g1[p], g2[p]), grid, 0.0, mo)
             plain = interior_criticality(g1, g2, grid)
             _assert_triangle_contract(*fused, grid.shape)
             assert {tuple(r) for r in fused[0].tolist()} == expected
@@ -425,12 +425,12 @@ def test_triangle_second_order_thresholds():
 def test_second_order_threshold_is_inclusive():
     # exactly opposed gradients make every triangle critical, and their
     # unit sum mo is 0, so div(-mo) is 0 everywhere and so is div_tol: a
-    # divergence equal to the tolerance passes
-    g = build_grid((0.0, 0.0), (1.0, 1.0), 7, 5)
-    g1, g2 = np.zeros(g.shape + (2,)), np.zeros(g.shape + (2,))
-    g1[..., 0], g2[..., 0] = 1.0, -1.0
-    fs = FieldSet(grid=g, f1=np.zeros(g.shape), f2=np.zeros(g.shape),
-                  g1=g1, g2=g2, zero_tol=0.0)
+    # divergence equal to the tolerance passes.  f1 = x1 and f2 = -x1 on a
+    # grid of unit spacing give g1 = (1, 0) and g2 = (-1, 0) exactly
+    g = build_grid((0.0, 0.0), (6.0, 4.0), 7, 5)
+    f1 = np.repeat(g.x1[:, None], g.n2, axis=1)
+    fs = FieldSet(grid=g, f1=f1, f2=-f1, zero_tol=0.0)
+    assert (fs.g1 == (1.0, 0.0)).all() and (fs.g2 == (-1.0, 0.0)).all()
     cm = classify(fs)
     assert cm.div_tol == 0.0
     assert cm.triangles.shape[0] == 6 * 4 * len(ORIENTATIONS) == 96
@@ -661,16 +661,17 @@ def test_classify_is_deterministic():
 
 def test_classify_leaves_its_inputs_untouched():
     # classify builds mo itself and rotates that array in place: it must
-    # write none of f1, f2, g1, g2, and the unit sum mo_raw recomputes from
-    # them must keep its bytes
+    # write neither f1 nor f2, and the gradients g1 and g2 and the unit sum
+    # mo_raw, which the set recomputes from them, must keep their bytes
     fs = _fieldset(make_kursawe(), 41, 33)
     assert fs.mo is None and fs.div_descent is None
-    inputs = (fs.f1, fs.f2, fs.g1, fs.g2)
-    before = [a.tobytes() for a in inputs + (fs.mo_raw,)]
+    inputs = (fs.f1, fs.f2)
+    before = [a.tobytes() for a in inputs + (fs.g1, fs.g2, fs.mo_raw)]
     classify(fs)
-    assert all(a is b for a, b in zip((fs.f1, fs.f2, fs.g1, fs.g2), inputs))
-    assert [a.tobytes() for a in inputs + (fs.mo_raw,)] == before
-    assert fs.mo_raw is not fs.mo_raw             # a new array each time
+    assert all(a is b for a, b in zip((fs.f1, fs.f2), inputs))
+    assert [a.tobytes() for a in inputs + (fs.g1, fs.g2, fs.mo_raw)] == before
+    for k in ("g1", "g2", "mo_raw"):              # a new array each time
+        assert getattr(fs, k) is not getattr(fs, k), k
     assert not np.array_equal(fs.mo, fs.mo_raw)   # the rotation took effect
 
 
@@ -813,18 +814,19 @@ def test_overflowing_absolute_tolerances_raise():
 def test_a_nan_divergence_reaches_the_tolerance_check(rows, monkeypatch):
     # on a 40x40 grid of subnormal spacing the descent divergence of a
     # random field overflows, and opposite infinities meet in NaN; the first
-    # 20 rows hold a constant field, whose divergence is 0.  classify takes
-    # the largest magnitude from its per-block extremes, and a NaN in a
-    # later block must still stop it, as a failed evaluation rather than a
-    # bad tolerance and with no RuntimeWarning from any thread
+    # 20 rows hold constant objectives, whose field and divergence are 0.
+    # classify takes the largest magnitude from its per-block extremes, and
+    # a NaN in a later block must still stop it, as a failed evaluation
+    # rather than a bad tolerance and with no RuntimeWarning from any thread
     monkeypatch.setattr(grid_module, "_cpus", lambda: 1)
     monkeypatch.setattr(grid_module, "BLOCK_ROWS", rows)
     g = build_grid((0.0, 0.0), (1e-308, 1e-308), 40, 40)
     rng = np.random.default_rng(0)
-    g1, g2 = np.ones(g.shape + (2,)), np.ones(g.shape + (2,))
-    g1[20:], g2[20:] = rng.normal(size=(2, 20, 40, 2))
-    fs = FieldSet(grid=g, f1=np.zeros(g.shape), f2=np.zeros(g.shape),
-                  g1=g1, g2=g2, zero_tol=0.0)
+    # objectives of the grid's scale, so that their gradients are finite
+    f1, f2 = np.zeros(g.shape), np.zeros(g.shape)
+    f1[20:], f2[20:] = rng.normal(size=(2, 20, 40)) * 1e-308
+    fs = FieldSet(grid=g, f1=f1, f2=f2, zero_tol=0.0)
+    assert np.isfinite(fs.g1).all() and np.isfinite(fs.g2).all()
     with np.errstate(over="ignore", invalid="ignore"):
         div = -divergence(fs.mo_raw, g)
     assert not np.isnan(div[:18]).any() and np.isnan(div).any()
@@ -838,16 +840,20 @@ def test_a_nan_divergence_reaches_the_tolerance_check(rows, monkeypatch):
 def test_an_infinite_divergence_is_an_evaluation_error(monkeypatch):
     # mo = (2, 0) but (-2, 0) on row 30 of a subnormal grid: the x1
     # differences across that row overflow to -inf and +inf at separate
-    # points, with no NaN.  The reference divergence is taken on one
-    # thread, which the errstate covers; classify sets its own in every
-    # thread of its divergence pass
+    # points, with no NaN.  f1 = f2 depends on x1 alone, rises along x1 and
+    # falls only across row 30, so g1 = g2 = (+-c, 0) with c > 0.  The
+    # reference divergence is taken on one thread, which the errstate
+    # covers; classify sets its own in every thread of its divergence pass
     monkeypatch.setattr(grid_module, "_cpus", lambda: 1)
     g = build_grid((0.0, 0.0), (1e-308, 1e-308), 40, 40)
-    g1 = np.zeros(g.shape + (2,))
-    g1[..., 0] = 1.0
-    g1[30] = (-1.0, 0.0)
-    fs = FieldSet(grid=g, f1=np.zeros(g.shape), f2=np.zeros(g.shape),
-                  g1=g1, g2=g1.copy(), zero_tol=0.0)
+    steps = np.arange(40.0) * 10.0
+    steps[30], steps[31] = 295.0, 289.0
+    steps[32:] -= 20.0
+    f1 = np.repeat(steps[:, None] * 1e-310, 40, axis=1)
+    fs = FieldSet(grid=g, f1=f1, f2=f1.copy(), zero_tol=0.0)
+    ascent = np.sign(fs.g1[..., 0])
+    assert (fs.g1[..., 1] == 0.0).all() and (ascent[30] < 0).all()
+    assert (np.delete(ascent, 30, axis=0) > 0).all()
     with np.errstate(over="ignore"):
         div = -divergence(fs.mo_raw, g)
     assert np.isinf(div).any() and not np.isnan(div).any()

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -314,14 +315,17 @@ def test_gfh_heights_match_descent_walk_across_chunk_seams(name, chunk,
 
 @pytest.mark.parametrize("mode", MODES)
 def test_analyze_keeps_what_its_mode_exports_and_matches_the_stages(mode):
-    # g1 and g2 are read only by the critical mode's exports; every other
-    # mode drops them once classify has run.  No mode stores the
-    # divergence: div_descent is computed from mo on each read
+    # f1 and f2 are read after decompose_efficient_set only by the cost
+    # landscape, which runs next, and the critical mode's exports; every
+    # other mode drops them before gfh_heights.  No mode stores a gradient
+    # field or the divergence: g1, g2 and div_descent are computed on each
+    # read
     p = get_problem("kursawe")
     r = analyze(p, 31, 17, mode=mode)
-    assert [getattr(r.fields, k) is None for k in ("g1", "g2")
+    assert [getattr(r.fields, k) is None for k in ("f1", "f2")
             ] == [mode != "critical"] * 2
-    assert "div_descent" not in {f.name for f in dataclasses.fields(FieldSet)}
+    assert {f.name for f in dataclasses.fields(FieldSet)} == {
+        "grid", "f1", "f2", "zero_tol", "mo"}
     fs = build_fieldset(p, build_grid(p.lower, p.upper, 31, 17))
     cm = classify(fs)
     d = decompose_efficient_set(cm, fs.f1, fs.f2)
@@ -337,9 +341,36 @@ def test_analyze_keeps_what_its_mode_exports_and_matches_the_stages(mode):
         assert r.cost.values.tobytes() == cost.values.tobytes()
     div = -divergence(fs.mo, fs.grid)
     assert r.fields.div_descent.tobytes() == div.tobytes()
+    assert r.decomposition.F.tobytes() == d.F.tobytes()
     if mode == "critical":
-        for k in ("g1", "g2"):
+        for k in ("f1", "f2", "g1", "g2"):
             assert getattr(r.fields, k).tobytes() == getattr(fs, k).tobytes()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_only_the_critical_mode_holds_f1_and_f2_during_gfh(mode,
+                                                           monkeypatch):
+    # after decompose_efficient_set, which keeps the efficient points'
+    # objectives, only the cost landscape, which runs next, and the
+    # critical exports read f1 and f2: in every other mode neither array
+    # may still be alive when gfh_heights starts to allocate
+    alive = {}
+    build, gfh = landscape_module.build_fieldset, landscape_module.gfh_heights
+
+    def built(*args, **kwargs):
+        fs = build(*args, **kwargs)
+        alive["refs"] = (weakref.ref(fs.f1), weakref.ref(fs.f2))
+        return fs
+
+    def heights(*args):
+        alive["at gfh"] = [ref() is not None for ref in alive["refs"]]
+        return gfh(*args)
+
+    monkeypatch.setattr(landscape_module, "build_fieldset", built)
+    monkeypatch.setattr(landscape_module, "gfh_heights", heights)
+    r = analyze(get_problem("sgk"), 31, 17, mode=mode)
+    assert alive["at gfh"] == [mode == "critical"] * 2
+    assert r.heights.values.shape == (31, 17)
 
 
 def test_analyze_rejects_an_unknown_mode():
@@ -378,7 +409,6 @@ def test_gfh_heights_cut_cycles_like_descent_walk():
     labels = np.zeros((n, n), dtype=np.uint8)
     labels[0, 6] = PointClass.EFFICIENT_INTERIOR
     fields = FieldSet(grid=grid, f1=np.zeros((n, n)), f2=np.zeros((n, n)),
-                      g1=np.zeros((n, n, 2)), g2=np.zeros((n, n, 2)),
                       mo=mo, zero_tol=0.0)
     critmap = _critmap(grid, labels)
     decomposition = decompose_efficient_set(critmap, fields.f1, fields.f2)
@@ -396,8 +426,7 @@ def _vortex_basins(lower, upper, n1, n2, descent):
     dx, dy = descent(*np.meshgrid(grid.x1, grid.x2, indexing="ij"))
     mo = -np.stack([dx, dy], axis=-1)
     zero = np.zeros(grid.shape)
-    fields = FieldSet(grid=grid, f1=zero, f2=zero, g1=np.zeros_like(mo),
-                      g2=np.zeros_like(mo), mo=mo, zero_tol=0.0)
+    fields = FieldSet(grid=grid, f1=zero, f2=zero, mo=mo, zero_tol=0.0)
     critmap = _critmap(grid, np.zeros(grid.shape, dtype=np.uint8))
     decomposition = decompose_efficient_set(critmap, zero, zero)
     return _assert_gfh_matches_walk(fields, critmap, decomposition)
@@ -468,9 +497,13 @@ def test_export_heights_csv_golden(tmp_path):
 
 
 def test_export_decomposition_json_schema(tmp_path):
+    # the plot mode frees f1 and f2 before gfh_heights: the export reads
+    # the objectives that the decomposition keeps, the grid's own values
     r = analyze(make_bisphere(), 61)
+    assert r.fields.f1 is None and r.fields.f2 is None
+    f1, f2 = evaluate_grid(r.problem, r.grid)
     out = tmp_path / "d.json"
-    export_decomposition_json(out, r.decomposition, r.fields.f1, r.fields.f2)
+    export_decomposition_json(out, r.decomposition)
     payload = json.loads(out.read_text())
     assert set(payload) == {"n_efficient", "n_rank0", "n_components",
                             "components"}
@@ -489,6 +522,8 @@ def test_export_decomposition_json_schema(tmp_path):
         for p in comp["points"]:
             assert set(p) == {"j1", "j2", "x1", "x2", "f1", "f2", "rank"}
             assert 1 <= p["j1"] <= 61 and 1 <= p["j2"] <= 61
+            i, j = p["j1"] - 1, p["j2"] - 1
+            assert [p["f1"], p["f2"]] == [f1[i, j], f2[i, j]]
     assert total == payload["n_efficient"]
 
 
