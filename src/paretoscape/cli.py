@@ -32,10 +32,11 @@ class UsageError(ValueError):
 
 
 # the memory budget: the CLI's peak RSS, measured in every mode with every
-# export on sgk, kursawe and mindist at 500², 1000² and 2000², stayed below
-# this base plus this many bytes per grid point (README "Memory budget")
+# export on sgk, kursawe and mindist at 500², 1000² and 2000², stayed at or
+# below this base plus this many bytes per grid point, the largest figure
+# of the README's "Memory budget" table
 BUDGET_BASE_BYTES = 32 * 2**20
-BUDGET_BYTES_PER_POINT = 165
+BUDGET_BYTES_PER_POINT = 131
 
 
 def _physical_memory() -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -38,6 +39,20 @@ def gradient_rows(grid: Grid, rows: slice, *values) -> list:
     return [np.stack([np.gradient(f[slab], grid.s1, axis=0)[inner],
                       np.gradient(f[rows], grid.s2, axis=1)], axis=-1)
             for f in values]
+
+
+def _column_derivative(f: np.ndarray, grid: Grid, axis: int,
+                       js: slice) -> np.ndarray:
+    """The derivative along ``axis`` of a scalar grid field ``f`` at grid
+    columns ``js`` (clipped at n2), a new (n1, len(js)) array: the column
+    twin of ``gradient_rows``, with its stencil.  Along axis 0 it reads all
+    n1 rows of those columns, along axis 1 those columns and a halo column
+    on each side, so every element gets the expression it gets on the whole
+    grid."""
+    if axis == 0:
+        return np.gradient(f[:, js], grid.s1, axis=0)
+    slab, inner = with_halo(js, grid.n2)
+    return np.gradient(f[:, slab], grid.s2, axis=1)[:, inner]
 
 
 def gradient_norms(g: np.ndarray) -> np.ndarray:
@@ -104,9 +119,11 @@ class FieldSet:
     ``g1``, ``g2`` and ``mo_raw`` build a new whole-grid array on each read,
     per block of ``row_blocks`` rows through ``fill_blocks``; every
     expression is the one the stages evaluate per block, so the bytes do not
-    depend on the block size or the thread count.  The critical-mode field
-    export reads ``g1`` and ``g2`` once each; otherwise only the probes of
-    ``perfbench/chain.py`` and the tests read these properties.
+    depend on the block size or the thread count.  No stage and no export
+    reads them: the critical-mode field export computes the j2 columns it
+    formats from ``f1``, ``f2`` and ``mo`` (``export_fields_csv``), and only
+    the probes of ``perfbench/chain.py`` and the tests read these
+    properties.
     """
 
     grid: Grid
@@ -221,11 +238,18 @@ def export_fields_csv(path, fields: FieldSet) -> None:
 
     Columns: j1,j2,x1,x2,g1x,g1y,g2x,g2y,mox,moy,div  (mo = rotated field,
     div = divergence of the descent field -mo: both follow from
-    ``classify``).  ``g1``, ``g2`` and the divergence are built once each,
-    before the export starts.
+    ``classify``).  No whole-grid gradient or divergence field is built:
+    each gradient and ``div`` column is a function of a slice of j2 columns
+    that computes those columns from ``f1``, ``f2`` or ``mo`` with
+    ``_column_derivative``, in the operand order of ``_divergence_rows``,
+    so every byte is the one the whole-grid ``g1``, ``g2`` and
+    ``div_descent`` give.
     """
+    grid, mo = fields.grid, fields.mo
+    columns = [partial(_column_derivative, f, grid, axis)
+               for f in (fields.f1, fields.f2) for axis in (0, 1)]
     export_grid_csv(
-        path, fields.grid,
-        ["g1x", "g1y", "g2x", "g2y", "mox", "moy", "div"],
-        [g[..., c] for g in (fields.g1, fields.g2, fields.mo) for c in (0, 1)]
-        + [fields.div_descent])
+        path, grid, ["g1x", "g1y", "g2x", "g2y", "mox", "moy", "div"],
+        columns + [mo[..., 0], mo[..., 1], lambda js: -(
+            _column_derivative(mo[..., 0], grid, 0, js)
+            + _column_derivative(mo[..., 1], grid, 1, js))])

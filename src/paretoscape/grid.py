@@ -4,11 +4,13 @@ Scalar fields over a grid are plain float arrays of shape (n1, n2) indexed
 ``values[j1, j2]`` (0-based internally; exports use the 1-based convention).
 Vector fields add a trailing axis of length 2.  Per-point CSV exports all go
 through ``export_grid_csv``, which iterates j2 in the outer loop and j1 in
-the inner loop ("j1 fastest").  It passes its job to the block formatter as
-an argument; forked workers, which take the job from the pool's
-initializer, format all but the first of its contiguous runs of rows into
-temporary files, and one path writes the header, the first run and those
-files into the output for any number of workers.  The per-point stages of
+the inner loop ("j1 fastest") and reads each column a slice of j2 columns
+at a time, so a column may compute its values per slice.  It passes its
+job to the block formatter as an argument; forked workers, which take the
+job from the pool's initializer, format all but the first of its
+contiguous runs of rows into temporary files, and one path writes the
+header, the first run and those files into the output for any number of
+workers.  The per-point stages of
 the pipeline run in blocks of ``BLOCK_ROWS`` grid rows (``row_blocks``,
 with ``with_halo`` for stencils) on the calling thread plus helper threads
 (``map_blocks``; ``fill_blocks`` when each block writes its rows of one new
@@ -278,42 +280,45 @@ def _bits(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _distinct_text(values: np.ndarray):
-    """(bits, strings): the sorted distinct ``_bits`` of ``values`` and the
-    text of each, or None if more than a quarter of the values are
+def _distinct_text(part, n1: int, n2: int):
+    """(bits, strings): the sorted distinct ``_bits`` of the (n1, n2) column
+    whose j2 columns ``js`` are ``part(js)`` (see ``export_grid_csv``) and
+    the text of each, or None if more than a quarter of its values are
     distinct.
 
-    The values are sorted in chunks along their first axis, and each sorted
-    chunk is merged into the distinct values so far; the count stops once
-    it passes a quarter.  A chunk holds ``_DISTINCT_CHUNK`` values or half
-    the distinct count, whichever is more, so the merges move O(N) values
-    in all, and past the first chunk the temporaries together hold at most
-    about three quarters of the values."""
-    key = _bits(values)
-    limit = values.size // 4
-    row = values.size // len(key)
-    bits = np.empty(0, key.dtype)
-    lo = 0
-    while lo < len(key):
-        hi = lo + max(1, max(_DISTINCT_CHUNK, bits.size // 2) // row)
-        bits = np.concatenate((bits, np.sort(key[lo:hi], axis=None)))
+    The column is read in slabs of whole j2 columns; each sorted slab is
+    merged into the distinct values so far, and the count stops once it
+    passes a quarter.  As the count only grows, the slabs decide neither
+    the distinct values nor whether it stops.  A slab holds
+    ``_DISTINCT_CHUNK`` values or half the distinct count, whichever is
+    more (at least one j2 column), so the merges move O(N) values in all,
+    and past the first slab the temporaries together hold at most about
+    three quarters of the values."""
+    limit, lo, bits = n1 * n2 // 4, 0, ()
+    while lo < n2:
+        hi = lo + max(1, max(_DISTINCT_CHUNK, len(bits) // 2) // n1)
+        slab = np.sort(_bits(part(slice(lo, hi))), axis=None)
+        bits = np.concatenate((bits, slab)) if lo else slab
+        del slab                        # no copy is held through the merge
         bits.sort(kind="stable")        # merges the two sorted runs
         bits = bits[np.concatenate(([True], bits[1:] != bits[:-1]))]
         if bits.size > limit:
             return None
         lo = hi
-    return bits, np.array(_text(bits.view(values.dtype)), dtype=object)
+    dtype = part(slice(0, 1)).dtype
+    return bits, np.array(_text(bits.view(dtype)), dtype=object)
 
 
 def _csv_block(job, lo: int) -> bytes:
     """The ASCII rows ``lo`` to ``lo + CSV_BLOCK_ROWS`` of the export
-    ``job``."""
+    ``job``, from the j2 columns ``j[0]`` to ``j[-1]`` that they cover."""
     n1, n, axes, columns, distinct = job
     hi = min(lo + CSV_BLOCK_ROWS, n)
     j, i = np.divmod(np.arange(lo, hi), n1)
     text = [a[k].tolist() for a, k in zip(axes, (i, j, i, j))]
-    for c, d in zip(columns, distinct):
-        values = c[i, j]
+    js = slice(j[0], j[-1] + 1)         # the j2 columns the block covers
+    for part, d in zip(columns, distinct):
+        values = part(js)[i, j - js.start]
         if d is None:
             text.append(_text(values))
         else:
@@ -356,17 +361,22 @@ def export_grid_csv(path, grid: Grid, header, columns) -> None:
     """Write per-grid-point columns as CSV, one row per point, j1 fastest.
 
     Every row starts with the 1-based ``j1,j2`` and the coordinates
-    ``x1,x2``, followed by one value per entry of ``columns``, each an
-    (n1, n2) array named by ``header``.  Floats print as ``repr`` and
-    integers as ``str``, the text of ``.tolist()``; each distinct value is
-    formatted once.  The axes have n1 + n2 distinct values; a column with
-    at most a quarter of its values distinct is formatted per distinct
-    value (``_distinct_text``) and looked up per block, any other column
-    row by row.  Besides the distinct-value tables and their count, nothing
-    sized by the grid is allocated: with one row-by-row and one
-    distinct-value column the traced peak grows by 3.9 B per grid point,
-    where a transposed copy, a full sort and a full-length inverse per
-    column would take 26.3 B.
+    ``x1,x2``, followed by one value per entry of ``columns``, named by
+    ``header``.  A column is a function ``part(js)`` that gives the
+    (n1, len(js)) array of its values at the j2 columns of the slice
+    ``js``, which the export does not write into, or an (n1, n2) array
+    ``c``, read as ``c[:, js]``.  The export reads a column only that way:
+    the distinct-value count in slabs of whole j2 columns, and each block
+    the j2 columns its rows cover, so a column that computes its values is
+    never held whole.  Floats print as ``repr`` and integers as ``str``,
+    the text of ``.tolist()``; each distinct value is formatted once.  The
+    axes have n1 + n2 distinct values; a column with at most a quarter of
+    its values distinct is formatted per distinct value (``_distinct_text``)
+    and looked up per block, any other column row by row.  Besides the
+    distinct-value tables and their count, nothing sized by the grid is
+    allocated: with one row-by-row and one distinct-value array column the
+    traced peak grows by 3.8 B per grid point, where a transposed copy, a
+    full sort and a full-length inverse per column would take 26.3 B.
 
     Rows are formatted ``CSV_BLOCK_ROWS`` at a time, and the blocks are
     split into R = min(P, blocks) contiguous runs, P being the CPUs this
@@ -380,10 +390,11 @@ def export_grid_csv(path, grid: Grid, header, columns) -> None:
     in the default temporary directory where that refuses.  Whatever R,
     this process then writes the header and run 0 into ``path`` and
     appends each spill in order, through a buffer, once its worker is
-    done.  The mindist ``critical`` CLI run at 1000² (2 CPUs,
-    11 runs) peaks at a median 151.5 MB this way, 145 MB of it live before
-    the export; a pool that pipes every formatted block back to the parent
-    peaks at 178.1 MB.
+    done.  The mindist ``critical`` CLI run at 1000² (2 CPUs, 11 runs),
+    while its export still built whole gradient fields, peaked at a median
+    151.5 MB this way, 145 MB of it live before the export, and at
+    178.1 MB with a pool that piped every formatted block back to the
+    parent.
 
     One exit stack owns the spills and the pool, which is closed and
     joined before this returns, also on an exception: terminating it could
@@ -397,8 +408,10 @@ def export_grid_csv(path, grid: Grid, header, columns) -> None:
     axes = [np.array(_text(a), dtype=object)
             for a in (np.arange(1, grid.n1 + 1), np.arange(1, grid.n2 + 1),
                       grid.x1, grid.x2)]
+    columns = [c if callable(c) else (lambda js, c=c: c[:, js])
+               for c in columns]
     # per column: (bits, strings) on the distinct-value path, else None
-    distinct = [_distinct_text(c) for c in columns]
+    distinct = [_distinct_text(c, grid.n1, grid.n2) for c in columns]
     job = (grid.n1, n, axes, columns, distinct)
     blocks = -(-n // CSV_BLOCK_ROWS)
     processes = min(_cpus(), blocks) if hasattr(os, "fork") else 1

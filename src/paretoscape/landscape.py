@@ -454,16 +454,17 @@ def analyze(problem, n1: int, n2: Optional[int] = None, *,
     iff it is ``"cost"``.  The per-point stages run on all usable CPUs
     (``grid.map_blocks``), with the same results for any thread count.
     No mode holds a gradient field: ``build_fieldset`` and ``classify``
-    compute gradients per row block, and only the critical-mode field
-    export builds ``g1`` and ``g2``, once each.  The cost landscape, the
-    last reader of ``f1`` and ``f2`` outside ``"critical"`` mode, runs
-    right after ``decompose_efficient_set``, which keeps the objectives of
-    the efficient points as ``decomposition.F``; then, unless the mode is
+    compute gradients per row block, and the critical-mode field export per
+    slab of grid columns.  The cost landscape, the last reader of ``f1``
+    and ``f2`` outside ``"critical"`` mode, runs right after
+    ``decompose_efficient_set``, which keeps the objectives of the
+    efficient points as ``decomposition.F``; then, unless the mode is
     ``"critical"``, whose exports read them, the run goes on with a copy of
     the field set whose ``f1`` and ``f2`` are None, so they are freed
     before ``gfh_heights`` allocates.  No mode holds the divergence of the
     descent field: ``fields.div_descent`` computes it on each read, and
-    only the critical exports read it.
+    only the critical-points JSON reads it; the field CSV computes it per
+    slab of grid columns.
 
     Raises:
         ValueError: ``mode`` is not one of ``MODES``.

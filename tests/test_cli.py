@@ -301,7 +301,8 @@ def test_critical_csv_matches_naive_writer(tmp_path, capsys):
     columns = [fs.g1[..., 0], fs.g1[..., 1], fs.g2[..., 0], fs.g2[..., 1],
                fs.mo[..., 0], fs.mo[..., 1], fs.div_descent]
     # at this size the gradient columns take the distinct-value path
-    assert all(_distinct_text(c.T.ravel()) is not None for c in columns[:4])
+    assert all(_distinct_text(lambda js, c=c: c[:, js], *c.shape) is not None
+               for c in columns[:4])
     lines = grid_csv_rows(fs.grid, ["g1x", "g1y", "g2x", "g2y", "mox", "moy",
                                     "div"], columns)
     assert csv.read_bytes() == ("\n".join(lines) + "\n").encode()

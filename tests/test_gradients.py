@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import (aspar_gradients, axis_derivative, make_norm_overflow,
-                     make_overflow, make_scale_overflow, make_table)
+from oracles import (aspar_gradients, axis_derivative, grid_csv_rows,
+                     make_norm_overflow, make_overflow, make_scale_overflow,
+                     make_table)
 from paretoscape import (BiObjectiveProblem, EvaluationError, analyze,
                          build_fieldset, build_grid, classify, divergence,
                          evaluate_grid, export_fields_csv, get_problem,
@@ -243,11 +244,11 @@ def test_finite_checks_report_the_first_bad_point_across_block_seams(
     assert str(raised.value) == message
 
 
-def _export_fields_peak(path, n1) -> int:
-    """Traced peak of ``export_fields_csv`` of sgk on an n1 x 400 grid,
-    above what was live before."""
-    p = get_problem("sgk")
-    fs = build_fieldset(p, build_grid(p.lower, p.upper, n1, 400))
+def _export_fields_peak(path, name, n1, n2) -> int:
+    """Traced peak of ``export_fields_csv`` of problem ``name`` on an
+    n1 x n2 grid, above what was live before."""
+    p = get_problem(name)
+    fs = build_fieldset(p, build_grid(p.lower, p.upper, n1, n2))
     classify(fs)
     tracemalloc.start()
     try:
@@ -258,18 +259,66 @@ def _export_fields_peak(path, n1) -> int:
         tracemalloc.stop()
 
 
-def test_export_fields_csv_builds_each_gradient_field_once(tmp_path,
-                                                           monkeypatch):
-    # on one CPU, 200x400 and 800x400 grids: the set stores no gradient
-    # field, so the export builds g1 and g2 (32 B per point together) and
-    # the divergence (8 B), each once, before it formats.  Measured with
-    # numpy 2.4: 40.4 B per added point; 8.4 B (the divergence and the CSV
-    # tables) while the set stored g1 and g2.  A second build of either
-    # gradient field would add 16 B more
+@pytest.mark.parametrize("name, small, large, bound", [
+    # 200x400 and 800x400: no column takes the distinct-value path.
+    # Measured with numpy 2.4: 0.4 B per added point; 40.4 B while the
+    # export built g1, g2 (32 B per point) and the divergence (8 B) whole
+    ("sgk", (200, 400), (800, 400), 8.0),
+    # 200x200 and 400x400: the four gradient columns take the distinct-value
+    # path, and their tables grow with the grid.  Measured: 5.8 B; 45.8 B
+    # while the export built the whole fields
+    ("mindist", (200, 200), (400, 400), 12.0),
+])
+def test_export_fields_csv_holds_no_whole_grid_field(tmp_path, monkeypatch,
+                                                     name, small, large,
+                                                     bound):
+    # on one CPU: the growth of the traced peak per added point is what the
+    # export holds per point; each column computes the j2 columns a count
+    # slab or a block needs from f1, f2 or mo
     monkeypatch.setattr(grid_module, "_cpus", lambda: 1)
-    small = _export_fields_peak(tmp_path / "small.csv", 200)
-    large = _export_fields_peak(tmp_path / "large.csv", 800)
-    assert (large - small) / (600 * 400) < 32.0 + 8.4 + 3.6
+    low = _export_fields_peak(tmp_path / "small.csv", name, *small)
+    high = _export_fields_peak(tmp_path / "large.csv", name, *large)
+    added = large[0] * large[1] - small[0] * small[1]
+    assert (high - low) / added < bound
+
+
+_FIELD_HEADER = ["g1x", "g1y", "g2x", "g2y", "mox", "moy", "div"]
+
+
+@pytest.mark.parametrize("name", ["mindist", "kursawe"])
+@pytest.mark.parametrize("shape", [(2, 2), (3, 5), (2, 37), (37, 2),
+                                   (61, 47)])
+def test_export_fields_csv_matches_the_whole_grid_fields(tmp_path,
+                                                         monkeypatch, name,
+                                                         shape):
+    # the streamed columns give the bytes of the whole-grid g1, g2, mo and
+    # div_descent written point by point: with blocks that end inside a j2
+    # column (also within one), exactly at a column's end and in a ragged
+    # tail, and slabs on both box edges (n2 = 2 is the case where each halo
+    # column is an edge)
+    p = get_problem(name)
+    fs = build_fieldset(p, build_grid(p.lower, p.upper, *shape))
+    classify(fs)
+    columns = [g[..., c] for g in (fs.g1, fs.g2, fs.mo) for c in (0, 1)]
+    columns.append(fs.div_descent)
+    if shape == (61, 47):
+        # mindist's gradient columns take the distinct-value path; kursawe's
+        # g1 columns go row by row (its f2 is a sum of one-axis terms)
+        distinct = [grid_module._distinct_text(lambda js, c=c: c[:, js],
+                                               *shape) is not None
+                    for c in columns[:4]]
+        assert distinct == {"mindist": [True] * 4,
+                            "kursawe": [False, False, True, True]}[name]
+    expected = ("\n".join(grid_csv_rows(fs.grid, _FIELD_HEADER, columns))
+                + "\n").encode()
+    n1, n = shape[0], shape[0] * shape[1]
+    for rows in (max(n1 // 2, 1), n1 + 1, n1, 2 * n1 + 1):
+        monkeypatch.setattr(grid_module, "CSV_BLOCK_ROWS", rows)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(grid_module, "_cpus", lambda: cpus)
+            out = tmp_path / f"fields{rows}_{cpus}.csv"
+            export_fields_csv(out, fs)
+            assert out.read_bytes() == expected, (rows, cpus, n)
 
 
 def test_finite_difference_error_shrinks_at_second_order():

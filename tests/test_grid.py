@@ -132,6 +132,11 @@ def test_export_grid_csv_blocks_join_seamlessly(tmp_path, monkeypatch):
         assert blocked.read_bytes() == single.read_bytes()
 
 
+def _distinct(c):
+    """``grid._distinct_text`` of the whole array ``c`` as a column."""
+    return grid_module._distinct_text(lambda js: c[:, js], *c.shape)
+
+
 def _takes_each(rng, values, shape):
     """Array of ``shape`` in which each of ``values`` occurs at least once."""
     values = np.asarray(values)
@@ -164,7 +169,7 @@ def test_export_grid_csv_matches_naive_writer(tmp_path, monkeypatch):
     header = list(cases)
     columns = [c for c, _ in cases.values()]
     for c, distinct in cases.values():
-        text = grid_module._distinct_text(c.T.ravel())
+        text = _distinct(c)
         assert (text is not None) == distinct
     expected = ("\n".join(grid_csv_rows(g, header, columns)) + "\n").encode()
     for rows in (1, 3, g.n1, g.n1 * g.n2 + 5):
@@ -172,6 +177,46 @@ def test_export_grid_csv_matches_naive_writer(tmp_path, monkeypatch):
         out = tmp_path / f"blocked{rows}.csv"
         export_grid_csv(out, g, header, columns)
         assert out.read_bytes() == expected
+
+
+def _whole_array_distinct(values):
+    """The sorted distinct bit patterns of ``values`` from one
+    ``np.unique`` of the whole array, or None if there are more than a
+    quarter as many as values."""
+    bits = np.unique(grid_module._bits(values))
+    return None if bits.size > values.size // 4 else bits
+
+
+@pytest.mark.parametrize("chunk", [1, 24, 50, 2 ** 16])
+def test_distinct_text_does_not_depend_on_the_slab_width(monkeypatch, chunk):
+    # 8 x 10 = 80 values, a quarter is 20: slabs of 1, 3, 6 and all 10 j2
+    # columns, the last of the 3- and 6-column slabs a narrower one
+    monkeypatch.setattr(grid_module, "_DISTINCT_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    shape = (8, 10)
+    subnormals = [5e-324, -5e-324, 1e-310, 2.2250738585072014e-308]
+    cases = [
+        _takes_each(rng, rng.normal(size=20), shape),               # N/4
+        _takes_each(rng, rng.normal(size=21), shape),               # N/4 + 1
+        _takes_each(rng, [-0.0, 0.0, *rng.normal(size=18)], shape),
+        _takes_each(rng, [-0.0, 0.0, *rng.normal(size=19)], shape),
+        _takes_each(rng, [*subnormals, 0.0, -0.0, 1.0], shape),
+        _takes_each(rng, np.arange(-10, 10) * 2 ** 50, shape),      # ints
+        rng.normal(size=shape),
+    ]
+    for values in cases:
+        expected = _whole_array_distinct(values)
+        got = _distinct(values)
+        if expected is None:
+            assert got is None
+            continue
+        bits, strings = got
+        assert bits.dtype == expected.dtype
+        assert np.array_equal(bits, expected)
+        assert strings.tolist() == [
+            repr(v) for v in expected.view(values.dtype).tolist()]
+    assert [_whole_array_distinct(c) is None for c in cases] == [
+        False, True, False, True, False, False, True]
 
 
 def _pool_case(shape, row_by_row=True):
@@ -188,8 +233,8 @@ def _pool_case(shape, row_by_row=True):
         floats = _takes_each(rng, [-0.0, 0.0, 5e-324, 3e-323, 0.1, -1e300],
                              shape)
     ints = _takes_each(rng, np.arange(-3, 4) * 2 ** 40, shape)
-    assert (grid_module._distinct_text(floats.T.ravel()) is None) == row_by_row
-    assert grid_module._distinct_text(ints.T.ravel()) is not None
+    assert (_distinct(floats) is None) == row_by_row
+    assert _distinct(ints) is not None
     return ["f", "k"], [floats, ints]
 
 
