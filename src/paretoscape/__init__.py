@@ -5,7 +5,7 @@ from .problems import (BiObjectiveProblem, DomainError, UnknownProblemError,
                        available_problems, get_problem, make_aspar,
                        make_bisphere, make_kursawe, make_mindist, make_sgk)
 from .grid import EvaluationError, Grid, build_grid, evaluate_grid
-from .gradients import FieldSet, build_fieldset, divergence, export_fields_csv
+from .gradients import FieldSet, build_fieldset, export_fields_csv
 from .criticality import (CLASS_NAMES, CriticalityMap, PointClass, classify,
                           export_critical_points_json, origin_in_hull)
 from .landscape import (BasinMap, EfficientSetDecomposition, HeightField,
@@ -23,7 +23,7 @@ __all__ = [
     "available_problems", "get_problem", "make_aspar", "make_bisphere",
     "make_kursawe", "make_mindist", "make_sgk",
     "EvaluationError", "Grid", "build_grid", "evaluate_grid",
-    "FieldSet", "build_fieldset", "divergence", "export_fields_csv",
+    "FieldSet", "build_fieldset", "export_fields_csv",
     "CLASS_NAMES", "CriticalityMap", "PointClass", "classify",
     "export_critical_points_json", "origin_in_hull",
     "BasinMap", "EfficientSetDecomposition", "HeightField",

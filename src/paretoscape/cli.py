@@ -36,7 +36,7 @@ class UsageError(ValueError):
 # below this base plus this many bytes per grid point, the largest figure
 # of the README's "Memory budget" table
 BUDGET_BASE_BYTES = 32 * 2**20
-BUDGET_BYTES_PER_POINT = 122
+BUDGET_BYTES_PER_POINT = 114
 
 
 def _physical_memory() -> float:

@@ -515,17 +515,28 @@ def export_critical_points_json(path, critmap: CriticalityMap,
     """JSON array of every critical point (j1 fastest ordering).
 
     Each entry: {"j1","j2","x1","x2","class","div","f1","f2"} with 1-based
-    grid indices, the class name and ``fields.div_descent``, which is read
-    once, before the chunks.  The bytes are those of ``json.dump(records, fh,
-    indent=1)`` plus a newline, with floats (all finite) as ``repr``; each
-    record is formatted from a fixed template instead of the pure-Python
-    encoder that ``indent`` selects, and the records are formatted and
-    written ``CSV_BLOCK_ROWS`` at a time, so that the text of only one
-    chunk is held at once.
+    grid indices, the class name and div(-mo), the descent divergence
+    that ``classify`` tests.  No whole-grid divergence is built: only the
+    blocks of ``row_blocks`` rows that hold critical points compute theirs,
+    through ``map_blocks``, with ``_divergence_rows`` as ``classify`` does,
+    and keep it at those points alone, before the chunks.  The bytes are
+    those of ``json.dump(records, fh, indent=1)`` plus a newline, with
+    floats (all finite) as ``repr``; each record is formatted from a fixed
+    template instead of the pure-Python encoder that ``indent`` selects,
+    and the records are formatted and written ``CSV_BLOCK_ROWS`` at a time,
+    so that the text of only one chunk is held at once.
     """
     grid = critmap.grid
     J, I = np.nonzero(critmap.labels.T)     # j2 outer, j1 inner
-    div = fields.div_descent
+    div = np.empty(I.size)
+
+    def descent_divergence(rows: slice):
+        at = np.flatnonzero((I >= rows.start) & (I < rows.stop))
+        if at.size:
+            div[at] = -_divergence_rows(fields.mo, grid, rows)[
+                I[at] - rows.start, J[at]]
+
+    map_blocks(descent_divergence, row_blocks(grid.n1))
     with open(path, "w", encoding="ascii") as fh:
         for lo in range(0, I.size, CSV_BLOCK_ROWS):
             i, j = I[lo:lo + CSV_BLOCK_ROWS], J[lo:lo + CSV_BLOCK_ROWS]
@@ -534,6 +545,6 @@ def export_critical_points_json(path, critmap: CriticalityMap,
                     (i + 1).tolist(), (j + 1).tolist(), grid.x1[i].tolist(),
                     grid.x2[j].tolist(),
                     map(CLASS_NAMES.get, critmap.labels[i, j].tolist()),
-                    div[i, j].tolist(),
+                    div[lo:lo + CSV_BLOCK_ROWS].tolist(),
                     fields.f1[i, j].tolist(), fields.f2[i, j].tolist())))
         fh.write("\n]\n" if I.size else "[]\n")

@@ -30,10 +30,11 @@ def gradient_rows(grid: Grid, rows: slice, *values) -> list:
     rows ``rows`` (clipped at n1), a new (len(rows), n2, 2) array each,
     computed from those rows and a halo row on each side.
 
-    numpy's stencil, which ``divergence`` uses too: (f[i+1] - f[i-1]) / 2s
-    inside, (f[1] - f[0]) / s and (f[-1] - f[-2]) / s on the boundary, so
-    every element gets the expression it gets on the whole grid.  No stage
-    stores a gradient field: each computes the rows it reads here.
+    numpy's stencil, which ``_divergence_rows`` uses too: (f[i+1] -
+    f[i-1]) / 2s inside, (f[1] - f[0]) / s and (f[-1] - f[-2]) / s on the
+    boundary, so every element gets the expression it gets on the whole
+    grid.  No stage stores a gradient field: each computes the rows it
+    reads here.
     """
     slab, inner = with_halo(rows, grid.n1)
     return [np.stack([np.gradient(f[slab], grid.s1, axis=0)[inner],
@@ -86,19 +87,12 @@ def _unit_sum(g1, g2, zero_tol: float):
 def _divergence_rows(v: np.ndarray, grid: Grid, rows: slice) -> np.ndarray:
     """A new array of the divergence of a vector field at grid rows
     ``rows``, from those rows and a halo row on each side, with the stencil
-    of ``gradient_rows``."""
+    of ``gradient_rows``: every element gets the expression it gets on the
+    whole grid.  No whole-grid divergence is built: ``classify`` and the
+    critical-points JSON compute it per block of ``row_blocks`` rows."""
     slab, inner = with_halo(rows, grid.n1)
     return (np.gradient(v[slab, :, 0], grid.s1, axis=0)[inner]
             + np.gradient(v[rows, :, 1], grid.s2, axis=1))
-
-
-def divergence(v: np.ndarray, grid: Grid) -> np.ndarray:
-    """Divergence of a vector field, same stencils as the gradients,
-    computed per block of ``row_blocks`` rows with a halo row by
-    ``fill_blocks``."""
-    if v.shape != grid.shape + (2,):
-        raise ValueError(f"vector field shape {v.shape} does not match grid {grid.shape}")
-    return fill_blocks(grid.shape, lambda rows: _divergence_rows(v, grid, rows))
 
 
 @dataclass
@@ -109,12 +103,12 @@ class FieldSet:
     field is stored: the stages that read gradients compute the rows they
     need from ``f1`` and ``f2`` with ``gradient_rows``.  ``classify`` sets
     ``mo``, the joint ascent field with its normal components removed where
-    descent would leave the box, which starts as None.  The divergence of
-    the descent field, ``div_descent``, is not stored either: it is
-    computed from ``mo`` on each read.  No step writes an array of the set
-    in place.  ``analyze`` goes on after ``decompose_efficient_set`` with a
-    copy of the set whose ``f1`` and ``f2`` are None unless its mode reads
-    them again.
+    descent would leave the box, which starts as None.  No divergence of
+    the descent field is stored or built whole either: each reader
+    computes the rows or columns it needs from ``mo``.  No step writes an
+    array of the set in place.  ``analyze`` goes on after
+    ``decompose_efficient_set`` with a copy of the set whose ``f1`` and
+    ``f2`` are None unless its mode reads them again.
 
     ``g1``, ``g2`` and ``mo_raw`` build a new whole-grid array on each read,
     per block of ``row_blocks`` rows through ``fill_blocks``; every
@@ -143,16 +137,6 @@ class FieldSet:
         """A new array of the gradient field of ``f2``."""
         return fill_blocks(self.grid.shape + (2,), lambda rows: gradient_rows(
             self.grid, rows, self.f2)[0])
-
-    @property
-    def div_descent(self) -> Optional[np.ndarray]:
-        """None while ``mo`` is None, else a new array of div(-mo), built per
-        block by ``divergence``: the bytes ``classify`` tests, which only the
-        critical-mode exports need for the whole grid."""
-        if self.mo is None:
-            return None
-        div = divergence(self.mo, self.grid)
-        return np.negative(div, out=div)
 
     @property
     def mo_raw(self) -> np.ndarray:
@@ -242,8 +226,8 @@ def export_fields_csv(path, fields: FieldSet) -> None:
     each gradient and ``div`` column is a function of a slice of j2 columns
     that computes those columns from ``f1``, ``f2`` or ``mo`` with
     ``_column_derivative``, in the operand order of ``_divergence_rows``,
-    so every byte is the one the whole-grid ``g1``, ``g2`` and
-    ``div_descent`` give.
+    so every byte is the one the whole-grid ``g1`` and ``g2`` and the
+    per-block divergence of ``classify`` give.
     """
     grid, mo = fields.grid, fields.mo
     columns = [partial(_column_derivative, f, grid, axis)

@@ -260,9 +260,13 @@ def check_finite(problem, grid: Grid, named_fields, start: int = 0) -> None:
 # 153.6-153.8 and 159.0-159.7 MB with 1024-, 4096- and 16384-row blocks
 CSV_BLOCK_ROWS = 4096
 
-# values per sorted chunk while _distinct_text counts a column's distinct
+# values per sorted slab while _distinct_text counts a column's distinct
 # values
 _DISTINCT_CHUNK = 2**16
+
+# the most distinct values a column may have to be formatted per distinct
+# value: bounds each distinct-value table and the count that decides it
+_DISTINCT_CAP = 2**16
 
 
 def _text(values: np.ndarray) -> list:
@@ -283,20 +287,18 @@ def _bits(values: np.ndarray) -> np.ndarray:
 def _distinct_text(part, n1: int, n2: int):
     """(bits, strings): the sorted distinct ``_bits`` of the (n1, n2) column
     whose j2 columns ``js`` are ``part(js)`` (see ``export_grid_csv``) and
-    the text of each, or None if more than a quarter of its values are
-    distinct.
+    the text of each, or None if more than a quarter of its values, or
+    more than ``_DISTINCT_CAP``, are distinct.
 
     The column is read in slabs of whole j2 columns; each sorted slab is
     merged into the distinct values so far, and the count stops once it
-    passes a quarter.  As the count only grows, the slabs decide neither
+    passes that limit.  As the count only grows, the slabs decide neither
     the distinct values nor whether it stops.  A slab holds
-    ``_DISTINCT_CHUNK`` values or half the distinct count, whichever is
-    more (at least one j2 column), so the merges move O(N) values in all,
-    and past the first slab the temporaries together hold at most about
-    three quarters of the values."""
-    limit, lo, bits = n1 * n2 // 4, 0, ()
+    ``_DISTINCT_CHUNK`` values (at least one j2 column), so the count holds
+    at most the limit plus two slabs of values, whatever the grid size."""
+    limit, lo, bits = min(n1 * n2 // 4, _DISTINCT_CAP), 0, ()
     while lo < n2:
-        hi = lo + max(1, max(_DISTINCT_CHUNK, len(bits) // 2) // n1)
+        hi = lo + max(1, _DISTINCT_CHUNK // n1)
         slab = np.sort(_bits(part(slice(lo, hi))), axis=None)
         bits = np.concatenate((bits, slab)) if lo else slab
         del slab                        # no copy is held through the merge
@@ -371,9 +373,10 @@ def export_grid_csv(path, grid: Grid, header, columns) -> None:
     never held whole.  Floats print as ``repr`` and integers as ``str``,
     the text of ``.tolist()``; each distinct value is formatted once.  The
     axes have n1 + n2 distinct values; a column with at most a quarter of
-    its values distinct is formatted per distinct value (``_distinct_text``)
-    and looked up per block, any other column row by row.  Besides the
-    distinct-value tables and their count, nothing sized by the grid is
+    its values distinct, and at most ``_DISTINCT_CAP``, is formatted per
+    distinct value (``_distinct_text``) and looked up per block, any other
+    column row by row.  Besides the distinct-value tables, which hold at
+    most that cap each, and their count, nothing sized by the grid is
     allocated: with one row-by-row and one distinct-value array column the
     traced peak grows by 3.8 B per grid point, where a transposed copy, a
     full sort and a full-length inverse per column would take 26.3 B.

@@ -467,10 +467,10 @@ def analyze(problem, n1: int, n2: Optional[int] = None, *,
     ``decomposition.F``; unless the mode is ``"critical"``, whose exports
     read them, the run goes on with a copy of the field set whose ``f1``
     and ``f2`` are None, so they are freed before ``gfh_heights``
-    allocates.  No mode holds the divergence of the descent field:
-    ``fields.div_descent`` computes it on each read, and only the
-    critical-points JSON reads it; the field CSV computes it per slab of
-    grid columns.
+    allocates.  No mode holds or builds the divergence of the descent
+    field whole: the critical-points JSON computes it per block of rows
+    that holds critical points, and the field CSV per slab of grid
+    columns.
 
     Raises:
         ValueError: ``mode`` is not one of ``MODES``.

@@ -23,6 +23,20 @@ def axis_derivative(values: np.ndarray, spacing: float, axis: int) -> np.ndarray
     return np.moveaxis(out, 0, axis)
 
 
+def divergence(v: np.ndarray, grid) -> np.ndarray:
+    """Whole-array divergence of a vector field ``v`` of shape
+    ``grid.shape + (2,)``: the ``np.gradient`` expression that
+    ``gradients._divergence_rows`` gives on all rows."""
+    return (np.gradient(v[..., 0], grid.s1, axis=0)
+            + np.gradient(v[..., 1], grid.s2, axis=1))
+
+
+def descent_divergence(fields) -> np.ndarray:
+    """div(-mo) of a classified field set as one whole-grid array: the
+    values that ``classify`` tests and the exports write."""
+    return -divergence(fields.mo, fields.grid)
+
+
 def bisphere_gradients(x1, x2):
     """Analytic (g1, g2) of ``make_bisphere()`` at the points (x1, x2),
     each with a trailing axis (d/dx1, d/dx2)."""

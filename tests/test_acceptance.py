@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from oracles import aspar_gradients, cost_landscape_brute
+from oracles import aspar_gradients, cost_landscape_brute, descent_divergence
 from paretoscape import (BiObjectiveProblem, PointClass, analyze,
                          build_fieldset, build_grid, cost_landscape,
                          dominance_counts, get_problem, make_aspar, make_sgk,
@@ -84,7 +84,7 @@ def test_criterion_3_aspar_ridge_filtering():
     rejected = cm.triangles[~cm.triangle_efficient]
     assert rejected.shape[0] > 0
     ci, cj = triangle_corners(rejected)
-    corner_div = r.fields.div_descent[ci, cj]
+    corner_div = descent_divergence(r.fields)[ci, cj]
     assert (corner_div.max(axis=1) > cm.div_tol).all()
     _report(3, f"aspar 201x201: {counts['CriticalOnly']} critical-only points "
                f"disjoint from efficient set; all {rejected.shape[0]} rejected "

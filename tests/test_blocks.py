@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import descent_divergence
 from paretoscape import (BiObjectiveProblem, analyze, available_problems,
                          get_problem)
 from paretoscape import grid as grid_module
@@ -19,7 +20,7 @@ from paretoscape.criticality import (DIV_TOL_REL, PointClass, _interior,
                                      classify, interior_criticality,
                                      neighbor_dominated_mask, triangle_corners,
                                      triangle_second_order)
-from paretoscape.gradients import build_fieldset, divergence, gradient_rows
+from paretoscape.gradients import build_fieldset, gradient_rows
 from paretoscape.grid import build_grid, evaluate_grid, map_blocks, row_blocks
 from paretoscape.landscape import decompose_efficient_set, gfh_heights
 from paretoscape.render import compose_plot, render, render_height_map
@@ -77,7 +78,7 @@ def test_outputs_do_not_depend_on_block_rows(name, shape, monkeypatch):
 def _whole_grid_second_order(fs):
     """div(-mo) on the whole grid as one array, and the default absolute
     tolerance taken from it."""
-    div = -divergence(fs.mo, fs.grid)
+    div = descent_divergence(fs)
     div_tol = DIV_TOL_REL * float(np.maximum(div.max(initial=0.0),
                                              -div.min(initial=0.0)))
     return div, div_tol
@@ -120,7 +121,7 @@ def test_second_order_test_streams_across_block_seams(monkeypatch):
         monkeypatch.setattr(grid_module, "_cpus", lambda: 1)
         monkeypatch.setattr(grid_module, "BLOCK_ROWS", shape[0] + 5)
         whole = build_fieldset(p, g)
-        assert whole.div_descent is None          # no mo before classify
+        assert whole.mo is None                   # no mo before classify
         whole_cm = classify(whole)
         div, div_tol = _whole_grid_second_order(whole)
         ci, cj = triangle_corners(whole_cm.triangles)
@@ -138,11 +139,6 @@ def test_second_order_test_streams_across_block_seams(monkeypatch):
                         == struct.pack("<d", div_tol)), key
                 assert cm.triangle_efficient.tolist() == efficient.tolist(), key
                 assert cm.labels.tobytes() == labels.tobytes(), key
-                # a new array on each read, with the whole grid's bytes
-                first, second = fs.div_descent, fs.div_descent
-                assert first is not second, key
-                assert first.tobytes() == div.tobytes(), key
-                assert second.tobytes() == div.tobytes(), key
                 split += rows < shape[0] and _splits_a_triangle(
                     cm.triangles[cm.triangle_efficient], rows)
     assert split > 0
@@ -345,11 +341,11 @@ def _triangle_stage_peaks(p, n1):
     g = build_grid(p.lower, p.upper, n1, 400)
     fs = build_fieldset(p, g)
     cm = classify(fs)
-    # g1, g2 and div_descent are built on each read: read them once,
-    # outside the traces
+    # g1, g2 and the divergence are built whole only here, outside the
+    # traces
     g1, g2 = fs.g1, fs.g2
     _, mask = interior_criticality(g1, g2, g, fs.zero_tol)
-    attracting = mask & (fs.div_descent <= cm.div_tol)
+    attracting = mask & (descent_divergence(fs) <= cm.div_tol)
     return np.array([
         _traced_peak(lambda: interior_criticality(g1, g2, g, fs.zero_tol)),
         _traced_peak(lambda: triangle_second_order(cm.triangles, attracting)),

@@ -18,8 +18,8 @@ from paretoscape.cli import MODES, RunConfig, UsageError, main, parse_args
 from paretoscape.grid import _distinct_text
 from paretoscape.problems import PROBLEM_FACTORIES
 
-from oracles import (grid_csv_rows, make_norm_overflow, make_overflow,
-                     make_scale_overflow)
+from oracles import (descent_divergence, grid_csv_rows, make_norm_overflow,
+                     make_overflow, make_scale_overflow)
 
 
 def _summary(capsys):
@@ -299,7 +299,7 @@ def test_critical_csv_matches_naive_writer(tmp_path, capsys):
     _summary(capsys)
     fs = analyze(get_problem("mindist"), 61, mode="critical").fields
     columns = [fs.g1[..., 0], fs.g1[..., 1], fs.g2[..., 0], fs.g2[..., 1],
-               fs.mo[..., 0], fs.mo[..., 1], fs.div_descent]
+               fs.mo[..., 0], fs.mo[..., 1], descent_divergence(fs)]
     # at this size the gradient columns take the distinct-value path
     assert all(_distinct_text(lambda js, c=c: c[:, js], *c.shape) is not None
                for c in columns[:4])

@@ -7,13 +7,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import hull_contains_origin
+from oracles import descent_divergence, divergence, hull_contains_origin
 from paretoscape import criticality as criticality_module
 from paretoscape import grid as grid_module
 from paretoscape import (BiObjectiveProblem, EvaluationError, FieldSet,
                          PointClass, build_fieldset, build_grid, classify,
-                         divergence, get_problem, make_aspar, make_bisphere,
-                         make_kursawe, make_sgk, origin_in_hull)
+                         get_problem, make_aspar, make_bisphere, make_kursawe,
+                         make_sgk, origin_in_hull)
 from paretoscape.criticality import (CLASS_NAMES, DIV_TOL_REL, ORIENTATIONS,
                                      _interior, boundary_criticality,
                                      export_critical_points_json,
@@ -638,8 +638,8 @@ def test_classify_label_precedence_and_counts():
     assert set(counts) == set(CLASS_NAMES.values())
     assert sum(counts.values()) == 101 * 101
     assert counts["LocallyEfficientInterior"] > 0
-    # classify records the rotated field and descent divergence on the input
-    assert fs.div_descent is not None and fs.div_descent.shape == (101, 101)
+    # classify records the rotated field on the input
+    assert fs.mo is not None and fs.mo.shape == (101, 101, 2)
     assert cm.div_tol > 0.0
 
 
@@ -664,7 +664,7 @@ def test_classify_leaves_its_inputs_untouched():
     # write neither f1 nor f2, and the gradients g1 and g2 and the unit sum
     # mo_raw, which the set recomputes from them, must keep their bytes
     fs = _fieldset(make_kursawe(), 41, 33)
-    assert fs.mo is None and fs.div_descent is None
+    assert fs.mo is None
     inputs = (fs.f1, fs.f2)
     before = [a.tobytes() for a in inputs + (fs.g1, fs.g2, fs.mo_raw)]
     classify(fs)
@@ -675,24 +675,43 @@ def test_classify_leaves_its_inputs_untouched():
     assert not np.array_equal(fs.mo, fs.mo_raw)   # the rotation took effect
 
 
-def test_export_critical_points_json_schema(tmp_path):
-    p = make_bisphere()
-    fs = _fieldset(p, 41)
+def _oracle_records(cm, fs) -> list:
+    """The critical-points JSON records, j1 fastest, with div(-mo) from the
+    whole-grid oracle."""
+    g, div = cm.grid, descent_divergence(fs)
+    return [{"j1": i + 1, "j2": j + 1, "x1": float(g.x1[i]),
+             "x2": float(g.x2[j]),
+             "class": CLASS_NAMES[PointClass(int(cm.labels[i, j]))],
+             "div": float(div[i, j]), "f1": float(fs.f1[i, j]),
+             "f2": float(fs.f2[i, j])}
+            for j in range(g.n2) for i in range(g.n1) if cm.labels[i, j]]
+
+
+@pytest.mark.parametrize("name", ["mindist", "kursawe"])
+@pytest.mark.parametrize("shape", [(2, 2), (3, 5), (2, 37), (37, 2),
+                                   (61, 47)])
+def test_export_critical_points_json_schema(tmp_path, monkeypatch, name,
+                                            shape):
+    # every record, with the div(-mo) of the whole-grid oracle: the export
+    # computes it only in the row blocks that hold critical points, with
+    # one-row blocks, blocks that end inside the grid and one block, on one
+    # to three threads; some critical points lie on the box edges, where the
+    # stencil is one-sided
+    p = get_problem(name)
+    fs = _fieldset(p, *shape)
     cm = classify(fs)
-    out = tmp_path / "crit.json"
-    export_critical_points_json(out, cm, fs)
-    records = json.loads(out.read_text())
-    assert len(records) == int((cm.labels != 0).sum())
-    keys = {"j1", "j2", "x1", "x2", "class", "div", "f1", "f2"}
-    assert all(set(r) == keys for r in records)
-    assert all(r["class"] in CLASS_NAMES.values() for r in records)
-    assert all(1 <= r["j1"] <= 41 and 1 <= r["j2"] <= 41 for r in records)
-    order = [(r["j2"], r["j1"]) for r in records]
-    assert order == sorted(order)
-    by_index = {(r["j1"] - 1, r["j2"] - 1): r for r in records}
-    for (i, j), r in by_index.items():
-        assert CLASS_NAMES[PointClass(int(cm.labels[i, j]))] == r["class"]
-        assert r["div"] == fs.div_descent[i, j]
+    records = _oracle_records(cm, fs)
+    assert records
+    assert any(r["j1"] in (1, shape[0]) or r["j2"] in (1, shape[1])
+               for r in records)
+    expected = (json.dumps(records, indent=1) + "\n").encode()
+    for rows in (1, 3, 32):
+        monkeypatch.setattr(grid_module, "BLOCK_ROWS", rows)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(grid_module, "_cpus", lambda: cpus)
+            out = tmp_path / f"crit{rows}_{cpus}.json"
+            export_critical_points_json(out, cm, fs)
+            assert out.read_bytes() == expected, (rows, cpus)
 
 
 def test_export_critical_points_json_golden(tmp_path):
@@ -739,13 +758,7 @@ def test_export_critical_points_json_chunks_join_seamlessly(tmp_path,
     # the last one, and a single chunk longer than the records
     fs = _fieldset(make_aspar(), 41, 33)
     cm = classify(fs)
-    g = cm.grid
-    records = [{"j1": i + 1, "j2": j + 1, "x1": float(g.x1[i]),
-                "x2": float(g.x2[j]),
-                "class": CLASS_NAMES[PointClass(int(cm.labels[i, j]))],
-                "div": float(fs.div_descent[i, j]), "f1": float(fs.f1[i, j]),
-                "f2": float(fs.f2[i, j])}
-               for j in range(g.n2) for i in range(g.n1) if cm.labels[i, j]]
+    records = _oracle_records(cm, fs)
     n = len(records)
     assert n > 100
     expected = (json.dumps(records, indent=1) + "\n").encode()
@@ -782,6 +795,27 @@ def test_export_critical_points_json_memory_per_record(tmp_path):
                         fs)
              for k in (5_000, 35_000)]
     assert (peaks[1] - peaks[0]) / 30_000 < 64.0
+
+
+def test_export_critical_points_json_holds_no_whole_grid_field(tmp_path,
+                                                               monkeypatch):
+    # mindist on 200x400 and 800x400 grids, one thread: both have full row
+    # blocks of the same width, and 256-record chunks hold the text of one
+    # chunk at both sizes (1,396 and 2,596 critical points), so the growth
+    # of the traced peak per added point is what the export holds per grid
+    # point.  Measured with numpy 2.4: 0.13 B, the per-record arrays, with
+    # the divergence computed only in the blocks that hold critical points;
+    # 8.1 B while it built the whole divergence.  On 200^2 and 400^2 grids the block temporaries grow with
+    # the row width: 1.7 and 9.7 B
+    monkeypatch.setattr(grid_module, "_cpus", lambda: 1)
+    monkeypatch.setattr(criticality_module, "CSV_BLOCK_ROWS", 256)
+    p = get_problem("mindist")
+    peaks = []
+    for n1 in (200, 800):
+        fs = _fieldset(p, n1, 400)
+        cm = classify(fs)
+        peaks.append(_json_peak(tmp_path / f"{n1}.json", cm, fs))
+    assert (peaks[1] - peaks[0]) / (600 * 400) < 2.0
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0])
@@ -875,7 +909,7 @@ def test_div_tol_is_relative_to_the_largest_divergence_magnitude():
         fs = _fieldset(p, n)
         for rel in (DIV_TOL_REL, 1e-3):
             cm = classify(fs, div_tol_rel=rel)
-            div = fs.div_descent
+            div = descent_divergence(fs)
             assert cm.div_tol == rel * np.abs(div).max()
         signs.append((div.max() < 0.0, -div.min() > div.max()))
     assert signs == [(True, True), (False, True), (False, False)]

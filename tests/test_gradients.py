@@ -5,19 +5,24 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import (aspar_gradients, axis_derivative, grid_csv_rows,
-                     make_norm_overflow, make_overflow, make_scale_overflow,
-                     make_table)
+from oracles import (aspar_gradients, axis_derivative, descent_divergence,
+                     divergence, grid_csv_rows, make_norm_overflow,
+                     make_overflow, make_scale_overflow, make_table)
 from paretoscape import (BiObjectiveProblem, EvaluationError, analyze,
-                         build_fieldset, build_grid, classify, divergence,
-                         evaluate_grid, export_fields_csv, get_problem,
-                         make_aspar, make_bisphere)
+                         build_fieldset, build_grid, classify, evaluate_grid,
+                         export_fields_csv, get_problem, make_aspar,
+                         make_bisphere)
 from paretoscape import grid as grid_module
-from paretoscape.gradients import _unit_sum, gradient_norms
+from paretoscape.gradients import _divergence_rows, _unit_sum, gradient_norms
 
 
 def _grid(n1=11, n2=11, lo=(0.0, 0.0), hi=(1.0, 1.0)):
     return build_grid(lo, hi, n1, n2)
+
+
+def _div(v, g):
+    """``_divergence_rows`` of a vector field on all rows of grid ``g``."""
+    return _divergence_rows(v, g, slice(0, g.n1))
 
 
 def test_linear_field_exact_everywhere_including_boundary():
@@ -130,9 +135,9 @@ def test_divergence_exact_for_linear_fields():
     g = _grid(9, 13, (-1.0, -1.0), (1.0, 1.0))
     X1, X2 = np.meshgrid(g.x1, g.x2, indexing="ij")
     radial = np.stack([X1, X2], axis=-1)
-    assert np.allclose(divergence(radial, g), 2.0, atol=1e-12)
+    assert np.allclose(_div(radial, g), 2.0, atol=1e-12)
     rotational = np.stack([-X2, X1], axis=-1)
-    assert np.allclose(divergence(rotational, g), 0.0, atol=1e-12)
+    assert np.allclose(_div(rotational, g), 0.0, atol=1e-12)
 
 
 def test_divergence_linearity():
@@ -140,8 +145,8 @@ def test_divergence_linearity():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(12, 10, 2))
     b = rng.normal(size=(12, 10, 2))
-    lhs = divergence(2.5 * a - 4.0 * b, g)
-    rhs = 2.5 * divergence(a, g) - 4.0 * divergence(b, g)
+    lhs = _div(2.5 * a - 4.0 * b, g)
+    rhs = 2.5 * _div(a, g) - 4.0 * _div(b, g)
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
@@ -159,6 +164,11 @@ def test_stencils_bytes_match_hand_written_reference(shape):
         assert grad.tobytes() == expected.tobytes()
     div = axis_derivative(v[..., 0], g.s1, 0) + axis_derivative(v[..., 1], g.s2, 1)
     assert divergence(v, g).tobytes() == div.tobytes()
+    # per block of k rows with a halo row, every row gets the same bytes
+    for k in (1, 2, 3, shape[0]):
+        blocks = [_divergence_rows(v, g, slice(lo, min(lo + k, shape[0])))
+                  for lo in range(0, shape[0], k)]
+        assert np.concatenate(blocks).tobytes() == div.tobytes(), k
 
 
 def test_non_finite_gradients_raise_evaluation_error():
@@ -292,15 +302,15 @@ def test_export_fields_csv_matches_the_whole_grid_fields(tmp_path,
                                                          monkeypatch, name,
                                                          shape):
     # the streamed columns give the bytes of the whole-grid g1, g2, mo and
-    # div_descent written point by point: with blocks that end inside a j2
-    # column (also within one), exactly at a column's end and in a ragged
-    # tail, and slabs on both box edges (n2 = 2 is the case where each halo
-    # column is an edge)
+    # the oracle's div(-mo) written point by point: with blocks that end
+    # inside a j2 column (also within one), exactly at a column's end and in
+    # a ragged tail, and slabs on both box edges (n2 = 2 is the case where
+    # each halo column is an edge)
     p = get_problem(name)
     fs = build_fieldset(p, build_grid(p.lower, p.upper, *shape))
     classify(fs)
     columns = [g[..., c] for g in (fs.g1, fs.g2, fs.mo) for c in (0, 1)]
-    columns.append(fs.div_descent)
+    columns.append(descent_divergence(fs))
     if shape == (61, 47):
         # mindist's gradient columns take the distinct-value path; kursawe's
         # g1 columns go row by row (its f2 is a sum of one-axis terms)
@@ -345,7 +355,7 @@ def test_fieldset_matches_componentwise_construction():
                                       + gradient_norms(fs.g2).mean()))
     assert fs.zero_tol == expect_tol
     # classify sets mo; the set carries the unit sum as mo_raw
-    assert fs.mo is None and fs.div_descent is None
+    assert fs.mo is None
     assert np.array_equal(fs.mo_raw, _mo(fs.g1, fs.g2, fs.zero_tol))
 
 
@@ -355,7 +365,7 @@ def test_bisphere_descent_divergence_negative_between_centers():
     p = make_bisphere()
     g = build_grid(p.lower, p.upper, 201, 201)
     fs = build_fieldset(p, g)
-    div_desc = divergence(-fs.mo_raw, g)
+    div_desc = _div(-fs.mo_raw, g)
     X1, X2 = np.meshgrid(g.x1, g.x2, indexing="ij")
     ra = np.hypot(X1 + 1.0, X2)
     rb = np.hypot(X1 - 1.0, X2)

@@ -182,16 +182,22 @@ def test_export_grid_csv_matches_naive_writer(tmp_path, monkeypatch):
 def _whole_array_distinct(values):
     """The sorted distinct bit patterns of ``values`` from one
     ``np.unique`` of the whole array, or None if there are more than a
-    quarter as many as values."""
+    quarter as many as values or more than ``grid._DISTINCT_CAP``."""
     bits = np.unique(grid_module._bits(values))
-    return None if bits.size > values.size // 4 else bits
+    limit = min(values.size // 4, grid_module._DISTINCT_CAP)
+    return None if bits.size > limit else bits
 
 
+@pytest.mark.parametrize("cap", [12, 2 ** 16])
 @pytest.mark.parametrize("chunk", [1, 24, 50, 2 ** 16])
-def test_distinct_text_does_not_depend_on_the_slab_width(monkeypatch, chunk):
+def test_distinct_text_does_not_depend_on_the_slab_width(monkeypatch, chunk,
+                                                         cap):
     # 8 x 10 = 80 values, a quarter is 20: slabs of 1, 3, 6 and all 10 j2
-    # columns, the last of the 3- and 6-column slabs a narrower one
+    # columns, the last of the 3- and 6-column slabs a narrower one.  A cap
+    # of 12 lies below the quarter, so it decides the path of columns with
+    # 12 and 13 distinct values
     monkeypatch.setattr(grid_module, "_DISTINCT_CHUNK", chunk)
+    monkeypatch.setattr(grid_module, "_DISTINCT_CAP", cap)
     rng = np.random.default_rng(chunk)
     shape = (8, 10)
     subnormals = [5e-324, -5e-324, 1e-310, 2.2250738585072014e-308]
@@ -203,6 +209,8 @@ def test_distinct_text_does_not_depend_on_the_slab_width(monkeypatch, chunk):
         _takes_each(rng, [*subnormals, 0.0, -0.0, 1.0], shape),
         _takes_each(rng, np.arange(-10, 10) * 2 ** 50, shape),      # ints
         rng.normal(size=shape),
+        _takes_each(rng, rng.normal(size=12), shape),               # cap
+        _takes_each(rng, rng.normal(size=13), shape),               # cap + 1
     ]
     for values in cases:
         expected = _whole_array_distinct(values)
@@ -215,8 +223,26 @@ def test_distinct_text_does_not_depend_on_the_slab_width(monkeypatch, chunk):
         assert np.array_equal(bits, expected)
         assert strings.tolist() == [
             repr(v) for v in expected.view(values.dtype).tolist()]
-    assert [_whole_array_distinct(c) is None for c in cases] == [
-        False, True, False, True, False, False, True]
+    assert [_whole_array_distinct(c) is None for c in cases] == {
+        12: [True, True, True, True, False, True, True, False, True],
+        2 ** 16: [False, True, False, True, False, False, True, False, False],
+    }[cap]
+
+
+def test_distinct_value_count_stops_at_the_cap():
+    # a fully distinct 1000 x 1000 column goes row by row: its count stops
+    # once it passes _DISTINCT_CAP values, not a quarter of the column.
+    # Measured traced peak with numpy 2.4: 2.1 MB; 4.7 MB while the count
+    # went on up to a quarter of the values
+    c = np.random.default_rng(0).normal(size=(1000, 1000))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert _distinct(c) is None
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 def _pool_case(shape, row_by_row=True):

@@ -17,7 +17,7 @@ from paretoscape import (BiObjectiveProblem, CriticalityMap, FieldSet,
                          get_problem, gfh_heights, make_aspar, make_bisphere)
 from paretoscape import landscape as landscape_module
 from paretoscape.criticality import classify
-from paretoscape.gradients import build_fieldset, divergence
+from paretoscape.gradients import build_fieldset
 from paretoscape.grid import build_grid, evaluate_grid
 from paretoscape.landscape import (MODES, _smaller_before,
                                    export_decomposition_json,
@@ -318,8 +318,8 @@ def test_analyze_keeps_what_its_mode_exports_and_matches_the_stages(mode):
     # f1 and f2 are read after decompose_efficient_set only by the cost
     # landscape, which runs next, and the critical mode's exports; every
     # other mode drops them before gfh_heights.  No mode stores a gradient
-    # field or the divergence: g1, g2 and div_descent are computed on each
-    # read
+    # field or the divergence: g1 and g2 are computed on each read, and the
+    # divergence only per block by its readers
     p = get_problem("kursawe")
     r = analyze(p, 31, 17, mode=mode)
     assert [getattr(r.fields, k) is None for k in ("f1", "f2")
@@ -339,8 +339,6 @@ def test_analyze_keeps_what_its_mode_exports_and_matches_the_stages(mode):
     if mode == "cost":
         cost = cost_landscape(fs.f1, fs.f2, fs.grid)
         assert r.cost.values.tobytes() == cost.values.tobytes()
-    div = -divergence(fs.mo, fs.grid)
-    assert r.fields.div_descent.tobytes() == div.tobytes()
     assert r.decomposition.F.tobytes() == d.F.tobytes()
     if mode == "critical":
         for k in ("f1", "f2", "g1", "g2"):
