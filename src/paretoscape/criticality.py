@@ -32,7 +32,9 @@ applied at the resolution the grid can support.
 
 The interior test, the divergence and the dominance trim run per block of
 grid rows on all usable CPUs (``grid.map_blocks``), the stencils with a
-halo row; the labels do not depend on the block size or the thread count.
+halo row, and the trim over the 8-neighbour pairs of ``neighbor_pairs``,
+the walk that the descent of ``landscape.gfh_heights`` also takes; the
+labels do not depend on the block size or the thread count.
 """
 
 from __future__ import annotations
@@ -46,8 +48,7 @@ import numpy as np
 from .gradients import (FieldSet, _divergence_rows, _is_zero, _unit_sum,
                         absolute_tolerance, check_tolerance, gradient_norms,
                         gradient_rows)
-from .grid import (CSV_BLOCK_ROWS, EvaluationError, Grid, fill_blocks,
-                   map_blocks, row_blocks, with_halo)
+from .grid import CSV_BLOCK_ROWS, EvaluationError, Grid, map_blocks, row_blocks
 
 # default divergence tolerance, relative to the largest divergence
 DIV_TOL_REL = 1e-9
@@ -70,12 +71,26 @@ CLASS_NAMES = {
 # four diagonal orientations of the (anchor, horizontal, vertical) triangle
 ORIENTATIONS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
-# descent-path neighbour offsets, fixed order (ties resolved to the first)
+# 8-neighbour offsets, fixed order (descent ties resolved to the first);
+# offset 7 - k is the opposite of offset k
 NEIGHBOR_OFFSETS = (
     (-1, -1), (-1, 0), (-1, 1),
     (0, -1), (0, 1),
     (1, -1), (1, 0), (1, 1),
 )
+
+
+def neighbor_pairs(rows: slice, n1: int):
+    """For each offset k of ``NEIGHBOR_OFFSETS``, in order, (k, a, b): ``a``
+    the (row, column) slices of the points of grid rows ``rows`` whose
+    neighbour at offset k lies on a grid of n1 rows, and ``b`` the slices
+    of those neighbours, views of the same shape.  Over the blocks of
+    ``row_blocks(n1)`` every in-grid ordered 8-neighbour pair appears once.
+    """
+    for k, (di, dj) in enumerate(NEIGHBOR_OFFSETS):
+        lo, hi = max(rows.start, -di), min(rows.stop, n1 - di)
+        aj, bj = (slice(0, -1), slice(1, None))[::dj] if dj else (slice(None),) * 2
+        yield k, (slice(lo, hi), aj), (slice(lo + di, hi + di), bj)
 
 
 def _two_product(a: np.ndarray, b: np.ndarray):
@@ -152,15 +167,6 @@ def origin_in_hull(vectors, zero_tol: float = 0.0) -> bool:
         raise ValueError("origin_in_hull requires at least one vector")
     zero = _is_zero(gradient_norms(vs), zero_tol).any()
     return bool(_encloses(_ahead(vs[:, :1], vs[:, 1:]), zero)[0])
-
-
-def pair_slices(d: int):
-    """(source, shifted) slices pairing index i with i+d along one axis."""
-    if d == 1:
-        return slice(0, -1), slice(1, None)
-    if d == -1:
-        return slice(1, None), slice(0, -1)
-    return slice(None), slice(None)
 
 
 # offsets of the corners of the cell [i, i+1] x [j, j+1]; corner (oi, oj)
@@ -377,24 +383,17 @@ def rotate_boundary_field(mo: np.ndarray, skip_mask: np.ndarray) -> None:
 
 
 def neighbor_dominated_mask(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
-    """True where some 8-neighbour strictly dominates the point; per block
-    of ``row_blocks`` rows with a halo row, through ``fill_blocks``."""
-    def block(rows: slice) -> np.ndarray:
-        slab, inner = with_halo(rows, f1.shape[0])
-        return _dominated(f1[slab], f2[slab])[inner]
-
-    return fill_blocks(f1.shape, block, dtype=bool)
-
-
-def _dominated(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
-    """``neighbor_dominated_mask`` of whole arrays, for one slab."""
+    """True where some 8-neighbour strictly dominates the point.  Each
+    block of ``row_blocks`` rows, through ``map_blocks``, ORs each
+    ``neighbor_pairs`` comparison into its own rows of one mask."""
     dom = np.zeros(f1.shape, dtype=bool)
-    for di, dj in NEIGHBOR_OFFSETS:
-        ai, bi = pair_slices(di)
-        aj, bj = pair_slices(dj)
-        a1, a2 = f1[ai, aj], f2[ai, aj]
-        b1, b2 = f1[bi, bj], f2[bi, bj]
-        dom[ai, aj] |= (b1 <= a1) & (b2 <= a2) & ((b1 < a1) | (b2 < a2))
+
+    def block(rows: slice):
+        for _, a, b in neighbor_pairs(rows, f1.shape[0]):
+            a1, a2, b1, b2 = f1[a], f2[a], f1[b], f2[b]
+            dom[a] |= (b1 <= a1) & (b2 <= a2) & ((b1 < a1) | (b2 < a2))
+
+    map_blocks(block, row_blocks(f1.shape[0]))
     return dom
 
 

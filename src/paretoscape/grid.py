@@ -14,8 +14,8 @@ workers.  The per-point stages of
 the pipeline run in blocks of ``BLOCK_ROWS`` grid rows (``row_blocks``,
 with ``with_halo`` for stencils) on the calling thread plus helper threads
 (``map_blocks``; ``fill_blocks`` when each block writes its rows of one new
-array), with outputs that depend neither on the block size nor on the
-thread count.
+array, as the on-read fields of ``gradients.FieldSet`` do), with outputs
+that depend neither on the block size nor on the thread count.
 """
 
 from __future__ import annotations
@@ -73,7 +73,9 @@ def build_grid(lower, upper, n1: int, n2: int) -> Grid:
 
     Raises:
         TypeError: a resolution is not an integer (``operator.index``).
-        ValueError: on inverted/degenerate bounds or resolutions below 2.
+        ValueError: on inverted/degenerate bounds, resolutions below 2, or
+            an axis whose spacing is not finite or whose coordinates are
+            not strictly increasing.
     """
     n1, n2 = operator.index(n1), operator.index(n2)
     lower = np.asarray(lower, dtype=float)
@@ -89,14 +91,20 @@ def build_grid(lower, upper, n1: int, n2: int) -> Grid:
         )
     if n1 < 2 or n2 < 2:
         raise ValueError(f"grid needs at least 2 points per axis, got {n1} x {n2}")
-    s1 = (upper[0] - lower[0]) / (n1 - 1)
-    s2 = (upper[1] - lower[1]) / (n2 - 1)
-    x1 = lower[0] + s1 * np.arange(n1)
-    x2 = lower[1] + s2 * np.arange(n2)
-    x1[-1] = upper[0]
-    x2[-1] = upper[1]
+    # a box wider than the largest float gets an infinite spacing and a NaN
+    # first coordinate, and a box a few ulps wide repeats coordinates:
+    # neither passes the strictly-increasing check
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = (upper - lower) / np.array([n1 - 1, n2 - 1])
+        x1, x2 = (lower[a] + s[a] * np.arange(n) for a, n in ((0, n1), (1, n2)))
+    x1[-1], x2[-1] = upper
+    for axis, x in enumerate((x1, x2)):
+        if not np.all(x[1:] > x[:-1]):
+            raise ValueError(
+                f"grid axis {axis + 1}: spacing {float(s[axis])!r} does not give "
+                f"{x.size} finite, strictly increasing coordinates")
     return Grid(lower=lower, upper=upper, n1=n1, n2=n2,
-                s1=float(s1), s2=float(s2), x1=x1, x2=x2)
+                s1=float(s[0]), s2=float(s[1]), x1=x1, x2=x2)
 
 
 # grid rows per block of the per-point stages: their temporaries grow with

@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .criticality import (DIV_TOL_REL, CriticalityMap, NEIGHBOR_OFFSETS,
-                          classify, pair_slices)
+                          classify, neighbor_pairs)
 from .gradients import ZERO_TOL_REL, FieldSet, build_fieldset, gradient_norms
 from .grid import (Grid, build_grid, export_grid_csv, map_blocks,
                    row_blocks)
@@ -312,12 +312,15 @@ def gfh_heights(fields: FieldSet, critmap: CriticalityMap,
     ``map_blocks``, with the same expressions on each element as on the
     whole grid, so no full grid of norms is needed and the result does not
     depend on the block size or the thread count.  The in-degree is counted
-    as int8, per block of target rows and one offset at a time, on slice
-    views.  The successor graph is peeled sequentially in topological
-    rounds, sources first, kept as int32 point indices; each round
-    decrements the in-degree of its frontier's targets only, so the whole
-    peel costs about O(N log N).  Stops then get height 0, and walking the
-    rounds backwards, h[v] = cost[v] + h[succ[v]], and each peeled point
+    as int8, per block of target rows and one offset at a time.  Both
+    passes take the slice views of ``criticality.neighbor_pairs``, the
+    8-neighbour walk of the dominance trim: the step choice over each
+    point's in-grid neighbours, the count over each target's neighbours
+    whose step is the opposite offset.  The successor graph is peeled
+    sequentially in topological rounds, sources first, kept as int32 point
+    indices; each round decrements the in-degree of its frontier's targets
+    only, so the whole peel costs about O(N log N).  Stops then get height
+    0, and walking the rounds backwards, h[v] = cost[v] + h[succ[v]], and each peeled point
     takes its successor's stop kind with its height; a round's points are
     independent, so they are gathered at most ``PEEL_CHUNK`` at a time as
     intp indices.  The stop kinds are counted one kind at a time, without
@@ -341,15 +344,14 @@ def gfh_heights(fields: FieldSet, critmap: CriticalityMap,
     def steps(rows: slice):
         # by exact negation, the least mo . step / length is -mo's best step
         low = np.full((rows.stop - rows.start, n2), np.inf)
-        for k, (di, dj) in enumerate(NEIGHBOR_OFFSETS):
-            # the block's rows whose offset target stays in-grid, as views
-            src = slice(max(rows.start, -di), min(rows.stop, n1 - di))
-            ai = slice(src.start - rows.start, src.stop - rows.start)
-            aj = pair_slices(dj)[0]
-            dot = (mo[src, aj, 0] * (di * grid.s1) + mo[src, aj, 1] * (dj * grid.s2)) / length[k]
-            better = dot < low[ai, aj]
-            np.copyto(low[ai, aj], dot, where=better)
-            np.copyto(step[src, aj], k, where=better)
+        for k, (ai, aj), _ in neighbor_pairs(rows, n1):
+            # the block's points whose step k stays in-grid, as views
+            di, dj = NEIGHBOR_OFFSETS[k]
+            near = low[ai.start - rows.start:ai.stop - rows.start, aj]
+            dot = (mo[ai, aj, 0] * (di * grid.s1) + mo[ai, aj, 1] * (dj * grid.s2)) / length[k]
+            better = dot < near
+            np.copyto(near, dot, where=better)
+            np.copyto(step[ai, aj], k, where=better)
         block = kind[rows]
         block[low >= 0.0] = STOP_KINDS.index("dead_end")
         norm = gradient_norms(mo[rows])
@@ -361,15 +363,13 @@ def gfh_heights(fields: FieldSet, critmap: CriticalityMap,
     kind[critmap.efficient_mask] = STOP_KINDS.index("efficient")
     linked = kind == cycle
 
-    # at most 8 in-edges per point, counted per block of target rows
+    # at most 8 in-edges per point, counted per block of target rows: the
+    # neighbour at offset k steps here if its step is the opposite, 7 - k
     indeg = np.zeros(grid.shape, dtype=np.int8)
 
     def in_degree(rows: slice):
-        for k, (di, dj) in enumerate(NEIGHBOR_OFFSETS):
-            dst = slice(max(rows.start, di), min(rows.stop, n1 + di))
-            src = slice(dst.start - di, dst.stop - di)
-            aj, bj = pair_slices(dj)
-            indeg[dst, bj] += linked[src, aj] & (step[src, aj] == k)
+        for k, a, b in neighbor_pairs(rows, n1):
+            indeg[a] += linked[b] & (step[b] == 7 - k)
 
     map_blocks(in_degree, row_blocks(n1))
     step, kind, linked, indeg, heights = (

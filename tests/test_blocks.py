@@ -285,7 +285,8 @@ def _stage_peaks(p, n1):
         _traced_peak(lambda: classify(fs)),
         _traced_peak(art.to_png_bytes),
         _traced_peak(lambda: build_fieldset(p, g)),
-        _traced_peak(lambda: evaluate_grid(p, g))])
+        _traced_peak(lambda: evaluate_grid(p, g)),
+        _traced_peak(lambda: neighbor_dominated_mask(fs.f1, fs.f2))])
 
 
 def test_stage_memory_grows_with_one_block_not_the_grid(monkeypatch):
@@ -306,13 +307,14 @@ def test_stage_memory_grows_with_one_block_not_the_grid(monkeypatch):
     # f2 and the two norm arrays, which it drops; 67.4 B while it also
     # stored g1 and g2, 80.0 B while it also built mo) and evaluate_grid
     # 16.0 B (f1 and f2; 32.1 B while it sliced whole-grid coordinate
-    # meshes); before row blocks the first four were 83.7, 44.1, 24.0 and
-    # 35.0 B
+    # meshes) and neighbor_dominated_mask 1.01 B (its bool mask; the same
+    # while each block compared a halo slab); before row blocks the first
+    # four were 83.7, 44.1, 24.0 and 35.0 B
     p = get_problem("sgk")
     monkeypatch.setattr(grid_module, "_cpus", lambda: 1)
     small, one_thread = _stage_peaks(p, 200), _stage_peaks(p, 800)
     per_point = (one_thread - small) / (600 * 400)
-    bounds = np.array([2.0, 19.0, 4.0, 4.0, 22.0, 1.5, 34.0, 18.0])
+    bounds = np.array([2.0, 19.0, 4.0, 4.0, 22.0, 1.5, 34.0, 18.0, 1.5])
     assert (per_point < bounds).all(), per_point
     # each thread adds at most one block's temporaries, and the one-thread
     # peak holds one block's temporaries plus the results

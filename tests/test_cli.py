@@ -101,6 +101,16 @@ def test_resolution_below_2_exits_1_from_build_grid(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_degenerate_grid_exits_1(tmp_path, capsys):
+    # a box one ulp wide gives 40 points on 2 distinct coordinates per axis
+    out = tmp_path / "x.png"
+    assert main(["--problem", "sgk", "--resolution", "40", "--lower=0.5,0.5",
+                 "--upper=0.5000000000000001,0.5000000000000001",
+                 "--out", str(out)]) == 1
+    assert "grid axis 1: spacing" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["--resolution", "-5,5"],
                                   ["--resolution=-5,5"]])
 def test_negative_resolution_names_its_value(argv, tmp_path, capsys):

@@ -14,11 +14,12 @@ from paretoscape import (BiObjectiveProblem, EvaluationError, FieldSet,
                          PointClass, build_fieldset, build_grid, classify,
                          get_problem, make_aspar, make_bisphere, make_kursawe,
                          make_sgk, origin_in_hull)
-from paretoscape.criticality import (CLASS_NAMES, DIV_TOL_REL, ORIENTATIONS,
+from paretoscape.criticality import (CLASS_NAMES, DIV_TOL_REL,
+                                     NEIGHBOR_OFFSETS, ORIENTATIONS,
                                      _interior, boundary_criticality,
                                      export_critical_points_json,
                                      interior_criticality,
-                                     neighbor_dominated_mask,
+                                     neighbor_dominated_mask, neighbor_pairs,
                                      rotate_boundary_field, triangle_corners,
                                      triangle_second_order)
 from paretoscape.gradients import _unit_sum
@@ -590,6 +591,34 @@ def test_boundary_golden_on_non_square_grid():
 # ---------------------------------------------------------------------------
 # dominance trim and full classification
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", [(2, 9), (17, 31), (31, 17), (33, 17)])
+@pytest.mark.parametrize("rows", [1, 2, 3, 32])
+def test_neighbor_pairs_walk_every_in_grid_pair_once(shape, rows,
+                                                     monkeypatch):
+    monkeypatch.setattr(grid_module, "BLOCK_ROWS", rows)
+    n1, n2 = shape
+    index = np.arange(n1 * n2).reshape(shape)
+    walked = []
+    for block in grid_module.row_blocks(n1):
+        for k, a, b in neighbor_pairs(block, n1):
+            assert index[a].shape == index[b].shape
+            assert block.start <= a[0].start <= a[0].stop <= block.stop
+            walked += [(int(p), int(q), k) for p, q
+                       in zip(index[a].ravel(), index[b].ravel())]
+    brute = [(int(index[i, j]), int(index[i + di, j + dj]), k)
+             for i in range(n1) for j in range(n2)
+             for k, (di, dj) in enumerate(NEIGHBOR_OFFSETS)
+             if 0 <= i + di < n1 and 0 <= j + dj < n2]
+    assert len(walked) == len(set(walked))
+    assert set(walked) == set(brute)
+
+
+def test_neighbor_offsets_pair_each_offset_with_its_opposite():
+    # gfh_heights counts the in-degree from the opposite offset, 7 - k
+    for k, (di, dj) in enumerate(NEIGHBOR_OFFSETS):
+        assert NEIGHBOR_OFFSETS[7 - k] == (-di, -dj)
 
 
 def test_neighbor_dominated_mask_synthetic():

@@ -57,6 +57,16 @@ def test_build_grid_validation():
         build_grid((1, 0), (0, 1), 5, 5)
     with pytest.raises(ValueError, match="finite"):
         build_grid((0, float("nan")), (1, 1), 5, 5)
+    # a box one ulp wide: 40 points on 2 distinct coordinates per axis
+    with pytest.raises(ValueError, match="axis 1: spacing .* strictly"):
+        build_grid((0.5, 0.5), (0.5000000000000001, 0.5000000000000001),
+                   40, 40)
+    # a width of 2e308 overflows the spacing, with no numpy warning (the
+    # suite turns RuntimeWarnings into errors)
+    with pytest.raises(ValueError, match="axis 1: spacing inf"):
+        build_grid((-1e308, -1), (1e308, 1), 40, 40)
+    with pytest.raises(ValueError, match="axis 2: spacing inf"):
+        build_grid((-1, -1e308), (1, 1e308), 40, 40)
 
 
 def test_build_grid_rejects_non_integer_resolutions():
